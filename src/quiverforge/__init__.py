@@ -28,20 +28,22 @@ from .reps import (
     tensor_product,
     to_module,
 )
-from .stability import (
+from .slope import (
     DegreeData,
-    FiltrationStep,
-    OracleOptions,
     StabilityParams,
-    Verdict,
     admissibility,
     degree_and_slope,
-    destabilizer_extract,
     reparameterize,
+)
+from .stability import (
+    OracleOptions,
+    Verdict,
+    destabilizer_extract,
     stability_oracle,
     subrep_degree_identity,
 )
 from .flow import (
+    FiltrationStep,
     FlowOptions,
     FlowReport,
     MetricState,

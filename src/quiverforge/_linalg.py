@@ -40,13 +40,6 @@ def expm_herm(a: np.ndarray) -> np.ndarray:
     return funm_herm(a, np.exp)
 
 
-def logm_hpd(a: np.ndarray) -> np.ndarray:
-    w, v = eigh_checked(a)
-    if w.min(initial=np.inf) <= 0:
-        raise SingularMetric("matrix is not positive definite")
-    return (v * np.log(w)) @ v.conj().T
-
-
 def check_hpd(a: np.ndarray, cond_limit: float = 1e12) -> None:
     """Raise SingularMetric unless ``a`` is Hermitian positive definite with
     condition number below ``cond_limit``."""
@@ -102,16 +95,6 @@ def subspace_intersection(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-8) -> 
     return orthonormal_columns(vh.conj().T[:, keep]) if keep.any() else np.zeros((n, 0), dtype=complex)
 
 
-def subspace_angle(b1: np.ndarray, b2: np.ndarray) -> float:
-    """Largest principal angle (radians) between two subspaces of equal rank."""
-    if b1.shape[1] != b2.shape[1]:
-        return np.pi / 2
-    if b1.shape[1] == 0:
-        return 0.0
-    s = np.linalg.svd(b1.conj().T @ b2, compute_uv=False)
-    return float(np.arccos(np.clip(s.min(), -1.0, 1.0)))
-
-
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * herm(a)
@@ -121,7 +104,3 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))

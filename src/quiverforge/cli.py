@@ -32,7 +32,8 @@ from .flow import (
 )
 from .quiver import check_relations
 from .reps import tensor_product
-from .stability import OracleOptions, StabilityParams, destabilizer_extract, stability_oracle
+from .slope import StabilityParams
+from .stability import OracleOptions, destabilizer_extract, stability_oracle
 from .torus import PotentialState, solve_vortex, ymh_identity
 
 EXIT_OK = 0

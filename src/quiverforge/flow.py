@@ -36,9 +36,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._linalg import check_hpd, eigh_checked, herm, random_hermitian
-from .errors import InadmissibleParameters, ZeroTotalRank
-from .reps import TwistedRep
+from ._linalg import check_hpd, eigh_checked, herm, orthonormal_columns, random_hermitian
+from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
+from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure
+from .slope import SLOPE_TOL, degree_and_slope
 
 HermCollection = Mapping[str, np.ndarray]
 
@@ -375,6 +376,122 @@ def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> 
 
 
 # ---------------------------------------------------------------------------
+# filtrations read off a direction
+
+
+@dataclass(frozen=True)
+class FiltrationStep:
+    witness: SubrepWitness
+    slope: float
+    boundary: float  # eigenvalue cut defining the step
+
+
+def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, sweeps: int = 40) -> SubrepWitness:
+    """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
+
+    Block-coordinate descent on the total squared leakage: at each vertex
+    the optimal subspace of the given rank is spanned by the lowest
+    eigenvectors of (outgoing leakage form) - (incoming image form).
+    Starting near an exactly invariant subspace this converges to it.
+    """
+    bases = {v: np.array(witness.basis[v]) for v in rep.quiver.vertices}
+    dims = {v: b.shape[1] for v, b in bases.items()}
+    for _ in range(sweeps):
+        changed = 0.0
+        for v in rep.quiver.vertices:
+            r = dims[v]
+            n = rep.dims[v]
+            if r == 0 or r == n:
+                continue
+            quad = np.zeros((n, n), dtype=complex)
+            for a in rep.quiver.arrows_out_of(v):
+                ph = bases[a.head] @ bases[a.head].conj().T
+                perp = np.eye(rep.dims[a.head], dtype=complex) - ph
+                for sl in rep.slices[a.name]:
+                    quad += sl.conj().T @ perp @ sl
+            for a in rep.quiver.arrows_into(v):
+                pt = bases[a.tail] @ bases[a.tail].conj().T
+                for sl in rep.slices[a.name]:
+                    quad -= sl @ pt @ sl.conj().T
+            w, vecs = eigh_checked(herm(quad))
+            new = vecs[:, :r]
+            changed = max(changed, float(np.linalg.norm(new @ new.conj().T - bases[v] @ bases[v].conj().T)))
+            bases[v] = new
+        if changed < 1e-14:
+            break
+    return SubrepWitness(bases)
+
+
+def filtration_steps(
+    rep: TwistedRep,
+    params,
+    direction: HermCollection,
+    gap_threshold: float = 0.05,
+    invariance_tol: float = 1e-8,
+    min_slope: float = -np.inf,
+) -> list[FiltrationStep]:
+    """Ascending filtration read off a Hermitian direction (one per vertex).
+
+    Eigenvalues are pooled across vertices and split at gaps exceeding
+    ``gap_threshold`` times the spectral spread; each cut yields the span of
+    eigenvectors below it, rounded to the nearest invariant subspace
+    (leakage-minimizing polish at fixed dimensions, with closure under the
+    arrow slices as the fallback when no nearby invariant subspace of those
+    dimensions exists).  Cuts whose span has slope <= ``min_slope`` are
+    skipped before the rounding, which is most of the cost; at point scale
+    the polish keeps the dimension vector and with it the slope.
+
+    Raises :class:`NoSeparation` when the spectrum has no usable gap.
+    """
+    eig = {v: eigh_checked(herm(direction[v])) for v in rep.quiver.vertices}
+    all_vals = np.sort(np.concatenate([eig[v][0] for v in rep.quiver.vertices]))
+    spread = float(all_vals[-1] - all_vals[0])
+    if spread <= 1e-12:
+        raise NoSeparation("limit direction spectrum is constant", spectrum=all_vals)
+    cuts = []
+    for lo, hi in zip(all_vals, all_vals[1:]):
+        if hi - lo > gap_threshold * spread:
+            cuts.append(0.5 * (lo + hi))
+    if not cuts:
+        raise NoSeparation(
+            "no spectral gap above threshold", spectrum=all_vals
+        )
+    steps: list[FiltrationStep] = []
+    for cut in cuts:
+        gens = {}
+        for v in rep.quiver.vertices:
+            w, vecs = eig[v]
+            sel = vecs[:, w <= cut]
+            gens[v] = orthonormal_columns(sel)
+        candidate = SubrepWitness(gens)
+        if degree_and_slope(candidate, params)[1] <= min_slope:
+            continue
+        polished = _polish_invariant(rep, candidate)
+        ok, _ = check_subrep(rep, polished, tol=invariance_tol)
+        witness = polished if ok else invariant_closure(rep, gens)
+        _, slope = degree_and_slope(witness, params)
+        steps.append(FiltrationStep(witness, slope, cut))
+    return steps
+
+
+def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, mu: float) -> bool:
+    """Whether a cut of ``direction`` is an exact instability certificate: a
+    proper subobject that passes :func:`check_subrep` and whose slope
+    exceeds ``mu`` by more than ``SLOPE_TOL``.  No gap means no certificate
+    yet, never an error."""
+    try:
+        steps = filtration_steps(rep, params, direction, min_slope=mu + SLOPE_TOL)
+    except NoSeparation:
+        return False
+    return any(
+        0 < st.witness.total_dim < rep.total_dim
+        and st.slope > mu + SLOPE_TOL
+        and check_subrep(rep, st.witness)[0]
+        for st in steps
+    )
+
+
+# ---------------------------------------------------------------------------
 # the flow
 
 
@@ -413,6 +530,9 @@ class FlowReport:
     iter_log: list[tuple[int, float, float, float, float]] = field(repr=False, default_factory=list)
     limit_direction: dict[str, np.ndarray] | None = None
     monotone: bool = True
+    # rule that ended the flow: tol | certificate | blowup | plateau |
+    # line-search | max-iter (None for reports not made by flow_solve)
+    stop: str | None = None
 
     @property
     def converged(self) -> bool:
@@ -458,10 +578,22 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     - ``converged``: residual <= tol with the last accepted chart movement
       below ``drift_tol`` (semistable flows push the residual to zero while
       ||log H|| diverges, so the residual alone cannot decide);
-    - ``diverged``: ||log H||_F >= blowup along monotone energy descent, or a
-      residual/energy plateau (or line-search exhaustion) at ||log H|| >=
-      ``s_floor``; the report carries the normalized limit direction;
+    - ``diverged``: at iterations 1, 2, 4, 8, ... (skipped while the residual
+      halves between checkpoints) a spectral cut of s/||s|| read by
+      :func:`filtration_steps` is an exact instability certificate: a proper
+      subobject passing :func:`check_subrep` with slope above the total
+      slope by more than ``SLOPE_TOL``.  Since the flow only stops there
+      with a proof, stable flows run exactly as without the check.
+      Strictly semistable flows have no such certificate and are caught by
+      the fallback rules: ||log H||_F >= blowup along monotone energy
+      descent, or a residual/energy plateau (or line-search exhaustion) at
+      ||log H|| >= ``s_floor``.  The report carries the normalized limit
+      direction, so :func:`destabilizer_extract` returns the certified step;
     - ``max-iter`` otherwise.
+
+    ``FlowReport.stop`` names the rule that ended the flow: ``tol``,
+    ``certificate``, ``blowup``, ``plateau``, ``line-search`` or
+    ``max-iter``.
 
     The line search is Armijo backtracking (factor ``backtrack``, slope
     constant ``armijo_c``) with a multiplicatively growing trial step, so
@@ -508,7 +640,14 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     step = opts.step0
     last_drift = np.inf
     status = "max-iter"
+    stop = "max-iter"
     limit = None
+    _, mu = degree_and_slope(rep, params)
+    # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
+    # only while the residual has not halved since the previous checkpoint,
+    # which skips it on geometrically converging flows
+    next_check = 1
+    check_res = None
     res = np.inf
     prev_res = None
     prev_energy = None
@@ -535,13 +674,23 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         prev_res, prev_energy = res, energy
 
         if res <= opts.tol and (it == 0 or last_drift <= opts.drift_tol):
-            status = "converged"
+            status, stop = "converged", "tol"
             break
+        if it == next_check:
+            next_check *= 2
+            halved = check_res is not None and res <= 0.5 * check_res
+            check_res = res
+            if not halved and s_norm > 0:
+                unit = {v: sv / s_norm for v, sv in chart.s.items()}
+                if _certifies_instability(rep, params, unit, mu):
+                    status, stop, limit = "diverged", "certificate", unit
+                    break
         if s_norm >= opts.blowup:
-            status = "diverged"
+            status, stop = "diverged", "blowup"
             limit = {v: sv / s_norm for v, sv in chart.s.items()}
             break
         if plateau >= opts.plateau_window and res > opts.tol:
+            stop = "plateau"
             if s_norm >= opts.s_floor:
                 status = "diverged"
                 limit = {v: sv / s_norm for v, sv in chart.s.items()}
@@ -612,6 +761,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         if not accepted:
             # no certifiable progress in either merit: a flow that has already
             # escaped far is classified divergent, mirroring the plateau rule
+            stop = "line-search"
             if s_norm >= opts.s_floor and res > opts.tol:
                 status = "diverged"
                 limit = {v: sv / s_norm for v, sv in chart.s.items()}
@@ -658,4 +808,5 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         iter_log=iter_log,
         limit_direction=limit,
         monotone=monotone,
+        stop=stop,
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import SchemaError
 from .quiver import Arrow, Path, Quiver, Relation, TwistSpec
 from .reps import TwistedRep, build_rep
-from .stability import StabilityParams
+from .slope import StabilityParams
 from .torus import TorusSystem, WeightSpec, build_torus_system
 
 SCHEMA_TAG = "qf-1"

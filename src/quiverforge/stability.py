@@ -1,10 +1,8 @@
-"""Slope calculus, parameter admissibility, stability verdicts, and
-destabilizer extraction.
+"""Stability verdicts, destabilizer extraction, and the degree identity.
 
-The weighted degree of an object with per-vertex degrees and ranks is
-deg = sum_v (sigma_v deg_v - tau_v rk_v); the slope divides by
-sum_v sigma_v rk_v.  At point scale every degree is zero, so admissibility
-reduces to sum_v tau_v dim_v = 0 and verdict signs are independent of sigma.
+Slopes come from :mod:`quiverforge.slope`; the filtration that extraction
+reads off a divergent flow is computed in :mod:`quiverforge.flow`, which
+stops its flow on the first exactly invariant destabilizer.
 
 The subobject enumeration used by :func:`stability_oracle` is a stated
 heuristic: invariant closures of seeded generating vectors enriched by
@@ -15,20 +13,21 @@ envelope (any vertex dimension above 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._linalg import eigh_checked, herm, orthonormal_columns
-from .errors import (
-    NonpositiveScale,
-    NoSeparation,
-    NotASolution,
-    NotDivergent,
-    ShapeMismatch,
-    ZeroTotalRank,
+from ._linalg import eigh_checked, herm
+from .errors import NotASolution, NotDivergent, ZeroTotalRank
+from .flow import (
+    FiltrationStep,
+    FlowReport,
+    MetricState,
+    filtration_steps,
+    moment_map_residual,
+    residual_norm_h,
+    _qinv,
 )
-from .flow import FlowReport, MetricState, moment_map_residual, residual_norm_h, _qinv
 from .reps import (
     SubrepWitness,
     TwistedRep,
@@ -39,83 +38,7 @@ from .reps import (
     witness_intersection,
     witness_sum,
 )
-
-SLOPE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class StabilityParams:
-    sigma: Mapping[str, float]
-    tau: Mapping[str, float]
-
-    def __post_init__(self):
-        for v, s in self.sigma.items():
-            if s <= 0:
-                raise NonpositiveScale(f"sigma[{v!r}] must be positive, got {s}")
-        object.__setattr__(self, "sigma", {v: float(s) for v, s in self.sigma.items()})
-        object.__setattr__(self, "tau", {v: float(t) for v, t in self.tau.items()})
-
-
-@dataclass(frozen=True)
-class DegreeData:
-    """Per-vertex degree/rank data; at point scale degrees vanish and ranks
-    are the vertex dimensions."""
-
-    degree: Mapping[str, float]
-    rank: Mapping[str, int]
-
-    @classmethod
-    def point_scale(cls, dims: Mapping[str, int]) -> "DegreeData":
-        return cls({v: 0.0 for v in dims}, {v: int(d) for v, d in dims.items()})
-
-
-def _as_degree_data(data) -> DegreeData:
-    if isinstance(data, DegreeData):
-        return data
-    if isinstance(data, TwistedRep):
-        return DegreeData.point_scale(data.dims)
-    if isinstance(data, SubrepWitness):
-        return DegreeData.point_scale(data.dims)
-    raise ShapeMismatch(f"cannot read degree data from {type(data).__name__}")
-
-
-def degree_and_slope(data, params: StabilityParams) -> tuple[float, float]:
-    """Weighted degree and slope of a representation or degree table."""
-    dd = _as_degree_data(data)
-    deg = sum(
-        params.sigma[v] * dd.degree[v] - params.tau[v] * dd.rank[v] for v in dd.rank
-    )
-    denom = sum(params.sigma[v] * dd.rank[v] for v in dd.rank)
-    if denom == 0:
-        raise ZeroTotalRank("no vertex with positive rank")
-    return float(deg), float(deg / denom)
-
-
-def admissibility(data, params: StabilityParams, tol: float = 1e-12) -> bool:
-    """Whether the weighted degree vanishes (necessary for any solution)."""
-    dd = _as_degree_data(data)
-    deg = sum(
-        params.sigma[v] * dd.degree[v] - params.tau[v] * dd.rank[v] for v in dd.rank
-    )
-    scale = 1.0 + sum(
-        abs(params.sigma[v] * dd.degree[v]) + abs(params.tau[v] * dd.rank[v])
-        for v in dd.rank
-    )
-    return abs(deg) <= tol * scale
-
-
-def reparameterize(params: StabilityParams, c: float, d: float) -> tuple[StabilityParams, float]:
-    """Transformed parameters sigma' = c sigma, tau' = c (tau + d sigma).
-
-    Returns the new parameters together with the section rescale factor
-    sqrt(c) the caller must apply to the arrow maps for the equations to
-    transform covariantly.  Slopes shift by exactly -d.
-    """
-    if c <= 0:
-        raise NonpositiveScale(f"scale must be positive, got {c}")
-    sigma = {v: c * s for v, s in params.sigma.items()}
-    tau = {v: c * (params.tau[v] + d * params.sigma[v]) for v in params.sigma}
-    return StabilityParams(sigma, tau), float(np.sqrt(c))
+from .slope import SLOPE_TOL, StabilityParams, degree_and_slope
 
 
 # ---------------------------------------------------------------------------
@@ -313,49 +236,6 @@ def _splits_orthogonally(rep, params, equal_slope: Sequence[SubrepWitness], opti
 # destabilizer extraction from a divergent flow
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
-    witness: SubrepWitness
-    slope: float
-    boundary: float  # eigenvalue cut defining the step
-
-
-def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, sweeps: int = 40) -> SubrepWitness:
-    """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
-
-    Block-coordinate descent on the total squared leakage: at each vertex
-    the optimal subspace of the given rank is spanned by the lowest
-    eigenvectors of (outgoing leakage form) - (incoming image form).
-    Starting near an exactly invariant subspace this converges to it.
-    """
-    bases = {v: np.array(witness.basis[v]) for v in rep.quiver.vertices}
-    dims = {v: b.shape[1] for v, b in bases.items()}
-    for _ in range(sweeps):
-        changed = 0.0
-        for v in rep.quiver.vertices:
-            r = dims[v]
-            n = rep.dims[v]
-            if r == 0 or r == n:
-                continue
-            quad = np.zeros((n, n), dtype=complex)
-            for a in rep.quiver.arrows_out_of(v):
-                ph = bases[a.head] @ bases[a.head].conj().T
-                perp = np.eye(rep.dims[a.head], dtype=complex) - ph
-                for sl in rep.slices[a.name]:
-                    quad += sl.conj().T @ perp @ sl
-            for a in rep.quiver.arrows_into(v):
-                pt = bases[a.tail] @ bases[a.tail].conj().T
-                for sl in rep.slices[a.name]:
-                    quad -= sl @ pt @ sl.conj().T
-            w, vecs = eigh_checked(herm(quad))
-            new = vecs[:, :r]
-            changed = max(changed, float(np.linalg.norm(new @ new.conj().T - bases[v] @ bases[v].conj().T)))
-            bases[v] = new
-        if changed < 1e-14:
-            break
-    return SubrepWitness(bases)
-
-
 def destabilizer_extract(
     rep: TwistedRep,
     params: StabilityParams,
@@ -370,38 +250,14 @@ def destabilizer_extract(
     yields the span of eigenvectors below it, rounded to the nearest
     invariant subspace (leakage-minimizing polish at fixed dimensions, with
     closure under the arrow slices as the fallback when no nearby invariant
-    subspace of those dimensions exists).
+    subspace of those dimensions exists).  A report whose flow stopped on
+    its certificate yields the certified step among these.
     """
     if report.status != "diverged" or report.limit_direction is None:
         raise NotDivergent("destabilizer extraction needs a divergent flow report")
-    u = report.limit_direction
-    eig = {v: eigh_checked(herm(u[v])) for v in rep.quiver.vertices}
-    all_vals = np.sort(np.concatenate([eig[v][0] for v in rep.quiver.vertices]))
-    spread = float(all_vals[-1] - all_vals[0])
-    if spread <= 1e-12:
-        raise NoSeparation("limit direction spectrum is constant", spectrum=all_vals)
-    cuts = []
-    for lo, hi in zip(all_vals, all_vals[1:]):
-        if hi - lo > gap_threshold * spread:
-            cuts.append(0.5 * (lo + hi))
-    if not cuts:
-        raise NoSeparation(
-            "no spectral gap above threshold", spectrum=all_vals
-        )
-    steps: list[FiltrationStep] = []
-    for cut in cuts:
-        gens = {}
-        for v in rep.quiver.vertices:
-            w, vecs = eig[v]
-            sel = vecs[:, w <= cut]
-            gens[v] = orthonormal_columns(sel)
-        candidate = SubrepWitness(gens)
-        polished = _polish_invariant(rep, candidate)
-        ok, _ = check_subrep(rep, polished, tol=invariance_tol)
-        witness = polished if ok else invariant_closure(rep, gens)
-        _, slope = degree_and_slope(witness, params)
-        steps.append(FiltrationStep(witness, slope, cut))
-    return steps
+    return filtration_steps(
+        rep, params, report.limit_direction, gap_threshold, invariance_tol
+    )
 
 
 # ---------------------------------------------------------------------------

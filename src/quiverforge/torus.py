@@ -42,7 +42,7 @@ from .errors import (
 from .flow import FlowOptions, flow_solve
 from .quiver import Quiver, TwistSpec
 from .reps import build_rep
-from .stability import StabilityParams
+from .slope import StabilityParams
 
 TWO_PI = 2.0 * np.pi
 

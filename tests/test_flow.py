@@ -282,6 +282,35 @@ def test_flow_jordan_diverges():
     assert rpt.status == "diverged"
     assert rpt.limit_direction is not None
     assert rpt.monotone
+    # strictly semistable: the destabilizing line has slope equal to the
+    # total slope, so no certificate exists and a divergence rule must fire
+    assert rpt.stop in ("blowup", "plateau", "line-search")
+
+
+def test_flow_stops_on_certificate():
+    # the criterion-4 draws at sigma = 1: every divergent flow stops on an
+    # exact certificate within a few checkpoints, and extraction from the
+    # report returns that certified step
+    sigma = {"1": 1.0, "2": 1.0}
+    diverged = 0
+    for seed in range(100):
+        rep, tau = random_two_vertex_instance(5000 + seed)
+        params = qf.StabilityParams(sigma, tau)
+        rpt = qf.flow_solve(rep, params)
+        if rpt.status != "diverged":
+            assert rpt.status == "converged" and rpt.stop == "tol"
+            continue
+        diverged += 1
+        assert rpt.stop == "certificate"
+        assert rpt.iterations <= 32
+        _, mu = qf.degree_and_slope(rep, params)
+        assert any(
+            qf.check_subrep(rep, step.witness)[0]
+            and 0 < step.witness.total_dim < rep.total_dim
+            and step.slope > mu
+            for step in qf.destabilizer_extract(rep, params, rpt)
+        )
+    assert diverged > 0
 
 
 def test_flow_refuses_inadmissible():
@@ -395,7 +424,7 @@ def test_flow_twisted_closed_form():
     for t in (0.8, 2.0):
         params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -t, "2": t})
         r = qf.flow_solve(rep, params)
-        assert r.converged
+        assert r.converged and r.stop == "tol"
         ratio = (r.final_metric.h["2"][0, 0] / r.final_metric.h["1"][0, 0]).real
         assert abs(ratio - t / phi_eff) < 1e-8
     params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": 1.0, "2": -1.0})

@@ -314,6 +314,17 @@ def test_cli_inadmissible_params_exit_1(tmp_path):
     assert code == 1
 
 
+def test_cli_non_finite_params_exit_1(tmp_path):
+    q, r, _ = setup_instance(tmp_path)
+    badp = tmp_path / "nan.json"
+    badp.write_text('{"sigma": {"1": 1.0, "2": 1.0}, "tau": {"1": NaN, "2": 0.0}}')
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([q, r, str(badp)])
+    assert [ptr for ptr, _ in info.value.errors] == ["/params"]
+    code = cli.main(["check", "--quiver", q, "--rep", r, "--params", str(badp), "--quiet"])
+    assert code == 1
+
+
 def test_cli_batch_manifest(tmp_path):
     q, r, p = setup_instance(tmp_path)
     entries = [

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import quiverforge as qf
 from quiverforge.errors import (
+    InadmissibleParameters,
     NonpositiveScale,
     NoSeparation,
     NotASolution,
@@ -71,6 +72,22 @@ def test_admissibility_point_scale():
     rep = kronecker_rep()
     assert qf.admissibility(rep, kronecker_params(t=2.0))
     assert not qf.admissibility(rep, qf.StabilityParams({"1": 1, "2": 1}, {"1": 1.0, "2": 1.0}))
+
+
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [
+        ({"1": 1.0, "2": 1.0}, {"1": float("nan"), "2": 0.0}),
+        ({"1": 1.0, "2": 1.0}, {"1": float("inf"), "2": float("-inf")}),
+        ({"1": float("inf"), "2": 1.0}, {"1": -1.0, "2": 1.0}),
+        ({"1": float("nan"), "2": 1.0}, {"1": -1.0, "2": 1.0}),
+    ],
+)
+def test_params_reject_non_finite(sigma, tau):
+    # every comparison with NaN is False, so a non-finite parameter would
+    # pass the sign and admissibility tests and get classified
+    with pytest.raises(InadmissibleParameters):
+        qf.StabilityParams(sigma, tau)
 
 
 def test_admissibility_torus_degrees_telescope():
