@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import io as qio
-from .errors import NewtonStall, NoSeparation, QuiverforgeError
+from .errors import NewtonStall, NoSeparation, QuiverforgeError, SchemaError
 from .flow import (
     FlowOptions,
     MetricState,
@@ -208,6 +208,11 @@ def _cmd_ymh(args):
     rng = np.random.default_rng(args.seed)
     if args.state:
         u = qio.read_potential_binary(args.state, sorted(system.quiver.vertices))
+        for f in u.values():
+            if f.shape != (system.grid.n, system.grid.n):
+                raise SchemaError(
+                    [("/N", f"state grid N = {f.shape[0]} differs from the system's N = {system.grid.n}")]
+                )
         state = PotentialState(u)
     else:
         state = PotentialState(
@@ -254,25 +259,35 @@ def _cmd_relations(args):
 
 
 def _run_manifest(args):
+    """Run every manifest entry in isolation: an entry whose arguments do not
+    parse, or that is not an object with a ``command``, reports an error
+    (exit 1) and the remaining entries still run.  ``true`` values pass a
+    bare flag; ``false`` and ``null`` values omit the flag."""
     with open(args.manifest, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
-    codes = []
+    if not isinstance(entries, list):
+        raise SchemaError([("/", "manifest must be a list of entries")])
 
-    def run(entry):
-        argv = [entry["command"]]
+    def run(index, entry):
+        if not isinstance(entry, dict) or "command" not in entry:
+            return _report_error(SchemaError([(f"/{index}", "entry must be an object with a command")]))
+        argv = [str(entry["command"])]
         for key, val in entry.items():
-            if key == "command":
+            if key == "command" or val is False or val is None:
                 continue
             argv.append(f"--{key.replace('_', '-')}")
             if val is not True:
                 argv.append(str(val))
-        return main(argv)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(run, entries))
+            codes = list(pool.map(run, range(len(entries)), entries))
     else:
-        codes = [run(e) for e in entries]
+        codes = [run(i, e) for i, e in enumerate(entries)]
     return max(codes, default=EXIT_OK)
 
 
@@ -341,15 +356,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _report_error(exc: QuiverforgeError) -> int:
+    payload = {"error": str(exc), "error_code": exc.code}
+    sys.stderr.write(qio.export_report(payload, "json").decode() + "\n")
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
     except QuiverforgeError as exc:
-        payload = {"error": str(exc), "error_code": exc.code}
-        sys.stderr.write(qio.export_report(payload, "json").decode() + "\n")
-        return EXIT_ERROR
+        return _report_error(exc)
     except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f'{{"error":{json.dumps(str(exc))},"error_code":"io_error"}}\n')
         return EXIT_ERROR

@@ -39,7 +39,7 @@ import numpy as np
 from ._linalg import check_hpd, eigh_checked, herm, orthonormal_columns, random_hermitian
 from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
 from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure
-from .slope import SLOPE_TOL, degree_and_slope
+from .slope import SLOPE_TOL, admissibility, degree_and_slope
 
 HermCollection = Mapping[str, np.ndarray]
 
@@ -572,8 +572,8 @@ class _Chart:
 def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> FlowReport:
     """Kempf-Ness gradient descent deciding metric existence.
 
-    Refuses inadmissible parameters (no solution can exist when the trace
-    constraint fails).  Classification:
+    Refuses parameters that :func:`admissibility` rejects (no solution can
+    exist when the trace constraint fails).  Classification:
 
     - ``converged``: residual <= tol with the last accepted chart movement
       below ``drift_tol`` (semistable flows push the residual to zero while
@@ -603,9 +603,8 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     opts = opts or FlowOptions()
     if rep.total_dim == 0:
         raise ZeroTotalRank("representation has no nonzero vertex space")
-    defect = sum(params.tau[v] * rep.dims[v] for v in rep.quiver.vertices)
-    scale = 1.0 + sum(abs(params.tau[v]) * rep.dims[v] for v in rep.quiver.vertices)
-    if abs(defect) > 1e-9 * scale:
+    if not admissibility(rep, params):
+        defect = sum(params.tau[v] * rep.dims[v] for v in rep.quiver.vertices)
         raise InadmissibleParameters(
             f"trace constraint fails: sum tau_v dim_v = {defect:.3e}"
         )

@@ -477,15 +477,24 @@ def write_potential_binary(path, state, vertex_order=None) -> None:
 
 
 def read_potential_binary(path, vertex_order):
+    """Potential fields of a QVTX1 file, keyed by ``vertex_order``.
+
+    Raises :class:`SchemaError` on a bad magic, a vertex count other than
+    ``len(vertex_order)``, or a length other than the header's N promises
+    (a truncated file or trailing bytes).
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != QVTX_MAGIC:
-            raise SchemaError([("/", f"bad magic {magic!r}")])
-        n, count = struct.unpack("<II", fh.read(8))
-        if count != len(vertex_order):
-            raise SchemaError([("/", f"vertex count {count} != {len(vertex_order)}")])
-        out = {}
-        for v in vertex_order:
-            buf = fh.read(8 * n * n)
-            out[v] = np.frombuffer(buf, dtype="<f8").reshape(n, n).copy()
-    return out
+        data = fh.read()
+    header = len(QVTX_MAGIC) + 8
+    if data[: len(QVTX_MAGIC)] != QVTX_MAGIC:
+        raise SchemaError([("/", f"bad magic {data[:len(QVTX_MAGIC)]!r}")])
+    if len(data) < header:
+        raise SchemaError([("/", f"file ends inside the header after {len(data)} bytes")])
+    n, count = struct.unpack_from("<II", data, len(QVTX_MAGIC))
+    if count != len(vertex_order):
+        raise SchemaError([("/", f"vertex count {count} != {len(vertex_order)}")])
+    want = header + 8 * n * n * count
+    if len(data) != want:
+        raise SchemaError([("/", f"file has {len(data)} bytes, N = {n} and {count} vertices need {want}")])
+    fields = np.frombuffer(data, dtype="<f8", offset=header).reshape(count, n, n)
+    return {v: fields[i].copy() for i, v in enumerate(vertex_order)}

@@ -26,6 +26,7 @@ bundle equal to 2 pi d_v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +50,11 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """N x N periodic grid on the unit-volume torus (N a power of two)."""
+    """N x N periodic grid on the unit-volume torus (N a power of two).
+
+    Real fields go through the half-spectrum transforms ``rfft2``/``irfft2``;
+    only the complex derivatives ``dbar``/``dhol`` use the full spectrum.
+    """
 
     n: int
 
@@ -57,39 +62,43 @@ class TorusGrid:
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise ShapeMismatch(f"grid resolution must be a power of two >= 4, got {n}")
-        k = np.fft.fftfreq(n) * n
-        k1, k2 = np.meshgrid(k, k, indexing="ij")
+        # half-spectrum symbol: k1 over all rows, k2 over the rfft columns
+        k1 = np.fft.fftfreq(n, 1.0 / n)[:, None]
+        k2 = np.fft.rfftfreq(n, 1.0 / n)[None, :]
         sym = -4.0 * np.pi**2 * (k1**2 + k2**2)
-        for name, val in (("_k1", k1), ("_k2", k2), ("_lap_sym", sym)):
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
+        sym.flags.writeable = False
+        object.__setattr__(self, "_lap_sym", sym)
 
     def lap(self, f: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft2(self._lap_sym * np.fft.fft2(f)))
+        return np.fft.irfft2(self._lap_sym * np.fft.rfft2(f), s=(self.n, self.n))
 
-    def dx(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(2j * np.pi * self._k1 * np.fft.fft2(f))
+    @cached_property
+    def _dbar_sym(self) -> np.ndarray:
+        # (d/dx + i d/dy) / 2 has symbol i pi (k1 + i k2)
+        k = np.fft.fftfreq(self.n, 1.0 / self.n)
+        return 1j * np.pi * (k[:, None] + 1j * k[None, :])
 
-    def dy(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(2j * np.pi * self._k2 * np.fft.fft2(f))
+    @cached_property
+    def _dhol_sym(self) -> np.ndarray:
+        # (d/dx - i d/dy) / 2 has symbol i pi (k1 - i k2)
+        return -np.conj(self._dbar_sym)
 
     def dbar(self, f: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.dx(f) + 1j * self.dy(f))
+        return np.fft.ifft2(self._dbar_sym * np.fft.fft2(f))
 
     def dhol(self, f: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.dx(f) - 1j * self.dy(f))
+        return np.fft.ifft2(self._dhol_sym * np.fft.fft2(f))
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(np.real(f)))
 
     def solve_lap(self, f: np.ndarray) -> np.ndarray:
         """Mean-zero solution of lap(u) = f - mean(f)."""
-        fh = np.fft.fft2(f)
         sym = self._lap_sym.copy()
         sym[0, 0] = 1.0
-        fh = fh / sym
+        fh = np.fft.rfft2(f) / sym
         fh[0, 0] = 0.0
-        return np.real(np.fft.ifft2(fh))
+        return np.fft.irfft2(fh, s=(self.n, self.n))
 
     def coordinates(self):
         x = np.arange(self.n) / self.n
@@ -281,12 +290,20 @@ def _jacobian_apply(system, coupling, delta):
     return out
 
 
+def _l2(grid: TorusGrid, f: Mapping[str, np.ndarray]) -> float:
+    """Mean-L2 norm sqrt(sum_v mean(f_v^2)) of a per-vertex field."""
+    return float(np.sqrt(sum(grid.mean(g * g) for g in f.values())))
+
+
 def _pcg(system, coupling, b, rtol, max_iter):
     """Preconditioned CG for the (positive semidefinite) Newton operator.
 
+    Stops once the mean-L2 residual is at most ``rtol`` times that of the
+    (projected) right-hand side; at least one iteration always runs.
     Preconditioner: per-vertex spectral inverse of -sigma lap + mean
-    diagonal coupling; the operator's kernel (the all-ones direction) is
-    removed from the right-hand side up front and by the final gauge fix.
+    diagonal coupling, applied with real half-spectrum transforms; the
+    operator's kernel (the all-ones direction) is removed from the
+    right-hand side up front and by the final gauge fix.
     """
     grid = system.grid
     verts = list(system.quiver.vertices)
@@ -295,13 +312,13 @@ def _pcg(system, coupling, b, rtol, max_iter):
         m = 2.0 * grid.mean(coupling[a.name])
         diag[a.head] += m
         diag[a.tail] += m
-    sym = {}
-    for v in verts:
-        denom = -system.params.sigma[v] * grid._lap_sym + max(diag[v], 1e-8)
-        sym[v] = denom
+    inv_sym = {
+        v: 1.0 / (-system.params.sigma[v] * grid._lap_sym + max(diag[v], 1e-8)) for v in verts
+    }
+    shape = (grid.n, grid.n)
 
     def precond(r):
-        return {v: np.real(np.fft.ifft2(np.fft.fft2(r[v]) / sym[v])) for v in verts}
+        return {v: np.fft.irfft2(np.fft.rfft2(r[v]) * inv_sym[v], s=shape) for v in verts}
 
     # project the all-ones kernel component out of b
     total = sum(grid.mean(b[v]) for v in verts) / len(verts)
@@ -309,12 +326,12 @@ def _pcg(system, coupling, b, rtol, max_iter):
 
     x = {v: np.zeros_like(b[v]) for v in verts}
     r = dict(b)
+    b_norm = _l2(grid, b)
+    if b_norm == 0:
+        return x
     z = precond(r)
     p = dict(z)
     rz = sum(grid.mean(r[v] * z[v]) for v in verts)
-    b_norm = np.sqrt(sum(grid.mean(b[v] ** 2) for v in verts))
-    if b_norm == 0:
-        return x
     for _ in range(max_iter):
         ap = _jacobian_apply(system, coupling, p)
         pap = sum(grid.mean(p[v] * ap[v]) for v in verts)
@@ -323,8 +340,7 @@ def _pcg(system, coupling, b, rtol, max_iter):
         alpha = rz / pap
         x = {v: x[v] + alpha * p[v] for v in verts}
         r = {v: r[v] - alpha * ap[v] for v in verts}
-        r_norm = np.sqrt(sum(grid.mean(r[v] ** 2) for v in verts))
-        if r_norm <= rtol * b_norm:
+        if _l2(grid, r) <= rtol * b_norm:
             break
         z = precond(r)
         rz_new = sum(grid.mean(r[v] * z[v]) for v in verts)
@@ -332,6 +348,23 @@ def _pcg(system, coupling, b, rtol, max_iter):
         rz = rz_new
         p = {v: z[v] + beta * p[v] for v in verts}
     return x
+
+
+# Eisenstat-Walker forcing terms, choice 2 with its safeguard ("Choosing the
+# forcing terms in an inexact Newton method", SIAM J. Sci. Comput. 17, 1996)
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+EW_ETA_MAX = 0.5
+EW_SAFEGUARD = 0.1
+# the last steps need a linear residual of only this fraction of ``tol``
+EW_TOL_FRACTION = 0.1
+
+
+def _forcing_term(eta_ew: float, r_norm: float, tol: float, cg_rtol: float) -> float:
+    """CG relative tolerance of one Newton step: the Eisenstat-Walker term,
+    at most ``EW_ETA_MAX`` and at least what reaching ``tol`` needs,
+    floored by ``cg_rtol``."""
+    return max(cg_rtol, min(EW_ETA_MAX, max(eta_ew, EW_TOL_FRACTION * tol / r_norm)))
 
 
 def solve_vortex(
@@ -343,7 +376,20 @@ def solve_vortex(
     record_states: bool = False,
     initial: PotentialState | None = None,
 ) -> VortexResult:
-    """Damped Newton on the gauge-fixed potentials.
+    """Damped inexact Newton on the gauge-fixed potentials.
+
+    Each step solves the Newton system by preconditioned CG only as exactly
+    as the step needs: to the Eisenstat-Walker forcing term (choice 2)
+
+        eta_k = gamma (|r_k| / |r_{k-1}|)^alpha,  gamma = 0.9, alpha = 2,
+
+    raised to gamma eta_{k-1}^alpha when that exceeds 0.1 (eta_{k-1} the
+    tolerance the previous step used), capped at 0.5 (also the first
+    step's term), and kept at least
+    ``max(cg_rtol, 0.1 tol / |r_k|)`` so the last steps still reach
+    ``tol`` without over-solving.  Norms |r| are mean-L2 over all
+    vertices.  The step is then damped by halving until the sup residual
+    decreases.
 
     Raises :class:`NewtonStall` (with the best state and residual history)
     when no damping factor down to 2^-20 decreases the sup residual --
@@ -359,6 +405,8 @@ def solve_vortex(
     states: list[PotentialState] = []
     res = _residual_fields(system, u)
     sup = _sup(res)
+    r_norm = _l2(grid, res)
+    eta_ew = EW_ETA_MAX
     history.append((0, sup, 1.0))
     if record_states:
         states.append(PotentialState(u))
@@ -366,7 +414,8 @@ def solve_vortex(
         if sup <= tol:
             break
         coupling = _arrow_exponents(system, u)
-        delta = _pcg(system, coupling, {v: -res[v] for v in verts}, cg_rtol, cg_max_iter)
+        eta = _forcing_term(eta_ew, r_norm, tol, cg_rtol)
+        delta = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, cg_max_iter)
         # return to the gauge tangent (the CG kernel direction is free)
         shift = sum(system.params.sigma[v] * grid.mean(delta[v]) for v in verts) / sum(
             system.params.sigma[v] for v in verts
@@ -387,6 +436,11 @@ def solve_vortex(
                     history=history,
                 )
         u, res, sup = trial, trial_res, trial_sup
+        r_prev, r_norm = r_norm, _l2(grid, res)
+        safeguard = EW_GAMMA * eta**EW_ALPHA
+        eta_ew = EW_GAMMA * (r_norm / r_prev) ** EW_ALPHA
+        if safeguard > EW_SAFEGUARD:
+            eta_ew = max(eta_ew, safeguard)
         history.append((it, sup, damping))
         if record_states:
             states.append(PotentialState(u))

@@ -320,6 +320,16 @@ def test_flow_refuses_inadmissible():
         qf.flow_solve(rep, bad)
 
 
+def test_flow_refuses_what_admissibility_refuses():
+    # a trace defect of 1e-10: no solution can exist, so the flow must agree
+    # with admissibility and refuse rather than report convergence
+    rep = kronecker_rep()
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -1.0, "2": 1.0 + 1e-10})
+    assert not qf.admissibility(rep, params)
+    with pytest.raises(InadmissibleParameters):
+        qf.flow_solve(rep, params)
+
+
 def test_flow_zero_total_rank():
     q = kronecker_quiver(1)
     rep = qf.build_rep(q, None, {"1": 0, "2": 0}, {})

@@ -132,6 +132,17 @@ def test_potential_binary_round_trip(tmp_path):
     assert np.array_equal(back["2"], state.u["2"])
 
 
+def test_potential_binary_refuses_bad_length(tmp_path):
+    state = PotentialState({"1": np.zeros((4, 4)), "2": np.ones((4, 4))})
+    path = tmp_path / "u.qvtx"
+    qio.write_potential_binary(path, state, ["1", "2"])
+    data = path.read_bytes()
+    for bad in (data[:-3], data[:9], data + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(SchemaError):
+            qio.read_potential_binary(path, ["1", "2"])
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -302,6 +313,22 @@ def test_cli_ymh(tmp_path):
     assert report["satisfied"] is True
 
 
+def test_cli_ymh_refuses_state_of_other_grid(tmp_path):
+    q, _, p = setup_instance(tmp_path, t=0.0)
+    s = write(
+        tmp_path, "s.json",
+        {"N": 32, "degrees": {"1": 0, "2": 0}, "weights": {"a0": 1.0}},
+    )
+    state = tmp_path / "u16.qvtx"
+    qio.write_potential_binary(
+        state, PotentialState({"1": np.zeros((16, 16)), "2": np.zeros((16, 16))}), ["1", "2"]
+    )
+    code = cli.main([
+        "ymh", "--quiver", q, "--params", p, "--system", s, "--state", str(state), "--quiet",
+    ])
+    assert code == 1
+
+
 def test_cli_error_exit_1(tmp_path):
     code = cli.main(["check", "--quiver", str(tmp_path / "does-not-exist.json"), "--quiet"])
     assert code == 1
@@ -334,6 +361,21 @@ def test_cli_batch_manifest(tmp_path):
     manifest = write(tmp_path, "m.json", entries)
     assert cli.main(["batch", "--manifest", manifest]) == 0
     assert cli.main(["batch", "--manifest", manifest, "--jobs", "2"]) == 0
+
+
+def test_cli_batch_isolates_bad_entry(tmp_path):
+    q, r, p = setup_instance(tmp_path)
+    out = tmp_path / "check.json"
+    entries = [
+        {"command": "nope"},
+        {"command": "check", "quiver": q, "rep": r, "params": p, "out": str(out), "quiet": False},
+    ]
+    manifest = write(tmp_path, "m.json", entries)
+    assert cli.main(["batch", "--manifest", manifest]) == 1
+    assert json.loads(out.read_text())["verdict"] == "stable"
+    out.unlink()
+    assert cli.main(["batch", "--manifest", manifest, "--jobs", "2"]) == 1
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

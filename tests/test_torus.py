@@ -11,10 +11,12 @@ from quiverforge.errors import (
     UnsupportedDegrees,
 )
 from quiverforge.gallery import kronecker_quiver, two_way_quiver
+from quiverforge import torus
 from quiverforge.torus import (
     PotentialState,
     TorusGrid,
     WeightSpec,
+    _forcing_term,
     _residual_fields,
     gauge_fix,
     residual_integral_defect,
@@ -69,6 +71,59 @@ def test_solve_lap_inverts_mean_zero(rng):
     f -= grid.mean(f)
     u = grid.solve_lap(f)
     assert np.abs(grid.lap(u) - f).max() < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# real-transform kernels against the complex-FFT formulas
+
+
+def _wavenumbers(n):
+    k = np.fft.fftfreq(n) * n
+    return np.meshgrid(k, k, indexing="ij")
+
+
+def _lap_reference(f):
+    k1, k2 = _wavenumbers(f.shape[0])
+    return np.real(np.fft.ifft2(-4.0 * np.pi**2 * (k1**2 + k2**2) * np.fft.fft2(f)))
+
+
+def _solve_lap_reference(f):
+    k1, k2 = _wavenumbers(f.shape[0])
+    sym = -4.0 * np.pi**2 * (k1**2 + k2**2)
+    sym[0, 0] = 1.0
+    fh = np.fft.fft2(f) / sym
+    fh[0, 0] = 0.0
+    return np.real(np.fft.ifft2(fh))
+
+
+def _dx_dy_reference(f):
+    k1, k2 = _wavenumbers(f.shape[0])
+    fh = np.fft.fft2(f)
+    return np.fft.ifft2(2j * np.pi * k1 * fh), np.fft.ifft2(2j * np.pi * k2 * fh)
+
+
+def _assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_spectral_kernels_match_complex_fft(rng, n):
+    grid = TorusGrid(n)
+    real_fields = [
+        random_smooth_field(rng, n, modes=n // 2 - 2, scale=2.0),
+        random_smooth_field(rng, n, modes=3) + 0.4,
+        rng.normal(size=(n, n)),  # every mode, Nyquist included
+    ]
+    for f in real_fields:
+        _assert_rel_close(grid.lap(f), _lap_reference(f))
+        _assert_rel_close(grid.solve_lap(f), _solve_lap_reference(f))
+    complex_fields = real_fields + [
+        random_smooth_field(rng, n, modes=n // 2 - 2, complex_valued=True),
+    ]
+    for f in complex_fields:
+        dx, dy = _dx_dy_reference(f)
+        _assert_rel_close(grid.dbar(f), 0.5 * (dx + 1j * dy))
+        _assert_rel_close(grid.dhol(f), 0.5 * (dx - 1j * dy))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +233,40 @@ def test_solve_bump_weights():
             system.params.sigma[v] * system.grid.mean(st.u[v]) for v in ("1", "2")
         )
         assert abs(defect) < 1e-12
+
+
+def test_forcing_term_cap_and_floors():
+    # the cap on a large Eisenstat-Walker term
+    assert _forcing_term(0.9, 1.0, 1e-8, 1e-12) == torus.EW_ETA_MAX
+    # near tol: no linear residual below a fraction of tol is asked for
+    assert _forcing_term(1e-9, 1e-6, 1e-8, 1e-12) == pytest.approx(torus.EW_TOL_FRACTION * 1e-2)
+    # cg_rtol is the floor of everything
+    assert _forcing_term(1e-20, 1e3, 1e-8, 1e-12) == 1e-12
+    assert _forcing_term(0.9, 1.0, 1e-8, 0.7) == 0.7
+
+
+def test_inexact_newton_matches_exact_newton(monkeypatch):
+    spec = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+    system = two_vertex_system(t=1.5, n=64, weight=spec)
+    laps = [0]
+    lap = TorusGrid.lap
+
+    def counted_lap(self, f):
+        laps[0] += 1
+        return lap(self, f)
+
+    monkeypatch.setattr(TorusGrid, "lap", counted_lap)
+    inexact = qf.solve_vortex(system)
+    inexact_laps, laps[0] = laps[0], 0
+    # a zero cap leaves cg_rtol as every step's CG tolerance: exact Newton
+    monkeypatch.setattr(torus, "EW_ETA_MAX", 0.0)
+    exact = qf.solve_vortex(system, cg_rtol=1e-12)
+    assert inexact.sup_residual <= 1e-8
+    recomputed = vortex_residual(system, inexact.state)
+    assert max(np.abs(r).max() for r in recomputed.values()) <= 1e-8
+    diff = max(np.abs(inexact.state.u[v] - exact.state.u[v]).max() for v in ("1", "2"))
+    assert diff <= 1e-9
+    assert inexact_laps < laps[0]
 
 
 def test_newton_stall_on_unsolvable_data():
