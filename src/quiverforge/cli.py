@@ -6,14 +6,6 @@ negatives (unstable, strictly semistable, undecided, diverged, Newton
 stall, max-iter, identity violated); 1 for errors.  All randomness flows
 from --seed (default 0, never time-based).
 """
-import os
-
-# honor the thread cap before numpy backends initialize
-_threads = os.environ.get("QUIVERFORGE_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
 import sys

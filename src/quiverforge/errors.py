@@ -30,6 +30,10 @@ class ShapeMismatch(QuiverforgeError):
     code = "shape_mismatch"
 
 
+class NonFiniteData(QuiverforgeError):
+    code = "non_finite_data"
+
+
 class QuiverMismatch(QuiverforgeError):
     code = "quiver_mismatch"
 

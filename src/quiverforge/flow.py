@@ -32,6 +32,7 @@ sigma multiplies the curvature.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,7 +46,40 @@ HermCollection = Mapping[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# metric states
+# the chart kernel: e^{±s}, the H-norm and metric states
+
+
+class _Chart:
+    """Eigen-data of s = log H (identity background) and the metric factors
+    e^{±s}; the half factors e^{±s/2} are built on first use."""
+
+    def __init__(self, s: HermCollection):
+        self.s = {v: herm(sv) for v, sv in s.items()}
+        self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()}
+        self.h = {v: herm((u * np.exp(w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
+        self.hinv = {v: herm((u * np.exp(-w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
+
+    @cached_property
+    def half(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        return {
+            v: ((u * np.exp(0.5 * w)) @ u.conj().T, (u * np.exp(-0.5 * w)) @ u.conj().T)
+            for v, (w, u) in self.eig.items()
+        }
+
+
+def _frob(c: HermCollection) -> float:
+    """Frobenius norm of a per-vertex collection."""
+    return float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in c.values())))
+
+
+def _h_norm_sq(half: Mapping[str, tuple], m: HermCollection) -> float:
+    """Squared H-Frobenius norm sum_v |H_v^{1/2} m_v H_v^{-1/2}|^2 of an
+    H-selfadjoint collection, given the pairs (H_v^{1/2}, H_v^{-1/2})."""
+    total = 0.0
+    for v, mv in m.items():
+        hs, his = half[v]
+        total += float(np.linalg.norm(herm(hs @ mv @ his)) ** 2)
+    return total
 
 
 @dataclass(frozen=True)
@@ -76,22 +110,7 @@ class MetricState:
 
     @classmethod
     def from_log(cls, s: HermCollection, validate: bool = True) -> "MetricState":
-        h = {}
-        for v, sv in s.items():
-            w, u = eigh_checked(herm(sv))
-            h[v] = herm((u * np.exp(w)) @ u.conj().T)
-        return cls(h, validate)
-
-    def log(self) -> dict[str, np.ndarray]:
-        out = {}
-        for v, m in self.h.items():
-            w, u = eigh_checked(m)
-            out[v] = (u * np.log(w)) @ u.conj().T
-        return out
-
-    def log_norm(self) -> float:
-        s = self.log()
-        return float(np.sqrt(sum(np.linalg.norm(sv) ** 2 for sv in s.values())))
+        return cls(_Chart(s).h, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +255,10 @@ def eigen_calculus(s: HermCollection, table: ScalarFunctionTable, target=None):
 # adjoints and the moment map
 
 
-def _qinv(rep: TwistedRep, arrow: str, override=None) -> np.ndarray:
-    q = override[arrow] if override is not None else rep.twist.metric(arrow)
-    return np.linalg.inv(np.asarray(q, dtype=complex))
-
-
-def _adjoint_raw(rep: TwistedRep, h, hinv, twist_weight=None) -> dict[str, tuple]:
+def _adjoint_raw(rep: TwistedRep, h, hinv) -> dict[str, tuple]:
     out = {}
     for a in rep.quiver.arrows:
-        qinv = _qinv(rep, a.name, twist_weight)
+        qinv = rep.twist.metric_inv(a.name)
         m = rep.twist.rank(a.name)
         raw = [hinv[a.tail] @ sl.conj().T @ h[a.head] for sl in rep.slices[a.name]]
         out[a.name] = tuple(
@@ -253,18 +267,22 @@ def _adjoint_raw(rep: TwistedRep, h, hinv, twist_weight=None) -> dict[str, tuple
     return out
 
 
-def adjoint(rep: TwistedRep, metric: MetricState, twist_weight=None) -> dict[str, tuple]:
+def _checked_inverses(metric: MetricState) -> dict[str, np.ndarray]:
+    hinv = {}
+    for v, m in metric.h.items():
+        check_hpd(m)  # enforces the 1e12 conditioning contract
+        hinv[v] = np.linalg.inv(m)
+    return hinv
+
+
+def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
     """Metric adjoint slices of every arrow map.
 
     Slice k of the adjoint is sum_l (q^{-1})_{kl} H_tail^{-1} phi_l^dagger
     H_head, which makes the defining pairing identity hold against the tail
     metric tensored with the twist weight.
     """
-    hinv = {}
-    for v, m in metric.h.items():
-        check_hpd(m)  # enforces the 1e12 conditioning contract
-        hinv[v] = np.linalg.inv(m)
-    return _adjoint_raw(rep, metric.h, hinv, twist_weight)
+    return _adjoint_raw(rep, metric.h, _checked_inverses(metric))
 
 
 def _moment_raw(rep: TwistedRep, h, hinv, tau) -> dict[str, np.ndarray]:
@@ -282,16 +300,7 @@ def _moment_raw(rep: TwistedRep, h, hinv, tau) -> dict[str, np.ndarray]:
 
 def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[str, np.ndarray]:
     """Per-vertex moment-map defect m_v(H); H_v-selfadjoint by construction."""
-    adj = adjoint(rep, metric)
-    out = {
-        v: -params.tau[v] * np.eye(rep.dims[v], dtype=complex)
-        for v in rep.quiver.vertices
-    }
-    for a in rep.quiver.arrows:
-        for sl, ad in zip(rep.slices[a.name], adj[a.name]):
-            out[a.head] = out[a.head] + sl @ ad
-            out[a.tail] = out[a.tail] - ad @ sl
-    return out
+    return _moment_raw(rep, metric.h, _checked_inverses(metric), params.tau)
 
 
 def _phi_sq_raw(rep: TwistedRep, h, hinv) -> float:
@@ -313,7 +322,7 @@ def pairing(rep: TwistedRep, x: Mapping[str, tuple], y: Mapping[str, tuple]) -> 
     """Background pairing of two slice families: sum_a tr(x_a y_a^{*K})."""
     total = 0.0 + 0.0j
     for a in rep.quiver.arrows:
-        qinv = _qinv(rep, a.name)
+        qinv = rep.twist.metric_inv(a.name)
         m = rep.twist.rank(a.name)
         for k in range(m):
             for l in range(m):
@@ -358,21 +367,17 @@ def kempf_ness_metric(
 def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str, np.ndarray]:
     """Moment-map defect at H = e^s: the first Lie derivative of the energy
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
-    eig = {v: eigh_checked(herm(sv)) for v, sv in s.items()}
-    h = {v: herm((u * np.exp(w)) @ u.conj().T) for v, (w, u) in eig.items()}
-    hinv = {v: herm((u * np.exp(-w)) @ u.conj().T) for v, (w, u) in eig.items()}
-    return _moment_raw(rep, h, hinv, params.tau)
+    chart = _Chart(s)
+    return _moment_raw(rep, chart.h, chart.hinv, params.tau)
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
     """H-Frobenius norm of an H-selfadjoint collection."""
-    total = 0.0
-    for v, mv in m.items():
+    half = {}
+    for v in m:
         w, u = eigh_checked(metric.h[v])
-        hs = (u * np.sqrt(w)) @ u.conj().T
-        his = (u / np.sqrt(w)) @ u.conj().T
-        total += float(np.linalg.norm(herm(hs @ mv @ his)) ** 2)
-    return float(np.sqrt(total))
+        half[v] = ((u * np.sqrt(w)) @ u.conj().T, (u / np.sqrt(w)) @ u.conj().T)
+    return float(np.sqrt(_h_norm_sq(half, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,26 +504,31 @@ def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, m
 class FlowOptions:
     tol: float = 1e-10
     max_iter: int = 5000
-    blowup: float = 50.0
     seed: int | None = None
     init_scale: float = 0.0
-    drift_tol: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    step0: float = 1.0
-    step_growth: float = 2.0
-    # the trial step multiplies an O(residual) direction, so huge caps are
-    # safe in the s-chart; semistable flows need steps ~ e^{||s||} to keep
-    # moving once the residual has collapsed
-    step_max: float = 1e60
-    step_min: float = 1e-20
-    # a frozen residual and energy over this many iterations, at substantial
-    # ||s||, classifies divergence even below the blowup norm (escape rays
-    # can be too stiff transversally for visible progress in float64)
-    plateau_window: int = 200
-    plateau_res_rtol: float = 1e-9
-    plateau_energy_rtol: float = 1e-12
-    s_floor: float = 10.0
+
+
+# fallback divergence rules for strictly semistable flows, which have no
+# instability certificate: ||s||_F >= BLOWUP along monotone energy descent,
+# or line-search exhaustion once ||s||_F >= S_FLOOR
+BLOWUP = 50.0
+S_FLOOR = 10.0
+# "converged" also needs the last accepted chart movement below DRIFT_TOL
+# (semistable flows push the residual to zero while ||s|| diverges)
+DRIFT_TOL = 1e-6
+# Armijo backtracking with a multiplicatively growing trial step; the trial
+# step multiplies an O(residual) direction, so huge caps are safe in the
+# s-chart, and semistable flows need steps ~ e^{||s||} to keep moving once
+# the residual has collapsed
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+STEP0 = 1.0
+STEP_GROWTH = 2.0
+STEP_MAX = 1e60
+STEP_MIN = 1e-20
+# largest ||s||_F a trial may reach: keeps exp(s) and the adjoint products
+# inside float64 range (e^{2 EIG_CAP} must stay finite)
+EIG_CAP = 175.0
 
 
 @dataclass
@@ -530,8 +540,8 @@ class FlowReport:
     iter_log: list[tuple[int, float, float, float, float]] = field(repr=False, default_factory=list)
     limit_direction: dict[str, np.ndarray] | None = None
     monotone: bool = True
-    # rule that ended the flow: tol | certificate | blowup | plateau |
-    # line-search | max-iter (None for reports not made by flow_solve)
+    # rule that ended the flow: tol | certificate | blowup | line-search |
+    # max-iter (None for reports not made by flow_solve)
     stop: str | None = None
 
     @property
@@ -550,33 +560,17 @@ def gauge_project(rep: TwistedRep, params, u: HermCollection) -> dict[str, np.nd
     }
 
 
-class _Chart:
-    """Eigen-data of s and the derived metric factors for one iterate."""
-
-    def __init__(self, rep: TwistedRep, s: HermCollection):
-        self.s = {v: herm(sv) for v, sv in s.items()}
-        self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()}
-        self.h = {v: herm((u * np.exp(w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
-        self.hinv = {v: herm((u * np.exp(-w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
-
-    def sqrt_factors(self, v):
-        w, u = self.eig[v]
-        hs = (u * np.exp(0.5 * w)) @ u.conj().T
-        his = (u * np.exp(-0.5 * w)) @ u.conj().T
-        return hs, his
-
-    def s_norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(sv) ** 2 for sv in self.s.values())))
-
-
 def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> FlowReport:
     """Kempf-Ness gradient descent deciding metric existence.
 
     Refuses parameters that :func:`admissibility` rejects (no solution can
-    exist when the trace constraint fails).  Classification:
+    exist when the trace constraint fails).  ``opts`` sets the residual
+    tolerance, the iteration budget and an optional random start (``seed``,
+    ``init_scale``); the step rules are the module constants.
+    Classification:
 
     - ``converged``: residual <= tol with the last accepted chart movement
-      below ``drift_tol`` (semistable flows push the residual to zero while
+      below ``DRIFT_TOL`` (semistable flows push the residual to zero while
       ||log H|| diverges, so the residual alone cannot decide);
     - ``diverged``: at iterations 1, 2, 4, 8, ... (skipped while the residual
       halves between checkpoints) a spectral cut of s/||s|| read by
@@ -585,18 +579,17 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
       slope by more than ``SLOPE_TOL``.  Since the flow only stops there
       with a proof, stable flows run exactly as without the check.
       Strictly semistable flows have no such certificate and are caught by
-      the fallback rules: ||log H||_F >= blowup along monotone energy
-      descent, or a residual/energy plateau (or line-search exhaustion) at
-      ||log H|| >= ``s_floor``.  The report carries the normalized limit
-      direction, so :func:`destabilizer_extract` returns the certified step;
+      the fallback rules: ||log H||_F >= ``BLOWUP`` along monotone energy
+      descent, or line-search exhaustion at ||log H||_F >= ``S_FLOOR``.
+      The report carries the normalized limit direction, so
+      :func:`destabilizer_extract` returns the certified step;
     - ``max-iter`` otherwise.
 
     ``FlowReport.stop`` names the rule that ended the flow: ``tol``,
-    ``certificate``, ``blowup``, ``plateau``, ``line-search`` or
-    ``max-iter``.
+    ``certificate``, ``blowup``, ``line-search`` or ``max-iter``.
 
-    The line search is Armijo backtracking (factor ``backtrack``, slope
-    constant ``armijo_c``) with a multiplicatively growing trial step, so
+    The line search is Armijo backtracking (factor ``BACKTRACK``, slope
+    constant ``ARMIJO_C``) with a multiplicatively growing trial step, so
     divergent flows accelerate toward the blowup threshold instead of
     stalling at logarithmic speed.
     """
@@ -619,11 +612,8 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     else:
         s = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=complex) for v in rep.quiver.vertices}
 
-    phi0 = _phi_sq_raw(
-        rep,
-        {v: np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices},
-        {v: np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices},
-    )
+    eye = MetricState.identity(rep).h
+    phi0 = _phi_sq_raw(rep, eye, eye)
 
     def energy_of(chart: _Chart) -> float:
         val = _phi_sq_raw(rep, chart.h, chart.hinv) - phi0
@@ -632,15 +622,18 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         )
         return val
 
-    chart = _Chart(rep, s)
+    def residual_of(chart: _Chart) -> tuple[dict[str, np.ndarray], float]:
+        m = _moment_raw(rep, chart.h, chart.hinv, params.tau)
+        return m, float(np.sqrt(_h_norm_sq(chart.half, m)))
+
+    chart = _Chart(s)
     energy = energy_of(chart)
     iter_log: list[tuple[int, float, float, float, float]] = []
     monotone = True
-    step = opts.step0
+    step = STEP0
     last_drift = np.inf
     status = "max-iter"
     stop = "max-iter"
-    limit = None
     _, mu = degree_and_slope(rep, params)
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,
@@ -648,31 +641,14 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     next_check = 1
     check_res = None
     res = np.inf
-    prev_res = None
-    prev_energy = None
-    plateau = 0
     it = 0
 
     for it in range(opts.max_iter + 1):
-        m = _moment_raw(rep, chart.h, chart.hinv, params.tau)
-        res = 0.0
-        for v in rep.quiver.vertices:
-            hs, his = chart.sqrt_factors(v)
-            res += float(np.linalg.norm(herm(hs @ m[v] @ his)) ** 2)
-        res = float(np.sqrt(res))
-        s_norm = chart.s_norm()
+        m, res = residual_of(chart)
+        s_norm = _frob(chart.s)
         iter_log.append((it, energy, res, step, s_norm))
 
-        if prev_res is not None and (
-            abs(res - prev_res) <= opts.plateau_res_rtol * (res + 1e-300)
-            and abs(energy - prev_energy) <= opts.plateau_energy_rtol * (1.0 + abs(energy))
-        ):
-            plateau += 1
-        else:
-            plateau = 0
-        prev_res, prev_energy = res, energy
-
-        if res <= opts.tol and (it == 0 or last_drift <= opts.drift_tol):
+        if res <= opts.tol and (it == 0 or last_drift <= DRIFT_TOL):
             status, stop = "converged", "tol"
             break
         if it == next_check:
@@ -682,34 +658,25 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             if not halved and s_norm > 0:
                 unit = {v: sv / s_norm for v, sv in chart.s.items()}
                 if _certifies_instability(rep, params, unit, mu):
-                    status, stop, limit = "diverged", "certificate", unit
+                    status, stop = "diverged", "certificate"
                     break
-        if s_norm >= opts.blowup:
+        if s_norm >= BLOWUP:
             status, stop = "diverged", "blowup"
-            limit = {v: sv / s_norm for v, sv in chart.s.items()}
-            break
-        if plateau >= opts.plateau_window and res > opts.tol:
-            stop = "plateau"
-            if s_norm >= opts.s_floor:
-                status = "diverged"
-                limit = {v: sv / s_norm for v, sv in chart.s.items()}
             break
         if it == opts.max_iter:
             break
 
         direction = gauge_project(rep, params, {v: -mv for v, mv in m.items()})
-        grad_sq = 0.0
+        grad_sq = _h_norm_sq(chart.half, direction)
         xi = {}
         for v in rep.quiver.vertices:
-            hs, his = chart.sqrt_factors(v)
-            grad_sq += float(np.linalg.norm(herm(hs @ direction[v] @ his)) ** 2)
             w, u = chart.eig[v]
             coeff = _dexp_inverse(w[None, :] - w[:, None])
             xi[v] = herm(u @ (coeff * (u.conj().T @ direction[v] @ u)) @ u.conj().T)
         if grad_sq == 0.0:
             last_drift = 0.0
             continue
-        xi_norm = float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in xi.values())))
+        xi_norm = _frob(xi)
 
         # Near a minimum the certifiable energy decrease (~ residual^2) sinks
         # below the floating-point resolution of the energy while the residual
@@ -718,62 +685,46 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         # descent for the endgame.
         energy_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(energy))
 
-        def res_of(c: _Chart) -> float:
-            mm = _moment_raw(rep, c.h, c.hinv, params.tau)
-            total = 0.0
-            for vv in rep.quiver.vertices:
-                hs2, his2 = c.sqrt_factors(vv)
-                total += float(np.linalg.norm(herm(hs2 @ mm[vv] @ his2)) ** 2)
-            return float(np.sqrt(total))
-
-        # largest eigenvalue magnitude a trial may reach: keeps exp(s) and the
-        # adjoint products inside float64 range (e^{2*cap} must stay finite)
-        eig_cap = min(350.0, max(175.0, 2.0 * opts.blowup))
-
         def trial_s(step_size):
             return {v: chart.s[v] + step_size * xi[v] for v in rep.quiver.vertices}
 
-        def s_frob(sdict):
-            return float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in sdict.values())))
-
         accepted = False
-        trial_step = min(step * opts.step_growth, opts.step_max)
-        while trial_step >= opts.step_min:
+        trial_step = min(step * STEP_GROWTH, STEP_MAX)
+        while trial_step >= STEP_MIN:
             cand = trial_s(trial_step)
-            if s_frob(cand) > eig_cap:
-                trial_step *= opts.backtrack
+            if _frob(cand) > EIG_CAP:
+                trial_step *= BACKTRACK
                 continue
-            trial_chart = _Chart(rep, cand)
+            trial_chart = _Chart(cand)
             trial_energy = energy_of(trial_chart)
-            need = opts.armijo_c * trial_step * grad_sq
+            need = ARMIJO_C * trial_step * grad_sq
             if need > energy_floor:
                 if trial_energy <= energy - need:
                     accepted = True
                     trial_score = None
                     break
             else:
-                trial_score = res_of(trial_chart)
+                trial_score = residual_of(trial_chart)[1]
                 if trial_score <= res * (1.0 - 1e-4):
                     accepted = True
                     break
-            trial_step *= opts.backtrack
+            trial_step *= BACKTRACK
         if not accepted:
             # no certifiable progress in either merit: a flow that has already
-            # escaped far is classified divergent, mirroring the plateau rule
+            # escaped far is classified divergent
             stop = "line-search"
-            if s_norm >= opts.s_floor and res > opts.tol:
+            if s_norm >= S_FLOOR and res > opts.tol:
                 status = "diverged"
-                limit = {v: sv / s_norm for v, sv in chart.s.items()}
             break
         # refine within the admissible range: a bare sufficient-decrease step
         # can sit at the edge of stability (contraction 1 - 2c per iteration);
         # halving while the merit meaningfully improves lands near the 1-D
         # optimum and is a no-op on divergent rays
         for _ in range(60):
-            half_step = trial_step * opts.backtrack
-            if half_step < opts.step_min:
+            half_step = trial_step * BACKTRACK
+            if half_step < STEP_MIN:
                 break
-            half_chart = _Chart(rep, trial_s(half_step))
+            half_chart = _Chart(trial_s(half_step))
             half_energy = energy_of(half_chart)
             if trial_score is None:
                 if half_energy < trial_energy - energy_floor:
@@ -781,7 +732,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
                 else:
                     break
             else:
-                half_score = res_of(half_chart)
+                half_score = residual_of(half_chart)[1]
                 if half_score < trial_score * (1.0 - 1e-6):
                     trial_step, trial_chart, trial_energy, trial_score = (
                         half_step,
@@ -799,6 +750,8 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         last_drift = trial_step * xi_norm
 
     final = MetricState(chart.h, validate=(status == "converged"))
+    # every divergent exit leaves the loop on the chart it classified
+    limit = {v: sv / s_norm for v, sv in chart.s.items()} if status == "diverged" else None
     return FlowReport(
         status=status,
         final_metric=final,

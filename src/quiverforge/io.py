@@ -20,7 +20,9 @@ potential fields in sorted vertex order (little endian).
 """
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -46,11 +48,29 @@ def _decode_complex(value, errs, ptr):
         and len(value) == 2
         and all(isinstance(x, (int, float)) for x in value)
     ):
-        return complex(value[0], value[1])
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    errs.append((ptr, "expected [re, im] pair"))
-    return 0j
+        z = complex(value[0], value[1])
+    elif isinstance(value, (int, float)):
+        z = complex(value, 0.0)
+    else:
+        errs.append((ptr, "expected [re, im] pair"))
+        return 0j
+    if not cmath.isfinite(z):
+        errs.append((ptr, f"entry must be finite, got {z}"))
+        return 0j
+    return z
+
+
+def _decode_number(value, errs, ptr, kind=float):
+    """``kind(value)`` when that is finite; otherwise the error is recorded
+    and ``kind(1)`` returned, a value every constructor downstream accepts."""
+    try:
+        x = kind(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    errs.append((ptr, f"expected a finite {kind.__name__}, got {value!r}"))
+    return kind(1)
 
 
 def _decode_matrix(rows, errs, ptr):
@@ -113,7 +133,7 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
         if tail not in vset or head not in vset:
             continue
         arrows.append(Arrow(name, tail, head))
-        m = int(a.get("twist_dim", 1))
+        m = _decode_number(a.get("twist_dim", 1), errs, f"{aptr}/twist_dim", int)
         if m < 1:
             errs.append((f"{aptr}/twist_dim", "twist dimension must be >= 1"))
             m = 1
@@ -147,7 +167,7 @@ def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: 
         if v not in set(quiver.vertices):
             errs.append((f"{ptr}/dims/{v}", f"unknown vertex {v!r}"))
             continue
-        dims[v] = int(d)
+        dims[v] = _decode_number(d, errs, f"{ptr}/dims/{v}", int)
     slices = {}
     for a, mats in (doc.get("arrows") or {}).items():
         aptr = f"{ptr}/arrows/{a}"
@@ -216,7 +236,7 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
         if v not in set(quiver.vertices):
             errs.append((f"{ptr}/degrees/{v}", f"unknown vertex {v!r}"))
             continue
-        degrees[v] = int(d)
+        degrees[v] = _decode_number(d, errs, f"{ptr}/degrees/{v}", int)
     weights = {}
     for a, w in (doc.get("weights") or {}).items():
         aptr = f"{ptr}/weights/{a}"
@@ -224,22 +244,27 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
             errs.append((aptr, f"unknown arrow {a!r}"))
             continue
         if isinstance(w, (int, float)):
-            weights[a] = WeightSpec("constant", value=float(w))
+            weights[a] = WeightSpec("constant", value=_decode_number(w, errs, aptr))
             continue
         if not isinstance(w, dict):
             errs.append((aptr, "expected a weight spec object or number"))
             continue
         kind = w.get("kind", "constant")
         if kind == "constant":
-            weights[a] = WeightSpec("constant", value=float(w.get("value", 1.0)))
+            value = _decode_number(w.get("value", 1.0), errs, f"{aptr}/value")
+            weights[a] = WeightSpec("constant", value=value)
         elif kind == "bump":
-            p = w.get("params", {})
+            p, pptr = w.get("params", {}), f"{aptr}/params"
+            center = p.get("center", (0.5, 0.5)) if isinstance(p, dict) else None
+            if not isinstance(center, (list, tuple)) or len(center) != 2:
+                errs.append((pptr, "expected an object with an [x, y] center"))
+                continue
             weights[a] = WeightSpec(
                 "bump",
-                amplitude=float(p.get("amplitude", 1.0)),
-                width=float(p.get("width", 0.5)),
-                center=tuple(p.get("center", (0.5, 0.5))),
-                floor=float(p.get("floor", 0.0)),
+                amplitude=_decode_number(p.get("amplitude", 1.0), errs, f"{pptr}/amplitude"),
+                width=_decode_number(p.get("width", 0.5), errs, f"{pptr}/width"),
+                center=tuple(_decode_number(c, errs, f"{pptr}/center/{i}") for i, c in enumerate(center)),
+                floor=_decode_number(p.get("floor", 0.0), errs, f"{pptr}/floor"),
             )
         else:
             errs.append((f"{aptr}/kind", f"unknown weight kind {kind!r}"))
@@ -315,13 +340,14 @@ def load_instance(paths=None, text=None) -> InstanceBundle:
                 errs.append((f"/params/sigma/{v}", "missing vertex"))
             if v not in bundle.params.tau:
                 errs.append((f"/params/tau/{v}", "missing vertex"))
+    # a section whose quiver (or params) failed to decode already has its error
     if "rep" in merged:
-        if bundle.quiver is None:
+        if "quiver" not in merged:
             errs.append(("/rep", "representation given without a quiver"))
         elif not errs:
             bundle.rep = decode_rep(merged["rep"], bundle.quiver, bundle.twist, errs)
     if "relations" in merged:
-        if bundle.quiver is None:
+        if "quiver" not in merged:
             errs.append(("/relations", "relations given without a quiver"))
         elif not errs:
             rel_doc = merged["relations"]
@@ -329,7 +355,7 @@ def load_instance(paths=None, text=None) -> InstanceBundle:
                 rel_doc = {"relations": rel_doc}
             bundle.relations = decode_relations(rel_doc, bundle.quiver, errs)
     if "system" in merged:
-        if bundle.quiver is None or bundle.params is None:
+        if "quiver" not in merged or "params" not in merged:
             errs.append(("/system", "system needs a quiver and params"))
         elif not errs:
             bundle.system = decode_system(merged["system"], bundle.quiver, bundle.params, errs)

@@ -20,6 +20,7 @@ from ._linalg import check_hpd
 from .errors import (
     LengthOverflow,
     NonComposable,
+    NonFiniteData,
     ShapeMismatch,
     TwistedRelationUnsupported,
 )
@@ -99,13 +100,23 @@ class TwistSpec:
     weight: Mapping[str, np.ndarray]
 
     def __post_init__(self):
+        if set(self.weight) - set(self.multiplicity):
+            raise ShapeMismatch("twist weight given for an arrow without a multiplicity")
+        weight, inverse = {}, {}
         for a, m in self.multiplicity.items():
             if m < 1:
                 raise ShapeMismatch(f"twist multiplicity for arrow {a!r} must be >= 1")
-            q = np.asarray(self.weight[a], dtype=complex)
+            q = np.array(self.weight[a], dtype=complex)
             if q.shape != (m, m):
                 raise ShapeMismatch(f"twist weight for arrow {a!r} has wrong shape")
+            if not np.all(np.isfinite(q)):
+                raise NonFiniteData(f"twist weight for arrow {a!r} has a non-finite entry")
             check_hpd(q)
+            qinv = np.linalg.inv(q)
+            q.flags.writeable = qinv.flags.writeable = False
+            weight[a], inverse[a] = q, qinv
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "_inverse", inverse)
 
     @classmethod
     def trivial(cls, quiver: Quiver) -> "TwistSpec":
@@ -118,9 +129,12 @@ class TwistSpec:
 
     def metric(self, arrow: str) -> np.ndarray:
         q = self.weight.get(arrow)
-        if q is None:
-            return np.eye(self.rank(arrow), dtype=complex)
-        return np.asarray(q, dtype=complex)
+        return np.eye(self.rank(arrow), dtype=complex) if q is None else q
+
+    def metric_inv(self, arrow: str) -> np.ndarray:
+        """Inverse of :meth:`metric`, computed once at construction."""
+        q = self._inverse.get(arrow)
+        return np.eye(self.rank(arrow), dtype=complex) if q is None else q
 
     def is_trivial_on(self, arrow: str) -> bool:
         return self.rank(arrow) == 1 and abs(self.metric(arrow)[0, 0] - 1.0) < 1e-12

@@ -21,6 +21,7 @@ from ._linalg import (
 )
 from .errors import (
     DimensionOverflow,
+    NonFiniteData,
     QuiverMismatch,
     ShapeMismatch,
     TwistedModuleUnsupported,
@@ -74,6 +75,8 @@ class TwistedRep:
                     raise ShapeMismatch(
                         f"arrow {arrow.name!r} slice {k}: shape {s.shape} != {shape}"
                     )
+                if not np.all(np.isfinite(s)):
+                    raise NonFiniteData(f"arrow {arrow.name!r} slice {k} has a non-finite entry")
                 mats.append(_freeze(s))
             cleaned[arrow.name] = tuple(mats)
         object.__setattr__(self, "dims", dims)

@@ -26,7 +26,6 @@ from .flow import (
     filtration_steps,
     moment_map_residual,
     residual_norm_h,
-    _qinv,
 )
 from .reps import (
     SubrepWitness,
@@ -295,7 +294,7 @@ def subrep_degree_identity(
     for a in rep.quiver.arrows:
         ph = proj[a.head]
         pt_perp = np.eye(rep.dims[a.tail], dtype=complex) - proj[a.tail]
-        qinv = _qinv(rep, a.name)
+        qinv = rep.twist.metric_inv(a.name)
         mrank = rep.twist.rank(a.name)
         perp = [ph @ sl @ pt_perp for sl in rep.slices[a.name]]
         for k in range(mrank):

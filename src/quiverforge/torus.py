@@ -35,6 +35,7 @@ from .errors import (
     GaugeViolation,
     InadmissibleParameters,
     NewtonStall,
+    NonFiniteData,
     NotASolution,
     NotFlatCase,
     ShapeMismatch,
@@ -43,7 +44,7 @@ from .errors import (
 from .flow import FlowOptions, flow_solve
 from .quiver import Quiver, TwistSpec
 from .reps import build_rep
-from .slope import StabilityParams
+from .slope import DegreeData, StabilityParams, admissibility
 
 TWO_PI = 2.0 * np.pi
 
@@ -121,6 +122,11 @@ class WeightSpec:
     center: tuple[float, float] = (0.5, 0.5)
     floor: float = 0.0
 
+    def __post_init__(self):
+        numbers = (self.value, self.amplitude, self.width, *self.center, self.floor)
+        if not np.all(np.isfinite(np.array(numbers, dtype=float))):
+            raise NonFiniteData(f"{self.kind} weight has a non-finite field")
+
     def realize(self, grid: TorusGrid) -> np.ndarray:
         if self.kind == "constant":
             if self.value < 0:
@@ -165,9 +171,9 @@ def build_torus_system(
     weights: Mapping[str, "WeightSpec | np.ndarray | float"],
     params: StabilityParams,
     n: int,
-    admissibility_tol: float = 1e-10,
 ) -> TorusSystem:
-    """Validated line-bundle system; refuses inadmissible parameters."""
+    """Validated line-bundle system; refuses exactly what :func:`admissibility`
+    refuses for the vertex degrees 2 pi d_v at rank one."""
     grid = TorusGrid(n)
     degs = {v: int(degrees.get(v, 0)) for v in quiver.vertices}
     fields: dict[str, np.ndarray] = {}
@@ -185,20 +191,20 @@ def build_torus_system(
             if w.shape != (n, n):
                 raise ShapeMismatch(f"weight field for arrow {a.name!r} has wrong shape")
             specs[a.name] = WeightSpec("bump")  # free-form fields count as synthetic
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteData(f"weight field for arrow {a.name!r} has a non-finite entry")
         if w.min() < 0:
             raise ShapeMismatch(f"weight field for arrow {a.name!r} is negative somewhere")
         w = np.array(w)
         w.flags.writeable = False
         fields[a.name] = w
-    defect = float(
-        sum(params.sigma[v] * TWO_PI * degs[v] for v in quiver.vertices)
-        - sum(params.tau[v] for v in quiver.vertices)
-    )
-    if abs(defect) > admissibility_tol * (1.0 + sum(abs(params.tau[v]) for v in quiver.vertices)):
+    system = TorusSystem(quiver, grid, degs, fields, params, specs)
+    degree_data = DegreeData({v: TWO_PI * d for v, d in degs.items()}, dict.fromkeys(degs, 1))
+    if not admissibility(degree_data, params):
         raise InadmissibleParameters(
-            f"sum sigma 2 pi d - sum tau = {defect:.6e} violates admissibility"
+            f"sum sigma 2 pi d - sum tau = {system.admissibility_defect():.6e} violates admissibility"
         )
-    return TorusSystem(quiver, grid, degs, fields, params, specs)
+    return system
 
 
 @dataclass(frozen=True)

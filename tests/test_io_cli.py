@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -350,6 +351,72 @@ def test_cli_non_finite_params_exit_1(tmp_path):
     assert [ptr for ptr, _ in info.value.errors] == ["/params"]
     code = cli.main(["check", "--quiver", q, "--rep", r, "--params", str(badp), "--quiet"])
     assert code == 1
+
+
+def _kronecker_doc():
+    return copy.deepcopy({"quiver": QUIVER_DOC, "rep": REP_DOC, "params": PARAMS_DOC})
+
+
+def _torus_doc(weight):
+    return copy.deepcopy({
+        "quiver": QUIVER_DOC,
+        "params": PARAMS_DOC,
+        "system": {"N": 16, "degrees": {"1": 0, "2": 0}, "weights": {"a0": weight}},
+    })
+
+
+def _with(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        (_with(_kronecker_doc(), ("rep", "arrows", "a0"), [[[[float("nan"), 0.0]]]]), "/rep/arrows/a0/0/0/0"),
+        (_with(_kronecker_doc(), ("quiver", "arrows", 0, "twist_weight"), [[[float("inf"), 0.0]]]),
+         "/quiver/arrows/0/twist_weight/0/0"),
+        (_torus_doc(float("nan")), "/system/weights/a0"),
+        (_torus_doc({"kind": "constant", "value": float("inf")}), "/system/weights/a0/value"),
+        (_torus_doc({"kind": "bump", "params": {"amplitude": float("nan")}}), "/system/weights/a0/params/amplitude"),
+        (_torus_doc({"kind": "bump", "params": {"center": [0.5, float("-inf")]}}),
+         "/system/weights/a0/params/center/1"),
+    ],
+    ids=["slice", "twist-weight", "weight-number", "weight-value", "bump-amplitude", "bump-center"],
+)
+def test_decoder_refuses_non_finite_numbers(tmp_path, doc, pointer):
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([write(tmp_path, "inst.json", doc)])
+    assert [ptr for ptr, _ in info.value.errors] == [pointer]
+
+
+def test_cli_flow_refuses_non_finite_slice(tmp_path, capsys):
+    # refused with a pointer and exit 1, not run to a "max-iter" verdict
+    doc = _with(_kronecker_doc(), ("rep", "arrows", "a0"), [[[[float("nan"), 0.0]]]])
+    out = tmp_path / "out.json"
+    code = cli.main(["flow", "--instance", write(tmp_path, "nan.json", doc), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "schema_error" and "/rep/arrows/a0/0/0/0" in err["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        (_with(_kronecker_doc(), ("rep", "dims", "1"), "x"), "/rep/dims/1"),
+        (_with(_kronecker_doc(), ("quiver", "arrows", 0, "twist_dim"), "q"), "/quiver/arrows/0/twist_dim"),
+        (_with(_torus_doc(1.0), ("system", "degrees", "1"), "x"), "/system/degrees/1"),
+    ],
+    ids=["dims", "twist-dim", "degrees"],
+)
+def test_decoder_refuses_non_integers(tmp_path, doc, pointer):
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([write(tmp_path, "inst.json", doc)])
+    assert [ptr for ptr, _ in info.value.errors] == [pointer]
 
 
 def test_cli_batch_manifest(tmp_path):

@@ -7,6 +7,7 @@ import quiverforge as qf
 from quiverforge.errors import (
     LengthOverflow,
     NonComposable,
+    NonFiniteData,
     ShapeMismatch,
     TwistedRelationUnsupported,
 )
@@ -169,6 +170,23 @@ def _brute_force_path(rep, path):
                 vec = rep.slices[a][k] @ vec
             cols.append(vec)
     return np.stack(cols, axis=1)
+
+
+def test_twist_inverts_each_weight_once():
+    q = np.array([[2.0, 0.3j], [-0.3j, 1.0]])
+    twist = qf.TwistSpec({"a0": 2}, {"a0": q})
+    assert np.array_equal(twist.metric_inv("a0"), np.linalg.inv(q.astype(complex)))
+    assert twist.metric_inv("a0") is twist.metric_inv("a0")
+    assert not twist.metric("a0").flags.writeable and not twist.metric_inv("a0").flags.writeable
+    # an arrow without twist data has the rank-one identity weight
+    assert np.array_equal(twist.metric_inv("other"), np.eye(1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_twist_refuses_non_finite_weight(bad):
+    # NaN compares False, so the definiteness check alone would accept it
+    with pytest.raises(NonFiniteData):
+        qf.TwistSpec({"a0": 2}, {"a0": np.array([[1.0, 0.0], [0.0, bad]])})
 
 
 def test_evaluate_against_brute_force_oracle(rng):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import quiverforge as qf
 from quiverforge.errors import (
     DimensionOverflow,
+    NonFiniteData,
     QuiverMismatch,
     ShapeMismatch,
     TwistedModuleUnsupported,
@@ -20,6 +21,12 @@ from quiverforge.reps import (
     to_module,
     witness_complement,
 )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_build_rep_refuses_non_finite_slice(bad):
+    with pytest.raises(NonFiniteData):
+        qf.build_rep(kronecker_quiver(1), None, {"1": 1, "2": 2}, {"a0": [np.array([[1.0], [bad]])]})
 
 
 def test_build_rep_no_arrows():

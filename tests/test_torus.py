@@ -6,6 +6,7 @@ from quiverforge.errors import (
     GaugeViolation,
     InadmissibleParameters,
     NewtonStall,
+    NonFiniteData,
     NotFlatCase,
     ShapeMismatch,
     UnsupportedDegrees,
@@ -150,6 +151,39 @@ def test_build_rejects_inadmissible_degrees():
     params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": 0.0, "2": 0.0})
     with pytest.raises(InadmissibleParameters):
         qf.build_torus_system(q, {"1": 1, "2": 0}, {"a0": 1.0}, params, 16)
+
+
+def test_build_refuses_what_admissibility_refuses():
+    # a defect of 5e-11: admissibility (and so the flat-case flow) refuses
+    # it, and building the torus system must refuse it too
+    q = kronecker_quiver(1)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -1.0, "2": 1.0 + 5e-11})
+    with pytest.raises(InadmissibleParameters):
+        qf.build_torus_system(q, {"1": 0, "2": 0}, {"a0": 1.0}, params, 16)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        np.nan,
+        np.full((16, 16), np.inf),
+        np.where(np.eye(16) > 0, np.nan, 1.0),
+    ],
+)
+def test_build_refuses_non_finite_weight_field(weight):
+    q = kronecker_quiver(1)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -1.0, "2": 1.0})
+    with pytest.raises(NonFiniteData):
+        qf.build_torus_system(q, {"1": 0, "2": 0}, {"a0": weight}, params, 16)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"value": np.nan}, {"amplitude": np.inf}, {"width": np.nan}, {"center": (0.5, np.nan)}, {"floor": -np.inf}],
+)
+def test_weight_spec_refuses_non_finite_field(fields):
+    with pytest.raises(NonFiniteData):
+        WeightSpec("bump", **fields)
 
 
 def test_build_rejects_negative_weight():
