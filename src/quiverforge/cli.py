@@ -127,14 +127,8 @@ def _cmd_vortex(args):
             "error_code": stall.code,
         }
         if args.log and stall.history:
-            rows = [list(r) for r in stall.history]
             with open(args.log, "wb") as fh:
-                fh.write(
-                    qio.export_report(
-                        {"columns": ["iter", "sup_residual", "damping"], "rows": rows},
-                        "csv",
-                    )
-                )
+                fh.write(qio.newton_log_csv(stall))
         _writeout(args, payload)
         return EXIT_NEGATIVE
     if args.out:

@@ -37,7 +37,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._linalg import check_hpd, eigh_checked, herm, orthonormal_columns, random_hermitian
+from ._linalg import check_hpd, eigh_checked, funm_herm, herm, orthonormal_columns, random_hermitian
 from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
 from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure
 from .slope import SLOPE_TOL, admissibility, degree_and_slope
@@ -198,14 +198,6 @@ def _clustered(w: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def apply_unary(s: HermCollection, f: Callable) -> dict[str, np.ndarray]:
-    out = {}
-    for v, sv in s.items():
-        w, u = eigh_checked(sv)
-        out[v] = (u * f(w)) @ u.conj().T
-    return out
-
-
 def apply_bivariate_endo(s: HermCollection, table: ScalarFunctionTable, f: HermCollection):
     """Scale an endomorphism collection entrywise in each vertex eigenbasis."""
     out = {}
@@ -243,7 +235,7 @@ def eigen_calculus(s: HermCollection, table: ScalarFunctionTable, target=None):
     if target is None:
         if table.unary is None:
             raise ValueError(f"table {table.name!r} has no unary function")
-        return apply_unary(s, table.unary)
+        return {v: funm_herm(sv, table.unary) for v, sv in s.items()}
     if table.bivariate is None:
         raise ValueError(f"table {table.name!r} has no bivariate function")
     if isinstance(target, TwistedRep):
@@ -303,11 +295,14 @@ def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[st
     return _moment_raw(rep, metric.h, _checked_inverses(metric), params.tau)
 
 
-def _phi_sq_raw(rep: TwistedRep, h, hinv) -> float:
+def _phi_sq_raw(rep: TwistedRep, h, hinv, x: Mapping[str, tuple] | None = None) -> float:
+    """Metric pairing Re sum_a tr(x_a phi_a^{*H}) of a slice family with
+    phi; |phi|^2_H when ``x`` is phi itself (the default)."""
     adj = _adjoint_raw(rep, h, hinv)
+    x = rep.slices if x is None else x
     total = 0.0
     for a in rep.quiver.arrows:
-        for sl, ad in zip(rep.slices[a.name], adj[a.name]):
+        for sl, ad in zip(x[a.name], adj[a.name]):
             total += float(np.real(np.trace(sl @ ad)))
     return total
 
@@ -318,18 +313,6 @@ def phi_norm_sq(rep: TwistedRep, metric: MetricState) -> float:
     return _phi_sq_raw(rep, metric.h, hinv)
 
 
-def pairing(rep: TwistedRep, x: Mapping[str, tuple], y: Mapping[str, tuple]) -> complex:
-    """Background pairing of two slice families: sum_a tr(x_a y_a^{*K})."""
-    total = 0.0 + 0.0j
-    for a in rep.quiver.arrows:
-        qinv = rep.twist.metric_inv(a.name)
-        m = rep.twist.rank(a.name)
-        for k in range(m):
-            for l in range(m):
-                total += qinv[k, l] * np.trace(x[a.name][k] @ y[a.name][l].conj().T)
-    return complex(total)
-
-
 # ---------------------------------------------------------------------------
 # Kempf-Ness energy and gradient
 
@@ -337,11 +320,9 @@ def pairing(rep: TwistedRep, x: Mapping[str, tuple], y: Mapping[str, tuple]) -> 
 def kempf_ness(rep: TwistedRep, s: HermCollection, params) -> float:
     """Energy at H = e^s against the identity background, through the psi
     calculus: (psi(s) phi, phi) - |phi|^2 - sum_v tau_v tr(s_v)."""
-    psi_phi = apply_bivariate_rep(s, PSI_EXP, rep)
-    value = np.real(
-        pairing(rep, psi_phi, {a.name: rep.slices[a.name] for a in rep.quiver.arrows})
-    )
-    value -= phi_norm_sq(rep, MetricState.identity(rep))
+    eye = MetricState.identity(rep).h
+    value = _phi_sq_raw(rep, eye, eye, apply_bivariate_rep(s, PSI_EXP, rep))
+    value -= _phi_sq_raw(rep, eye, eye)
     value -= sum(params.tau[v] * float(np.real(np.trace(s[v]))) for v in rep.quiver.vertices)
     return float(value)
 
@@ -384,6 +365,12 @@ def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> 
 # filtrations read off a direction
 
 
+# spectral gaps wider than this fraction of the spread cut a filtration
+GAP_THRESHOLD = 0.05
+# block-coordinate sweeps of the invariant rounding
+POLISH_SWEEPS = 40
+
+
 @dataclass(frozen=True)
 class FiltrationStep:
     witness: SubrepWitness
@@ -391,7 +378,7 @@ class FiltrationStep:
     boundary: float  # eigenvalue cut defining the step
 
 
-def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, sweeps: int = 40) -> SubrepWitness:
+def _polish_invariant(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness:
     """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
 
     Block-coordinate descent on the total squared leakage: at each vertex
@@ -401,7 +388,7 @@ def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, sweeps: int = 40)
     """
     bases = {v: np.array(witness.basis[v]) for v in rep.quiver.vertices}
     dims = {v: b.shape[1] for v, b in bases.items()}
-    for _ in range(sweeps):
+    for _ in range(POLISH_SWEEPS):
         changed = 0.0
         for v in rep.quiver.vertices:
             r = dims[v]
@@ -428,23 +415,21 @@ def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, sweeps: int = 40)
 
 
 def filtration_steps(
-    rep: TwistedRep,
-    params,
-    direction: HermCollection,
-    gap_threshold: float = 0.05,
-    invariance_tol: float = 1e-8,
-    min_slope: float = -np.inf,
+    rep: TwistedRep, params, direction: HermCollection, min_slope: float = -np.inf
 ) -> list[FiltrationStep]:
     """Ascending filtration read off a Hermitian direction (one per vertex).
 
     Eigenvalues are pooled across vertices and split at gaps exceeding
-    ``gap_threshold`` times the spectral spread; each cut yields the span of
+    ``GAP_THRESHOLD`` times the spectral spread; each cut yields the span of
     eigenvectors below it, rounded to the nearest invariant subspace
-    (leakage-minimizing polish at fixed dimensions, with closure under the
+    (leakage-minimizing polish at fixed dimensions, kept when it passes
+    :func:`check_subrep` at its default tolerance, with closure under the
     arrow slices as the fallback when no nearby invariant subspace of those
     dimensions exists).  Cuts whose span has slope <= ``min_slope`` are
     skipped before the rounding, which is most of the cost; at point scale
-    the polish keeps the dimension vector and with it the slope.
+    the polish keeps the dimension vector and with it the slope.  The
+    flow's certificate check passes the total slope plus ``SLOPE_TOL``;
+    :func:`destabilizer_extract` keeps every cut.
 
     Raises :class:`NoSeparation` when the spectrum has no usable gap.
     """
@@ -455,7 +440,7 @@ def filtration_steps(
         raise NoSeparation("limit direction spectrum is constant", spectrum=all_vals)
     cuts = []
     for lo, hi in zip(all_vals, all_vals[1:]):
-        if hi - lo > gap_threshold * spread:
+        if hi - lo > GAP_THRESHOLD * spread:
             cuts.append(0.5 * (lo + hi))
     if not cuts:
         raise NoSeparation(
@@ -472,7 +457,7 @@ def filtration_steps(
         if degree_and_slope(candidate, params)[1] <= min_slope:
             continue
         polished = _polish_invariant(rep, candidate)
-        ok, _ = check_subrep(rep, polished, tol=invariance_tol)
+        ok, _ = check_subrep(rep, polished)
         witness = polished if ok else invariant_closure(rep, gens)
         _, slope = degree_and_slope(witness, params)
         steps.append(FiltrationStep(witness, slope, cut))

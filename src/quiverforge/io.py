@@ -73,6 +73,15 @@ def _decode_number(value, errs, ptr, kind=float):
     return kind(1)
 
 
+def _expect(value, kind, errs, ptr, what):
+    """``value`` when it is a ``kind`` (``dict`` or ``list``); otherwise the
+    error is recorded and None returned."""
+    if isinstance(value, kind):
+        return value
+    errs.append((ptr, f"expected {what}"))
+    return None
+
+
 def _decode_matrix(rows, errs, ptr):
     if not isinstance(rows, list):
         errs.append((ptr, "expected a matrix (list of rows)"))
@@ -108,6 +117,8 @@ def encode_matrix(m: np.ndarray):
 
 
 def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
+    if _expect(doc, dict, errs, ptr, "a quiver object") is None:
+        return None, None
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         errs.append((f"{ptr}/vertices", "expected a list of vertex ids"))
@@ -115,8 +126,8 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
     arrows = []
     mult = {}
     weight = {}
-    vset = set(vertices)
-    for i, a in enumerate(doc.get("arrows", [])):
+    arrow_docs = _expect(doc.get("arrows", []), list, errs, f"{ptr}/arrows", "a list of arrows")
+    for i, a in enumerate(arrow_docs or []):
         aptr = f"{ptr}/arrows/{i}"
         if not isinstance(a, dict):
             errs.append((aptr, "expected an arrow object"))
@@ -126,11 +137,11 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
             errs.append((f"{aptr}/id", "missing arrow id"))
             continue
         tail, head = a.get("tail"), a.get("head")
-        if tail not in vset:
+        if tail not in vertices:
             errs.append((f"{aptr}/tail", f"unknown vertex {tail!r}"))
-        if head not in vset:
+        if head not in vertices:
             errs.append((f"{aptr}/head", f"unknown vertex {head!r}"))
-        if tail not in vset or head not in vset:
+        if tail not in vertices or head not in vertices:
             continue
         arrows.append(Arrow(name, tail, head))
         m = _decode_number(a.get("twist_dim", 1), errs, f"{aptr}/twist_dim", int)
@@ -158,6 +169,8 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
 
 
 def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: str = "/rep"):
+    if _expect(doc, dict, errs, ptr, "a representation object") is None:
+        return None
     dims_doc = doc.get("dims")
     if not isinstance(dims_doc, dict):
         errs.append((f"{ptr}/dims", "expected an object of vertex dims"))
@@ -169,7 +182,8 @@ def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: 
             continue
         dims[v] = _decode_number(d, errs, f"{ptr}/dims/{v}", int)
     slices = {}
-    for a, mats in (doc.get("arrows") or {}).items():
+    arrow_docs = _expect(doc.get("arrows") or {}, dict, errs, f"{ptr}/arrows", "an object of arrow slices")
+    for a, mats in (arrow_docs or {}).items():
         aptr = f"{ptr}/arrows/{a}"
         if a not in {x.name for x in quiver.arrows}:
             errs.append((aptr, f"unknown arrow {a!r}"))
@@ -188,6 +202,8 @@ def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: 
 
 
 def decode_params(doc: Mapping, errs: list, ptr: str = "/params"):
+    if _expect(doc, dict, errs, ptr, "a params object") is None:
+        return None
     sigma = doc.get("sigma")
     tau = doc.get("tau")
     if not isinstance(sigma, dict) or not isinstance(tau, dict):
@@ -204,11 +220,18 @@ def decode_params(doc: Mapping, errs: list, ptr: str = "/params"):
 
 
 def decode_relations(doc: Mapping, quiver: Quiver, errs: list, ptr: str = "/relations"):
+    if _expect(doc, dict, errs, ptr, "a relations object or list") is None:
+        return None
     rels = []
-    for i, r in enumerate(doc.get("relations", [])):
+    for i, r in enumerate(_expect(doc.get("relations", []), list, errs, ptr, "a list of relations") or []):
+        if _expect(r, dict, errs, f"{ptr}/{i}", "a relation object") is None:
+            continue
         terms = []
-        for j, t in enumerate(r.get("terms", [])):
+        term_docs = _expect(r.get("terms", []), list, errs, f"{ptr}/{i}/terms", "a list of terms")
+        for j, t in enumerate(term_docs or []):
             tptr = f"{ptr}/{i}/terms/{j}"
+            if _expect(t, dict, errs, tptr, "a term object") is None:
+                continue
             coeff = _decode_complex(t.get("coeff", [1.0, 0.0]), errs, f"{tptr}/coeff")
             names = t.get("path")
             if not isinstance(names, list) or not names:
@@ -227,18 +250,22 @@ def decode_relations(doc: Mapping, quiver: Quiver, errs: list, ptr: str = "/rela
 
 
 def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: list, ptr: str = "/system"):
+    if _expect(doc, dict, errs, ptr, "a system object") is None:
+        return None
     n = doc.get("N")
     if not isinstance(n, int):
         errs.append((f"{ptr}/N", "expected an integer grid resolution"))
         return None
     degrees = {}
-    for v, d in (doc.get("degrees") or {}).items():
+    degree_docs = _expect(doc.get("degrees") or {}, dict, errs, f"{ptr}/degrees", "an object of vertex degrees")
+    for v, d in (degree_docs or {}).items():
         if v not in set(quiver.vertices):
             errs.append((f"{ptr}/degrees/{v}", f"unknown vertex {v!r}"))
             continue
         degrees[v] = _decode_number(d, errs, f"{ptr}/degrees/{v}", int)
     weights = {}
-    for a, w in (doc.get("weights") or {}).items():
+    weight_docs = _expect(doc.get("weights") or {}, dict, errs, f"{ptr}/weights", "an object of arrow weights")
+    for a, w in (weight_docs or {}).items():
         aptr = f"{ptr}/weights/{a}"
         if a not in {x.name for x in quiver.arrows}:
             errs.append((aptr, f"unknown arrow {a!r}"))
@@ -329,7 +356,7 @@ def load_instance(paths=None, text=None) -> InstanceBundle:
     """
     merged = _merge_docs(paths, text)
     errs: list = []
-    bundle = InstanceBundle(options=dict(merged.get("options", {})))
+    bundle = InstanceBundle()
     if "quiver" in merged:
         bundle.quiver, bundle.twist = decode_quiver(merged["quiver"], errs)
     if "params" in merged:
@@ -359,6 +386,7 @@ def load_instance(paths=None, text=None) -> InstanceBundle:
             errs.append(("/system", "system needs a quiver and params"))
         elif not errs:
             bundle.system = decode_system(merged["system"], bundle.quiver, bundle.params, errs)
+    bundle.options = dict(_expect(merged.get("options", {}), dict, errs, "/options", "an options object") or {})
     if errs:
         raise SchemaError(errs)
     return bundle

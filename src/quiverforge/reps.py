@@ -34,6 +34,7 @@ from .quiver import (
     Quiver,
     TwistSpec,
     basis_paths,
+    evaluate_path,
 )
 
 
@@ -85,9 +86,6 @@ class TwistedRep:
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
-
-    def zero_like(self) -> "TwistedRep":
-        return TwistedRep(self.quiver, self.twist, dict(self.dims), {})
 
 
 def build_rep(
@@ -329,7 +327,7 @@ def to_module(rep: TwistedRep, max_length: int = DEFAULT_MAX_PATH_LENGTH) -> Mod
     for p in basis_paths(rep.quiver, max_length):
         mat = np.zeros((total, total), dtype=complex)
         src, tgt = p.source, p.target
-        block = _path_matrix(rep, p)
+        block = evaluate_path(rep, p)
         mat[
             offsets[tgt]: offsets[tgt] + rep.dims[tgt],
             offsets[src]: offsets[src] + rep.dims[src],
@@ -338,13 +336,6 @@ def to_module(rep: TwistedRep, max_length: int = DEFAULT_MAX_PATH_LENGTH) -> Mod
     return ModuleActionTable(
         rep.quiver, max_length, total, offsets, dict(rep.dims), action
     )
-
-
-def _path_matrix(rep: TwistedRep, p: Path) -> np.ndarray:
-    out = np.eye(rep.dims[p.source], dtype=complex)
-    for name in reversed(p.arrows):
-        out = rep.slices[name][0] @ out
-    return out
 
 
 def from_module(table: ModuleActionTable) -> TwistedRep:

@@ -25,6 +25,7 @@ from .flow import (
     MetricState,
     filtration_steps,
     moment_map_residual,
+    phi_norm_sq,
     residual_norm_h,
 )
 from .reps import (
@@ -57,17 +58,23 @@ class Verdict:
 class OracleOptions:
     seed: int = 0
     n_random: int = 200
-    enrichment_depth: int = 2
-    slope_tol: float = SLOPE_TOL
-    invariance_tol: float = 1e-10
-    exact_dim_cap: int = 4
-    max_candidates: int = 512
-    # slopes depend only on the dimension vector, so a few representatives
-    # per dimension vector suffice for verdicts and keep the pairwise
-    # enrichment quadratic in a small set
-    per_dims_cap: int = 4
-    n_words: int = 12
-    word_length: int = 3
+
+
+# pairwise enrichment rounds over the closures of the generators
+ENRICHMENT_DEPTH = 2
+# leakage bound for the complement of an equal-slope subobject
+INVARIANCE_TOL = 1e-10
+# any vertex dimension above this puts an instance outside the exactness
+# envelope
+EXACT_DIM_CAP = 4
+MAX_CANDIDATES = 512
+# slopes depend only on the dimension vector, so a few representatives per
+# dimension vector suffice for verdicts and keep the pairwise enrichment
+# quadratic in a small set
+PER_DIMS_CAP = 4
+# random selfadjoint path words and their largest length
+N_WORDS = 12
+WORD_LENGTH = 3
 
 
 def _witness_key(w: SubrepWitness) -> tuple:
@@ -87,7 +94,7 @@ def _generator_vectors(rep: TwistedRep, options: OracleOptions, rng) -> list[tup
             e[i] = 1.0
             gens.append((v, e))
     # eigenvectors of selfadjoint words in the slices
-    words = _selfadjoint_words(rep, options, rng)
+    words = _selfadjoint_words(rep, rng)
     for v, op in words:
         if op.shape[0] == 0:
             continue
@@ -103,7 +110,7 @@ def _generator_vectors(rep: TwistedRep, options: OracleOptions, rng) -> list[tup
     return gens
 
 
-def _selfadjoint_words(rep: TwistedRep, options: OracleOptions, rng) -> list[tuple[str, np.ndarray]]:
+def _selfadjoint_words(rep: TwistedRep, rng) -> list[tuple[str, np.ndarray]]:
     """phi(p)^dagger phi(p) and phi(p) phi(p)^dagger for short random paths."""
     arrows = [a for a in rep.quiver.arrows]
     out: list[tuple[str, np.ndarray]] = []
@@ -111,10 +118,10 @@ def _selfadjoint_words(rep: TwistedRep, options: OracleOptions, rng) -> list[tup
         for sl in rep.slices[a.name]:
             out.append((a.tail, sl.conj().T @ sl))
             out.append((a.head, sl @ sl.conj().T))
-    for _ in range(options.n_words):
+    for _ in range(N_WORDS):
         if not arrows:
             break
-        length = int(rng.integers(1, options.word_length + 1))
+        length = int(rng.integers(1, WORD_LENGTH + 1))
         a = arrows[rng.integers(len(arrows))]
         mat = rep.slices[a.name][rng.integers(rep.twist.rank(a.name))]
         src, tgt = a.tail, a.head
@@ -136,31 +143,26 @@ def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWi
     dims_count: dict[tuple, int] = {}
 
     def add(w: SubrepWitness):
-        if len(seen) >= options.max_candidates:
+        if len(seen) >= MAX_CANDIDATES:
             return
         key = _witness_key(w)
         if key in seen:
             return
         dims_key = tuple(sorted(w.dims.items()))
-        if dims_count.get(dims_key, 0) >= options.per_dims_cap:
+        if dims_count.get(dims_key, 0) >= PER_DIMS_CAP:
             return
         seen[key] = w
         dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
 
     for v, x in _generator_vectors(rep, options, rng):
         add(invariant_closure(rep, {v: x}))
-    for _ in range(options.enrichment_depth):
+    for _ in range(ENRICHMENT_DEPTH):
         current = list(seen.values())
         for i in range(len(current)):
             for j in range(i + 1, len(current)):
                 add(witness_sum(current[i], current[j]))
                 add(witness_intersection(current[i], current[j]))
     return list(seen.values())
-
-
-def _proper_nonzero(rep: TwistedRep, w: SubrepWitness) -> bool:
-    total = w.total_dim
-    return 0 < total < rep.total_dim
 
 
 def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOptions | None = None) -> Verdict:
@@ -171,15 +173,17 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     makes the verdict ``polystable`` when an orthogonal invariant splitting
     into (recursively) stable equal-slope factors exists, otherwise
     ``strictly-semistable``.  With no candidate at all, ``stable`` inside the
-    exactness envelope and ``undecided`` beyond it.
+    exactness envelope (every vertex dimension at most ``EXACT_DIM_CAP``)
+    and ``undecided`` beyond it.
+
+    ``options`` sets the generator seed and the number of random generating
+    vectors; the enumeration limits are the module constants.
     """
     options = options or OracleOptions()
     if rep.total_dim == 0:
         raise ZeroTotalRank("empty representation")
     _, mu = degree_and_slope(rep, params)
-    candidates = [
-        w for w in _candidate_subreps(rep, options) if _proper_nonzero(rep, w)
-    ]
+    candidates = [w for w in _candidate_subreps(rep, options) if 0 < w.total_dim < rep.total_dim]
     best: SubrepWitness | None = None
     best_slope = -np.inf
     equal: list[SubrepWitness] = []
@@ -187,10 +191,10 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
         _, mu_w = degree_and_slope(w, params)
         if mu_w > best_slope:
             best, best_slope = w, mu_w
-        if abs(mu_w - mu) <= options.slope_tol:
+        if abs(mu_w - mu) <= SLOPE_TOL:
             equal.append(w)
-    beyond_envelope = max(rep.dims.values()) > options.exact_dim_cap
-    if best is not None and best_slope > mu + options.slope_tol:
+    beyond_envelope = max(rep.dims.values()) > EXACT_DIM_CAP
+    if best is not None and best_slope > mu + SLOPE_TOL:
         return Verdict("unstable", mu, best, best_slope)
     if equal:
         if _splits_orthogonally(rep, params, equal, options):
@@ -210,7 +214,7 @@ def _splits_orthogonally(rep, params, equal_slope: Sequence[SubrepWitness], opti
     equal-slope invariant pieces that are themselves stable or split again."""
     for w in equal_slope:
         comp = witness_complement(rep, w)
-        ok, _ = check_subrep(rep, comp, tol=options.invariance_tol)
+        ok, _ = check_subrep(rep, comp, tol=INVARIANCE_TOL)
         if not ok:
             continue
         pieces_ok = True
@@ -223,7 +227,7 @@ def _splits_orthogonally(rep, params, equal_slope: Sequence[SubrepWitness], opti
             if sub_verdict.tag not in ("stable", "polystable"):
                 pieces_ok = False
                 break
-            if abs(sub_verdict.slope - degree_and_slope(rep, params)[1]) > options.slope_tol:
+            if abs(sub_verdict.slope - degree_and_slope(rep, params)[1]) > SLOPE_TOL:
                 pieces_ok = False
                 break
         if pieces_ok:
@@ -236,17 +240,13 @@ def _splits_orthogonally(rep, params, equal_slope: Sequence[SubrepWitness], opti
 
 
 def destabilizer_extract(
-    rep: TwistedRep,
-    params: StabilityParams,
-    report: FlowReport,
-    gap_threshold: float = 0.05,
-    invariance_tol: float = 1e-8,
+    rep: TwistedRep, params: StabilityParams, report: FlowReport
 ) -> list[FiltrationStep]:
     """Ascending filtration read off the normalized limit direction.
 
     Eigenvalues of the limit direction are pooled across vertices and split
-    at gaps exceeding ``gap_threshold`` times the spectral spread; each cut
-    yields the span of eigenvectors below it, rounded to the nearest
+    at gaps exceeding ``flow.GAP_THRESHOLD`` times the spectral spread; each
+    cut yields the span of eigenvectors below it, rounded to the nearest
     invariant subspace (leakage-minimizing polish at fixed dimensions, with
     closure under the arrow slices as the fallback when no nearby invariant
     subspace of those dimensions exists).  A report whose flow stopped on
@@ -254,13 +254,14 @@ def destabilizer_extract(
     """
     if report.status != "diverged" or report.limit_direction is None:
         raise NotDivergent("destabilizer extraction needs a divergent flow report")
-    return filtration_steps(
-        rep, params, report.limit_direction, gap_threshold, invariance_tol
-    )
+    return filtration_steps(rep, params, report.limit_direction)
 
 
 # ---------------------------------------------------------------------------
 # degree identity for subobjects of solved instances
+
+# largest metric residual the identity accepts as a solution
+SOLUTION_TOL = 1e-8
 
 
 def subrep_degree_identity(
@@ -268,18 +269,19 @@ def subrep_degree_identity(
     metric: MetricState,
     witness: SubrepWitness,
     params: StabilityParams,
-    solution_tol: float = 1e-8,
 ) -> float:
-    """Mismatch |deg(W) + sum_a |phi_perp_a|^2_H| for an invariant W.
+    """Mismatch |deg(W) + |phi_perp|^2_H| for an invariant W.
 
     ``phi_perp`` is the component of each arrow map that leaks from the
     metric-orthogonal complement of W back into W; for a metric solving the
-    equations the weighted degree of W equals minus its total squared norm.
+    equations the weighted degree of W equals minus its squared norm.
+    Raises :class:`NotASolution` when the metric residual exceeds
+    ``SOLUTION_TOL``.
     """
     m = moment_map_residual(rep, metric, params)
     res = residual_norm_h(rep, metric, m)
-    if res > solution_tol:
-        raise NotASolution(f"metric residual {res:.3e} exceeds {solution_tol:g}")
+    if res > SOLUTION_TOL:
+        raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")
     proj = {}
     for v in rep.quiver.vertices:
         b = witness.basis[v]
@@ -289,22 +291,12 @@ def subrep_degree_identity(
         gram = b.conj().T @ metric.h[v] @ b
         proj[v] = b @ np.linalg.solve(gram, b.conj().T @ metric.h[v])
     deg_w, _ = degree_and_slope(witness, params)
-    total = 0.0
-    hinv = {v: np.linalg.inv(metric.h[v]) for v in rep.quiver.vertices}
-    for a in rep.quiver.arrows:
-        ph = proj[a.head]
-        pt_perp = np.eye(rep.dims[a.tail], dtype=complex) - proj[a.tail]
-        qinv = rep.twist.metric_inv(a.name)
-        mrank = rep.twist.rank(a.name)
-        perp = [ph @ sl @ pt_perp for sl in rep.slices[a.name]]
-        for k in range(mrank):
-            for l in range(mrank):
-                total += float(
-                    np.real(
-                        qinv[k, l]
-                        * np.trace(
-                            perp[k] @ hinv[a.tail] @ perp[l].conj().T @ metric.h[a.head]
-                        )
-                    )
-                )
-    return float(abs(deg_w + total))
+    perp = {
+        a.name: [
+            proj[a.head] @ sl @ (np.eye(rep.dims[a.tail], dtype=complex) - proj[a.tail])
+            for sl in rep.slices[a.name]
+        ]
+        for a in rep.quiver.arrows
+    }
+    leakage = phi_norm_sq(TwistedRep(rep.quiver, rep.twist, rep.dims, perp), metric)
+    return float(abs(deg_w + leakage))

@@ -47,6 +47,8 @@ from .reps import build_rep
 from .slope import DegreeData, StabilityParams, admissibility
 
 TWO_PI = 2.0 * np.pi
+# largest trace-gauge defect vortex_residual accepts
+GAUGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -243,9 +245,10 @@ def _arrow_exponents(system: TorusSystem, u: Mapping[str, np.ndarray]) -> dict[s
     }
 
 
-def vortex_residual(system: TorusSystem, state: PotentialState, gauge_tol: float = 1e-8):
-    """Per-vertex residual field of the coupled system (gauge-fixed input)."""
-    if abs(gauge_defect(system, state)) > gauge_tol:
+def vortex_residual(system: TorusSystem, state: PotentialState):
+    """Per-vertex residual field of the coupled system; refuses a state
+    whose trace-gauge defect exceeds ``GAUGE_TOL``."""
+    if abs(gauge_defect(system, state)) > GAUGE_TOL:
         raise GaugeViolation(
             f"state violates the trace gauge by {gauge_defect(system, state):.3e}"
         )
@@ -364,6 +367,9 @@ EW_ETA_MAX = 0.5
 EW_SAFEGUARD = 0.1
 # the last steps need a linear residual of only this fraction of ``tol``
 EW_TOL_FRACTION = 0.1
+# floor of every step's CG relative tolerance, and the CG iteration budget
+CG_RTOL = 1e-12
+CG_MAX_ITER = 800
 
 
 def _forcing_term(eta_ew: float, r_norm: float, tol: float, cg_rtol: float) -> float:
@@ -377,8 +383,6 @@ def solve_vortex(
     system: TorusSystem,
     tol: float = 1e-8,
     max_newton: int = 30,
-    cg_rtol: float = 1e-12,
-    cg_max_iter: int = 800,
     record_states: bool = False,
     initial: PotentialState | None = None,
 ) -> VortexResult:
@@ -392,8 +396,9 @@ def solve_vortex(
     raised to gamma eta_{k-1}^alpha when that exceeds 0.1 (eta_{k-1} the
     tolerance the previous step used), capped at 0.5 (also the first
     step's term), and kept at least
-    ``max(cg_rtol, 0.1 tol / |r_k|)`` so the last steps still reach
-    ``tol`` without over-solving.  Norms |r| are mean-L2 over all
+    ``max(CG_RTOL, 0.1 tol / |r_k|)`` so the last steps still reach
+    ``tol`` without over-solving; CG stops after ``CG_MAX_ITER``
+    iterations in any case.  Norms |r| are mean-L2 over all
     vertices.  The step is then damped by halving until the sup residual
     decreases.
 
@@ -420,8 +425,8 @@ def solve_vortex(
         if sup <= tol:
             break
         coupling = _arrow_exponents(system, u)
-        eta = _forcing_term(eta_ew, r_norm, tol, cg_rtol)
-        delta = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, cg_max_iter)
+        eta = _forcing_term(eta_ew, r_norm, tol, CG_RTOL)
+        delta = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
         # return to the gauge tangent (the CG kernel direction is free)
         shift = sum(system.params.sigma[v] * grid.mean(delta[v]) for v in verts) / sum(
             system.params.sigma[v] for v in verts

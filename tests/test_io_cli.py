@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quiverforge as qf
 from quiverforge import cli
 from quiverforge import io as qio
-from quiverforge.errors import SchemaError
+from quiverforge.errors import NewtonStall, SchemaError
 from quiverforge.torus import PotentialState
 
 
@@ -417,6 +419,122 @@ def test_decoder_refuses_non_integers(tmp_path, doc, pointer):
     with pytest.raises(SchemaError) as info:
         qio.load_instance([write(tmp_path, "inst.json", doc)])
     assert [ptr for ptr, _ in info.value.errors] == [pointer]
+
+
+def _relations_doc(relations):
+    return copy.deepcopy({"quiver": QUIVER_DOC, "rep": REP_DOC, "relations": relations})
+
+
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        ({"quiver": 5}, "/quiver"),
+        (_with(_kronecker_doc(), ("quiver", "arrows"), 5), "/quiver/arrows"),
+        (_with(_kronecker_doc(), ("quiver", "arrows", 0, "tail"), [1]), "/quiver/arrows/0/tail"),
+        (_with(_kronecker_doc(), ("rep",), [1]), "/rep"),
+        (_with(_kronecker_doc(), ("rep", "arrows"), [1]), "/rep/arrows"),
+        (_with(_kronecker_doc(), ("params",), [1]), "/params"),
+        (_with(_kronecker_doc(), ("options",), 5), "/options"),
+        (_relations_doc(5), "/relations"),
+        (_relations_doc([5]), "/relations/0"),
+        (_relations_doc([{"terms": 5}]), "/relations/0/terms"),
+        (_relations_doc([{"terms": [5]}]), "/relations/0/terms/0"),
+        (_with(_torus_doc(1.0), ("system",), 5), "/system"),
+        (_with(_torus_doc(1.0), ("system", "degrees"), [1]), "/system/degrees"),
+        (_with(_torus_doc(1.0), ("system", "weights"), [1]), "/system/weights"),
+    ],
+    ids=[
+        "quiver", "quiver-arrows", "arrow-tail", "rep", "rep-arrows", "params", "options",
+        "relations", "relation", "terms", "term", "system", "degrees", "weights",
+    ],
+)
+def test_decoder_refuses_wrong_json_types(tmp_path, doc, pointer):
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([write(tmp_path, "inst.json", doc)])
+    assert [ptr for ptr, _ in info.value.errors] == [pointer]
+
+
+def test_cli_refuses_wrong_json_type_with_exit_1(tmp_path, capsys):
+    doc = _with(_torus_doc(1.0), ("system", "degrees"), [1])
+    code = cli.main(["vortex", "--instance", write(tmp_path, "bad.json", doc), "--quiet"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "schema_error" and "/system/degrees" in err["error"]
+
+
+# Any JSON value; numbers stay small so no decoded dimension or grid size
+# allocates much, and keys and strings lean on the schema's own names so the
+# values reach the decoders' inner branches.
+_SCHEMA_WORDS = [
+    "quiver", "rep", "params", "system", "relations", "options", "vertices", "arrows",
+    "id", "tail", "head", "twist_dim", "twist_weight", "dims", "sigma", "tau", "terms",
+    "coeff", "path", "N", "degrees", "weights", "kind", "constant", "bump", "center",
+    "1", "2", "a0",
+]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 16)
+    | st.floats(-16, 16)
+    | st.sampled_from([float("nan"), float("inf")])
+    | st.sampled_from(_SCHEMA_WORDS)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_SCHEMA_WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _fuzz_bases():
+    kron = _kronecker_doc()
+    kron["relations"] = [{"terms": [{"coeff": [1.0, 0.0], "path": ["a0"]}]}]
+    kron["options"] = {}
+    return [kron, _torus_doc({"kind": "bump", "params": {"center": [0.5, 0.5]}})]
+
+
+# every section of each base document, and every field of each section
+_FUZZ_SITES = [
+    (i, path)
+    for i, base in enumerate(_fuzz_bases())
+    for section, body in base.items()
+    for path in [(section,)]
+    + [(section, key) for key in (body if isinstance(body, dict) else range(len(body)))]
+]
+
+
+def _loads_or_schema_error(doc):
+    try:
+        qio.load_instance(text=json.dumps(doc))
+    except SchemaError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON)
+def test_decoder_loads_or_refuses_any_document(doc):
+    _loads_or_schema_error(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(site=st.sampled_from(_FUZZ_SITES), value=_JSON)
+def test_decoder_loads_or_refuses_any_section_value(site, value):
+    base, path = site
+    _loads_or_schema_error(_with(_fuzz_bases()[base], path, value))
+
+
+def test_cli_vortex_stall_log_is_newton_log(tmp_path):
+    q, _, p = setup_instance(tmp_path, t=-1.0)
+    s = write(
+        tmp_path, "s.json",
+        {"N": 16, "degrees": {"1": 0, "2": 0}, "weights": {"a0": 1.0}},
+    )
+    log = tmp_path / "stall.csv"
+    code = cli.main(["vortex", "--quiver", q, "--params", p, "--system", s, "--log", str(log), "--quiet"])
+    assert code == 2
+    with pytest.raises(NewtonStall) as info:
+        qf.solve_vortex(qio.load_instance([q, p, s]).system)
+    assert info.value.history
+    assert log.read_bytes() == qio.newton_log_csv(info.value)
 
 
 def test_cli_batch_manifest(tmp_path):

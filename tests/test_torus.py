@@ -292,9 +292,9 @@ def test_inexact_newton_matches_exact_newton(monkeypatch):
     monkeypatch.setattr(TorusGrid, "lap", counted_lap)
     inexact = qf.solve_vortex(system)
     inexact_laps, laps[0] = laps[0], 0
-    # a zero cap leaves cg_rtol as every step's CG tolerance: exact Newton
+    # a zero cap leaves CG_RTOL as every step's CG tolerance: exact Newton
     monkeypatch.setattr(torus, "EW_ETA_MAX", 0.0)
-    exact = qf.solve_vortex(system, cg_rtol=1e-12)
+    exact = qf.solve_vortex(system)
     assert inexact.sup_residual <= 1e-8
     recomputed = vortex_residual(system, inexact.state)
     assert max(np.abs(r).max() for r in recomputed.values()) <= 1e-8
