@@ -39,7 +39,7 @@ import numpy as np
 
 from ._linalg import check_hpd, eigh_checked, funm_herm, herm, orthonormal_columns, random_hermitian
 from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
-from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure
+from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure, invariant_complement
 from .slope import SLOPE_TOL, admissibility, degree_and_slope
 
 HermCollection = Mapping[str, np.ndarray]
@@ -50,14 +50,16 @@ HermCollection = Mapping[str, np.ndarray]
 
 
 class _Chart:
-    """Eigen-data of s = log H (identity background) and the metric factors
-    e^{±s}; the half factors e^{±s/2} are built on first use."""
+    """Eigen-data of s = log H (identity background), the metric factors
+    e^{±s} and, given ``rep``, its adjoint slices; the half factors
+    e^{±s/2} are built on first use."""
 
-    def __init__(self, s: HermCollection):
+    def __init__(self, s: HermCollection, rep: TwistedRep | None = None):
         self.s = {v: herm(sv) for v, sv in s.items()}
         self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()}
         self.h = {v: herm((u * np.exp(w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
         self.hinv = {v: herm((u * np.exp(-w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
+        self.adj = None if rep is None else _adjoint_raw(rep, self.h, self.hinv)
 
     @cached_property
     def half(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -87,8 +89,8 @@ class MetricState:
     """One Hermitian positive definite form per vertex.
 
     ``validate=False`` skips the definiteness check; the flow uses it when
-    packaging divergent endpoints whose condition number defeats floating
-    point eigensolvers.
+    packaging endpoints that did not converge, whose condition number can
+    defeat floating point eigensolvers.
     """
 
     h: Mapping[str, np.ndarray]
@@ -277,8 +279,7 @@ def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
     return _adjoint_raw(rep, metric.h, _checked_inverses(metric))
 
 
-def _moment_raw(rep: TwistedRep, h, hinv, tau) -> dict[str, np.ndarray]:
-    adj = _adjoint_raw(rep, h, hinv)
+def _moment_raw(rep: TwistedRep, adj, tau) -> dict[str, np.ndarray]:
     out = {
         v: -tau[v] * np.eye(rep.dims[v], dtype=complex)
         for v in rep.quiver.vertices
@@ -292,13 +293,13 @@ def _moment_raw(rep: TwistedRep, h, hinv, tau) -> dict[str, np.ndarray]:
 
 def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[str, np.ndarray]:
     """Per-vertex moment-map defect m_v(H); H_v-selfadjoint by construction."""
-    return _moment_raw(rep, metric.h, _checked_inverses(metric), params.tau)
+    return _moment_raw(rep, adjoint(rep, metric), params.tau)
 
 
-def _phi_sq_raw(rep: TwistedRep, h, hinv, x: Mapping[str, tuple] | None = None) -> float:
+def _phi_sq_raw(rep: TwistedRep, adj, x: Mapping[str, tuple] | None = None) -> float:
     """Metric pairing Re sum_a tr(x_a phi_a^{*H}) of a slice family with
-    phi; |phi|^2_H when ``x`` is phi itself (the default)."""
-    adj = _adjoint_raw(rep, h, hinv)
+    phi, given the adjoint slices ``adj``; |phi|^2_H when ``x`` is phi
+    itself (the default)."""
     x = rep.slices if x is None else x
     total = 0.0
     for a in rep.quiver.arrows:
@@ -310,7 +311,7 @@ def _phi_sq_raw(rep: TwistedRep, h, hinv, x: Mapping[str, tuple] | None = None) 
 def phi_norm_sq(rep: TwistedRep, metric: MetricState) -> float:
     """|phi|^2 in the metric pairing (trace against the metric adjoint)."""
     hinv = {v: np.linalg.inv(m) for v, m in metric.h.items()}
-    return _phi_sq_raw(rep, metric.h, hinv)
+    return _phi_sq_raw(rep, _adjoint_raw(rep, metric.h, hinv))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +322,9 @@ def kempf_ness(rep: TwistedRep, s: HermCollection, params) -> float:
     """Energy at H = e^s against the identity background, through the psi
     calculus: (psi(s) phi, phi) - |phi|^2 - sum_v tau_v tr(s_v)."""
     eye = MetricState.identity(rep).h
-    value = _phi_sq_raw(rep, eye, eye, apply_bivariate_rep(s, PSI_EXP, rep))
-    value -= _phi_sq_raw(rep, eye, eye)
+    adj = _adjoint_raw(rep, eye, eye)
+    value = _phi_sq_raw(rep, adj, apply_bivariate_rep(s, PSI_EXP, rep))
+    value -= _phi_sq_raw(rep, adj)
     value -= sum(params.tau[v] * float(np.real(np.trace(s[v]))) for v in rep.quiver.vertices)
     return float(value)
 
@@ -348,8 +350,7 @@ def kempf_ness_metric(
 def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str, np.ndarray]:
     """Moment-map defect at H = e^s: the first Lie derivative of the energy
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
-    chart = _Chart(s)
-    return _moment_raw(rep, chart.h, chart.hinv, params.tau)
+    return _moment_raw(rep, _Chart(s, rep).adj, params.tau)
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
@@ -421,14 +422,13 @@ def filtration_steps(
 
     Eigenvalues are pooled across vertices and split at gaps exceeding
     ``GAP_THRESHOLD`` times the spectral spread; each cut yields the span of
-    eigenvectors below it, rounded to the nearest invariant subspace
-    (leakage-minimizing polish at fixed dimensions, kept when it passes
-    :func:`check_subrep` at its default tolerance, with closure under the
-    arrow slices as the fallback when no nearby invariant subspace of those
-    dimensions exists).  Cuts whose span has slope <= ``min_slope`` are
-    skipped before the rounding, which is most of the cost; at point scale
-    the polish keeps the dimension vector and with it the slope.  The
-    flow's certificate check passes the total slope plus ``SLOPE_TOL``;
+    eigenvectors below it, kept when it passes :func:`check_subrep` and
+    otherwise rounded to the nearest invariant subspace (leakage-minimizing
+    polish at fixed dimensions, kept when it passes :func:`check_subrep`,
+    with closure under the arrow slices as the fallback).  Cuts whose span
+    has slope <= ``min_slope`` are skipped before the rounding, which is
+    most of the cost; only the closure changes the dimension vector.  The
+    flow passes the total slope minus ``SLOPE_TOL``;
     :func:`destabilizer_extract` keeps every cut.
 
     Raises :class:`NoSeparation` when the spectrum has no usable gap.
@@ -456,29 +456,44 @@ def filtration_steps(
         candidate = SubrepWitness(gens)
         if degree_and_slope(candidate, params)[1] <= min_slope:
             continue
-        polished = _polish_invariant(rep, candidate)
-        ok, _ = check_subrep(rep, polished)
-        witness = polished if ok else invariant_closure(rep, gens)
+        # where the leakage form is degenerate the polish would swap an
+        # exactly invariant span for another invariant subspace
+        witness = candidate
+        if not check_subrep(rep, candidate)[0]:
+            witness = _polish_invariant(rep, candidate)
+            if not check_subrep(rep, witness)[0]:
+                witness = invariant_closure(rep, gens)
         _, slope = degree_and_slope(witness, params)
         steps.append(FiltrationStep(witness, slope, cut))
     return steps
 
 
-def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, mu: float) -> bool:
-    """Whether a cut of ``direction`` is an exact instability certificate: a
-    proper subobject that passes :func:`check_subrep` and whose slope
-    exceeds ``mu`` by more than ``SLOPE_TOL``.  No gap means no certificate
-    yet, never an error."""
+def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, mu: float) -> str | None:
+    """Name of the proof, read off the cuts of ``direction``, that no metric
+    exists, or None.  Both are proper subobjects passing :func:`check_subrep`:
+    ``certificate`` has slope above ``mu`` by more than ``SLOPE_TOL``
+    (unstable; it wins over the other), ``no-complement`` has slope within
+    ``SLOPE_TOL`` of ``mu`` and no invariant complement (not polystable:
+    semistable objects of one slope form an abelian category in which
+    polystable means semisimple).  Slopes are those of the final witnesses,
+    which the closure fallback can raise.  No gap means no proof yet.
+    """
     try:
-        steps = filtration_steps(rep, params, direction, min_slope=mu + SLOPE_TOL)
+        steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL)
     except NoSeparation:
-        return False
-    return any(
-        0 < st.witness.total_dim < rep.total_dim
-        and st.slope > mu + SLOPE_TOL
-        and check_subrep(rep, st.witness)[0]
-        for st in steps
-    )
+        return None
+    proper = [
+        st for st in steps
+        if 0 < st.witness.total_dim < rep.total_dim and check_subrep(rep, st.witness)[0]
+    ]
+    if any(st.slope > mu + SLOPE_TOL for st in proper):
+        return "certificate"
+    if any(
+        abs(st.slope - mu) <= SLOPE_TOL and invariant_complement(rep, st.witness) is None
+        for st in proper
+    ):
+        return "no-complement"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +508,6 @@ class FlowOptions:
     init_scale: float = 0.0
 
 
-# fallback divergence rules for strictly semistable flows, which have no
-# instability certificate: ||s||_F >= BLOWUP along monotone energy descent,
-# or line-search exhaustion once ||s||_F >= S_FLOOR
-BLOWUP = 50.0
-S_FLOOR = 10.0
-# "converged" also needs the last accepted chart movement below DRIFT_TOL
-# (semistable flows push the residual to zero while ||s|| diverges)
-DRIFT_TOL = 1e-6
 # Armijo backtracking with a multiplicatively growing trial step; the trial
 # step multiplies an O(residual) direction, so huge caps are safe in the
 # s-chart, and semistable flows need steps ~ e^{||s||} to keep moving once
@@ -525,13 +532,17 @@ class FlowReport:
     iter_log: list[tuple[int, float, float, float, float]] = field(repr=False, default_factory=list)
     limit_direction: dict[str, np.ndarray] | None = None
     monotone: bool = True
-    # rule that ended the flow: tol | certificate | blowup | line-search |
-    # max-iter (None for reports not made by flow_solve)
+    # rule that ended the flow: tol | certificate | no-complement |
+    # line-search | max-iter (None for reports not made by flow_solve)
     stop: str | None = None
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+def _unit(s: HermCollection, s_norm: float) -> dict[str, np.ndarray]:
+    return {v: sv / s_norm for v, sv in s.items()}
 
 
 def gauge_project(rep: TwistedRep, params, u: HermCollection) -> dict[str, np.ndarray]:
@@ -552,31 +563,26 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     exist when the trace constraint fails).  ``opts`` sets the residual
     tolerance, the iteration budget and an optional random start (``seed``,
     ``init_scale``); the step rules are the module constants.
-    Classification:
 
-    - ``converged``: residual <= tol with the last accepted chart movement
-      below ``DRIFT_TOL`` (semistable flows push the residual to zero while
-      ||log H|| diverges, so the residual alone cannot decide);
-    - ``diverged``: at iterations 1, 2, 4, 8, ... (skipped while the residual
-      halves between checkpoints) a spectral cut of s/||s|| read by
-      :func:`filtration_steps` is an exact instability certificate: a proper
-      subobject passing :func:`check_subrep` with slope above the total
-      slope by more than ``SLOPE_TOL``.  Since the flow only stops there
-      with a proof, stable flows run exactly as without the check.
-      Strictly semistable flows have no such certificate and are caught by
-      the fallback rules: ||log H||_F >= ``BLOWUP`` along monotone energy
-      descent, or line-search exhaustion at ||log H||_F >= ``S_FLOOR``.
-      The report carries the normalized limit direction, so
-      :func:`destabilizer_extract` returns the certified step;
-    - ``max-iter`` otherwise.
+    At iterations 1, 2, 4, 8, ... (skipped while the residual halves between
+    checkpoints), and once more at any other exit, the flow reads the cuts
+    of s/||s|| for a proof that no metric exists: an exactly invariant
+    proper subobject of larger slope (``certificate``: unstable), or one of
+    the total slope with no invariant complement (``no-complement``: not
+    polystable).  Classification:
+
+    - ``diverged``: a proof was found; the report carries the normalized
+      limit direction, so :func:`destabilizer_extract` returns the proof;
+    - ``converged``: residual <= tol and no proof;
+    - ``max-iter``: no proof, and the budget ran out or the line search
+      found no admissible step.
 
     ``FlowReport.stop`` names the rule that ended the flow: ``tol``,
-    ``certificate``, ``blowup``, ``line-search`` or ``max-iter``.
+    ``certificate``, ``no-complement``, ``line-search`` or ``max-iter``.
 
     The line search is Armijo backtracking (factor ``BACKTRACK``, slope
     constant ``ARMIJO_C``) with a multiplicatively growing trial step, so
-    divergent flows accelerate toward the blowup threshold instead of
-    stalling at logarithmic speed.
+    divergent flows accelerate instead of stalling at logarithmic speed.
     """
     opts = opts or FlowOptions()
     if rep.total_dim == 0:
@@ -598,56 +604,50 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         s = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=complex) for v in rep.quiver.vertices}
 
     eye = MetricState.identity(rep).h
-    phi0 = _phi_sq_raw(rep, eye, eye)
+    phi0 = _phi_sq_raw(rep, _adjoint_raw(rep, eye, eye))
 
     def energy_of(chart: _Chart) -> float:
-        val = _phi_sq_raw(rep, chart.h, chart.hinv) - phi0
+        val = _phi_sq_raw(rep, chart.adj) - phi0
         val -= sum(
             params.tau[v] * float(np.real(np.trace(chart.s[v]))) for v in rep.quiver.vertices
         )
         return val
 
     def residual_of(chart: _Chart) -> tuple[dict[str, np.ndarray], float]:
-        m = _moment_raw(rep, chart.h, chart.hinv, params.tau)
+        m = _moment_raw(rep, chart.adj, params.tau)
         return m, float(np.sqrt(_h_norm_sq(chart.half, m)))
 
-    chart = _Chart(s)
+    chart = _Chart(s, rep)
     energy = energy_of(chart)
     iter_log: list[tuple[int, float, float, float, float]] = []
     monotone = True
     step = STEP0
-    last_drift = np.inf
-    status = "max-iter"
     stop = "max-iter"
+    proof = None
     _, mu = degree_and_slope(rep, params)
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,
     # which skips it on geometrically converging flows
     next_check = 1
     check_res = None
-    res = np.inf
-    it = 0
+    res, s_norm, it = np.inf, 0.0, 0
 
     for it in range(opts.max_iter + 1):
         m, res = residual_of(chart)
         s_norm = _frob(chart.s)
         iter_log.append((it, energy, res, step, s_norm))
 
-        if res <= opts.tol and (it == 0 or last_drift <= DRIFT_TOL):
-            status, stop = "converged", "tol"
+        if res <= opts.tol:
+            stop = "tol"
             break
         if it == next_check:
             next_check *= 2
             halved = check_res is not None and res <= 0.5 * check_res
             check_res = res
             if not halved and s_norm > 0:
-                unit = {v: sv / s_norm for v, sv in chart.s.items()}
-                if _certifies_instability(rep, params, unit, mu):
-                    status, stop = "diverged", "certificate"
+                proof = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
+                if proof:
                     break
-        if s_norm >= BLOWUP:
-            status, stop = "diverged", "blowup"
-            break
         if it == opts.max_iter:
             break
 
@@ -659,9 +659,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             coeff = _dexp_inverse(w[None, :] - w[:, None])
             xi[v] = herm(u @ (coeff * (u.conj().T @ direction[v] @ u)) @ u.conj().T)
         if grad_sq == 0.0:
-            last_drift = 0.0
             continue
-        xi_norm = _frob(xi)
 
         # Near a minimum the certifiable energy decrease (~ residual^2) sinks
         # below the floating-point resolution of the energy while the residual
@@ -680,7 +678,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             if _frob(cand) > EIG_CAP:
                 trial_step *= BACKTRACK
                 continue
-            trial_chart = _Chart(cand)
+            trial_chart = _Chart(cand, rep)
             trial_energy = energy_of(trial_chart)
             need = ARMIJO_C * trial_step * grad_sq
             if need > energy_floor:
@@ -695,11 +693,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
                     break
             trial_step *= BACKTRACK
         if not accepted:
-            # no certifiable progress in either merit: a flow that has already
-            # escaped far is classified divergent
             stop = "line-search"
-            if s_norm >= S_FLOOR and res > opts.tol:
-                status = "diverged"
             break
         # refine within the admissible range: a bare sufficient-decrease step
         # can sit at the edge of stability (contraction 1 - 2c per iteration);
@@ -709,7 +703,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             half_step = trial_step * BACKTRACK
             if half_step < STEP_MIN:
                 break
-            half_chart = _Chart(trial_s(half_step))
+            half_chart = _Chart(trial_s(half_step), rep)
             half_energy = energy_of(half_chart)
             if trial_score is None:
                 if half_energy < trial_energy - energy_floor:
@@ -732,11 +726,15 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         chart = trial_chart
         energy = trial_energy
         step = trial_step
-        last_drift = trial_step * xi_norm
 
+    # a semistable flow can push the residual below tol while ||s|| diverges
+    if not proof and s_norm > 0:
+        proof = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
+    stop = proof or stop
+    status = "diverged" if proof else "converged" if stop == "tol" else "max-iter"
     final = MetricState(chart.h, validate=(status == "converged"))
-    # every divergent exit leaves the loop on the chart it classified
-    limit = {v: sv / s_norm for v, sv in chart.s.items()} if status == "diverged" else None
+    # every exit leaves the loop on the chart it classified
+    limit = _unit(chart.s, s_norm) if proof else None
     return FlowReport(
         status=status,
         final_metric=final,

@@ -61,11 +61,12 @@ def _decode_complex(value, errs, ptr):
 
 
 def _decode_number(value, errs, ptr, kind=float):
-    """``kind(value)`` when that is finite; otherwise the error is recorded
-    and ``kind(1)`` returned, a value every constructor downstream accepts."""
+    """``kind(value)`` when that is finite and equals the value (an ``int``
+    is not truncated); otherwise the error is recorded and ``kind(1)``
+    returned, a value every constructor downstream accepts."""
     try:
         x = kind(value)
-        if math.isfinite(x):
+        if math.isfinite(x) and x == float(value):
             return x
     except (TypeError, ValueError, OverflowError):
         pass
@@ -286,13 +287,16 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
             if not isinstance(center, (list, tuple)) or len(center) != 2:
                 errs.append((pptr, "expected an object with an [x, y] center"))
                 continue
-            weights[a] = WeightSpec(
-                "bump",
+            fields = dict(
                 amplitude=_decode_number(p.get("amplitude", 1.0), errs, f"{pptr}/amplitude"),
                 width=_decode_number(p.get("width", 0.5), errs, f"{pptr}/width"),
                 center=tuple(_decode_number(c, errs, f"{pptr}/center/{i}") for i, c in enumerate(center)),
                 floor=_decode_number(p.get("floor", 0.0), errs, f"{pptr}/floor"),
             )
+            if fields["width"] <= 0:
+                errs.append((f"{pptr}/width", f"bump width must be positive, got {fields['width']!r}"))
+                continue
+            weights[a] = WeightSpec("bump", **fields)
         else:
             errs.append((f"{aptr}/kind", f"unknown weight kind {kind!r}"))
     if errs:

@@ -217,7 +217,11 @@ def zero_witness(rep: TwistedRep) -> SubrepWitness:
     )
 
 
-def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = 1e-8):
+# leakage bound of check_subrep, also the residual bound of a splitting
+SUBREP_TOL = 1e-8
+
+
+def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TOL):
     """Invariance check: every slice must map the subspace at its tail into
     the subspace at its head.  Returns (ok, max leakage norm)."""
     bases = {}
@@ -274,19 +278,47 @@ def witness_intersection(w1: SubrepWitness, w2: SubrepWitness) -> SubrepWitness:
     )
 
 
-def witness_complement(rep: TwistedRep, w: SubrepWitness) -> SubrepWitness:
-    return SubrepWitness({v: complement_basis(w.basis[v]) for v in rep.quiver.vertices})
+def invariant_complement(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness | None:
+    """Invariant complement of an invariant subobject W, or None when W is
+    not a direct summand.
 
+    Solves by least squares for a module retraction p: V -> W in the
+    coordinates of W's bases b_v: p_v b_v = 1 and p_head phi =
+    (b_head^H phi b_tail) p_tail for every arrow slice phi.  W splits when
+    the relative residual is at most ``SUBREP_TOL``; ker p is then the
+    complement.  Singular values below sqrt(``SUBREP_TOL``) count as zero:
+    rounding makes a nilpotent block diagonalizable, with eigenvectors
+    about 1e-8 apart, and the huge retraction splitting those must fail.
+    """
+    verts = rep.quiver.vertices
+    b = {v: witness.basis[v] for v in verts}
+    shapes = [(b[v].shape[1], rep.dims[v]) for v in verts]
+    # the module-map equations are homogeneous: scale them to the others
+    entries = [np.abs(sl).max() for sls in rep.slices.values() for sl in sls if sl.size]
+    scale = max(entries, default=0.0) or 1.0
 
-def restrict_rep(rep: TwistedRep, witness: SubrepWitness) -> TwistedRep:
-    """Representation induced on an invariant subspace (bases as coordinates)."""
-    dims = {v: witness.dim(v) for v in rep.quiver.vertices}
-    slices = {}
-    for a in rep.quiver.arrows:
-        bh = witness.basis[a.head]
-        bt = witness.basis[a.tail]
-        slices[a.name] = tuple(bh.conj().T @ s @ bt for s in rep.slices[a.name])
-    return TwistedRep(rep.quiver, rep.twist, dims, slices)
+    def equations(x):
+        parts = np.split(x, np.cumsum([r * n for r, n in shapes])[:-1])
+        p = {v: part.reshape(shape) for v, part, shape in zip(verts, parts, shapes)}
+        rows = [p[v] @ b[v] for v in verts] + [
+            (p[a.head] @ sl - b[a.head].conj().T @ sl @ b[a.tail] @ p[a.tail]) / scale
+            for a in rep.quiver.arrows
+            for sl in rep.slices[a.name]
+        ]
+        return np.concatenate([r.ravel() for r in rows]), p
+
+    unknowns = sum(r * n for r, n in shapes)
+    if unknowns == 0:
+        return full_witness(rep)
+    system = np.column_stack([equations(e)[0] for e in np.eye(unknowns, dtype=complex)])
+    target = np.zeros(system.shape[0], dtype=complex)
+    ones = np.concatenate([np.eye(r).ravel() for r, _ in shapes])
+    target[: ones.size] = ones
+    x = np.linalg.lstsq(system, target, rcond=np.sqrt(SUBREP_TOL))[0]
+    if np.linalg.norm(system @ x - target) > SUBREP_TOL * np.linalg.norm(target):
+        return None
+    p = equations(x)[1]
+    return SubrepWitness({v: complement_basis(orthonormal_columns(p[v].conj().T)) for v in verts})
 
 
 # ---------------------------------------------------------------------------

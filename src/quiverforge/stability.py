@@ -13,7 +13,6 @@ envelope (any vertex dimension above 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +30,8 @@ from .flow import (
 from .reps import (
     SubrepWitness,
     TwistedRep,
-    check_subrep,
     invariant_closure,
-    restrict_rep,
-    witness_complement,
+    invariant_complement,
     witness_intersection,
     witness_sum,
 )
@@ -62,8 +59,6 @@ class OracleOptions:
 
 # pairwise enrichment rounds over the closures of the generators
 ENRICHMENT_DEPTH = 2
-# leakage bound for the complement of an equal-slope subobject
-INVARIANCE_TOL = 1e-10
 # any vertex dimension above this puts an instance outside the exactness
 # envelope
 EXACT_DIM_CAP = 4
@@ -169,12 +164,12 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     """Heuristic enumeration verdict.
 
     Looks for a proper invariant subobject of strictly larger slope
-    (``unstable``, with witness).  Failing that, an equal-slope subobject
-    makes the verdict ``polystable`` when an orthogonal invariant splitting
-    into (recursively) stable equal-slope factors exists, otherwise
-    ``strictly-semistable``.  With no candidate at all, ``stable`` inside the
-    exactness envelope (every vertex dimension at most ``EXACT_DIM_CAP``)
-    and ``undecided`` beyond it.
+    (``unstable``, with witness).  Failing that, beyond the exactness
+    envelope (any vertex dimension above ``EXACT_DIM_CAP``) the verdict is
+    ``undecided``.  Inside it, ``polystable`` when every equal-slope
+    candidate has an invariant complement (polystable means semisimple
+    among semistable objects of one slope), ``strictly-semistable`` with a
+    witness that has none, and ``stable`` when there is no such candidate.
 
     ``options`` sets the generator seed and the number of random generating
     vectors; the enumeration limits are the module constants.
@@ -193,46 +188,14 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
             best, best_slope = w, mu_w
         if abs(mu_w - mu) <= SLOPE_TOL:
             equal.append(w)
-    beyond_envelope = max(rep.dims.values()) > EXACT_DIM_CAP
     if best is not None and best_slope > mu + SLOPE_TOL:
         return Verdict("unstable", mu, best, best_slope)
-    if equal:
-        if _splits_orthogonally(rep, params, equal, options):
-            return Verdict("polystable", mu)
-        # outside the exactness envelope a failed split is not evidence: the
-        # object may split non-orthogonally, so refuse to distinguish
-        if beyond_envelope:
-            return Verdict("undecided", mu, equal[0], mu)
-        return Verdict("strictly-semistable", mu, equal[0], mu)
-    if beyond_envelope:
-        return Verdict("undecided", mu)
-    return Verdict("stable", mu)
-
-
-def _splits_orthogonally(rep, params, equal_slope: Sequence[SubrepWitness], options) -> bool:
-    """Try to realize the representation as an orthogonal direct sum of
-    equal-slope invariant pieces that are themselves stable or split again."""
-    for w in equal_slope:
-        comp = witness_complement(rep, w)
-        ok, _ = check_subrep(rep, comp, tol=INVARIANCE_TOL)
-        if not ok:
-            continue
-        pieces_ok = True
-        for piece in (w, comp):
-            sub = restrict_rep(rep, piece)
-            if sub.total_dim == 0:
-                pieces_ok = False
-                break
-            sub_verdict = stability_oracle(sub, params, options)
-            if sub_verdict.tag not in ("stable", "polystable"):
-                pieces_ok = False
-                break
-            if abs(sub_verdict.slope - degree_and_slope(rep, params)[1]) > SLOPE_TOL:
-                pieces_ok = False
-                break
-        if pieces_ok:
-            return True
-    return False
+    if max(rep.dims.values()) > EXACT_DIM_CAP:
+        return Verdict("undecided", mu, equal[0], mu) if equal else Verdict("undecided", mu)
+    for w in equal:
+        if invariant_complement(rep, w) is None:
+            return Verdict("strictly-semistable", mu, w, mu)
+    return Verdict("polystable", mu) if equal else Verdict("stable", mu)
 
 
 # ---------------------------------------------------------------------------

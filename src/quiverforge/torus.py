@@ -128,6 +128,8 @@ class WeightSpec:
         numbers = (self.value, self.amplitude, self.width, *self.center, self.floor)
         if not np.all(np.isfinite(np.array(numbers, dtype=float))):
             raise NonFiniteData(f"{self.kind} weight has a non-finite field")
+        if self.kind == "bump" and self.width <= 0:
+            raise ShapeMismatch(f"bump width must be positive, got {self.width}")
 
     def realize(self, grid: TorusGrid) -> np.ndarray:
         if self.kind == "constant":
@@ -428,10 +430,7 @@ def solve_vortex(
         eta = _forcing_term(eta_ew, r_norm, tol, CG_RTOL)
         delta = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
         # return to the gauge tangent (the CG kernel direction is free)
-        shift = sum(system.params.sigma[v] * grid.mean(delta[v]) for v in verts) / sum(
-            system.params.sigma[v] for v in verts
-        )
-        delta = {v: delta[v] - shift for v in verts}
+        delta = gauge_fix(system, delta)
         damping = 1.0
         while True:
             trial = {v: u[v] + damping * delta[v] for v in verts}

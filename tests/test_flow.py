@@ -13,6 +13,7 @@ from quiverforge.flow import (
     apply_bivariate_rep,
     difference_quotient,
     eigen_calculus,
+    filtration_steps,
     gauge_project,
 )
 from quiverforge.gallery import kronecker_quiver
@@ -282,9 +283,42 @@ def test_flow_jordan_diverges():
     assert rpt.status == "diverged"
     assert rpt.limit_direction is not None
     assert rpt.monotone
-    # strictly semistable: the destabilizing line has slope equal to the
-    # total slope, so no certificate exists and a divergence rule must fire
-    assert rpt.stop in ("blowup", "line-search")
+    # strictly semistable: the kernel line has the total slope and no
+    # invariant complement, which proves that no metric exists
+    assert rpt.stop == "no-complement"
+
+
+def test_conjugated_jordan_flows_prove_no_complement():
+    # the verdict must not depend on the frame: each conjugated, scaled
+    # Jordan block ends on the proof, and extraction returns its kernel
+    params = jordan_params()
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for seed in range(6):
+        u = random_unitary(np.random.default_rng(seed), 2)
+        kernel = np.outer(u[:, 0], u[:, 0].conj())
+        for scale in (0.5, 1.0, 2.0):
+            rep = qf.build_rep(
+                jordan_rep().quiver, None, {"v": 2}, {"phi": [scale * u @ nil @ u.conj().T]}
+            )
+            rpt = qf.flow_solve(rep, params)
+            assert (rpt.status, rpt.stop) == ("diverged", "no-complement"), (seed, scale)
+            steps = qf.destabilizer_extract(rep, params, rpt)
+            assert len(steps) == 1
+            b = steps[0].witness.basis["v"]
+            assert np.abs(b @ b.conj().T - kernel).max() < 1e-6
+
+
+def test_filtration_keeps_an_exactly_invariant_cut():
+    # J + J with direction diag(-1, 1, -1, 1): the cut span(e1, e3) is ker
+    # phi, exactly invariant; the leakage form is degenerate there, so a
+    # polish would trade it for another invariant plane
+    nil = np.zeros((4, 4))
+    nil[0, 1] = nil[2, 3] = 1.0
+    rep = qf.build_rep(jordan_rep().quiver, None, {"v": 4}, {"phi": [nil]})
+    direction = {"v": np.diag([-1.0, 1.0, -1.0, 1.0]).astype(complex)}
+    (step,) = filtration_steps(rep, jordan_params(), direction)
+    b = step.witness.basis["v"]
+    assert np.abs(b @ b.conj().T - np.diag([1.0, 0.0, 1.0, 0.0])).max() < 1e-12
 
 
 def test_flow_stops_on_certificate():

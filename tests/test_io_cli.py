@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -412,13 +413,28 @@ def test_cli_flow_refuses_non_finite_slice(tmp_path, capsys):
         (_with(_kronecker_doc(), ("rep", "dims", "1"), "x"), "/rep/dims/1"),
         (_with(_kronecker_doc(), ("quiver", "arrows", 0, "twist_dim"), "q"), "/quiver/arrows/0/twist_dim"),
         (_with(_torus_doc(1.0), ("system", "degrees", "1"), "x"), "/system/degrees/1"),
+        (_with(_kronecker_doc(), ("rep", "dims", "1"), 2.9), "/rep/dims/1"),
+        (_with(_kronecker_doc(), ("quiver", "arrows", 0, "twist_dim"), 1.7), "/quiver/arrows/0/twist_dim"),
+        (_with(_torus_doc(1.0), ("system", "degrees", "1"), 0.5), "/system/degrees/1"),
     ],
-    ids=["dims", "twist-dim", "degrees"],
+    ids=["dims", "twist-dim", "degrees", "dims-fraction", "twist-dim-fraction", "degrees-fraction"],
 )
 def test_decoder_refuses_non_integers(tmp_path, doc, pointer):
     with pytest.raises(SchemaError) as info:
         qio.load_instance([write(tmp_path, "inst.json", doc)])
     assert [ptr for ptr, _ in info.value.errors] == [pointer]
+
+
+@pytest.mark.parametrize("width", [0, -0.4])
+def test_decoder_refuses_nonpositive_bump_width(tmp_path, width):
+    # refused at the field, before a grid is built (width 0 divided by zero
+    # there and a negative width acted as a positive one)
+    doc = _torus_doc({"kind": "bump", "params": {"width": width}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError) as info:
+            qio.load_instance([write(tmp_path, "inst.json", doc)])
+    assert [ptr for ptr, _ in info.value.errors] == ["/system/weights/a0/params/width"]
 
 
 def _relations_doc(relations):

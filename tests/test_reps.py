@@ -17,9 +17,8 @@ from quiverforge.quiver import Path, evaluate_path, trivial_path
 from quiverforge.reps import (
     from_module,
     invariant_closure,
-    restrict_rep,
+    invariant_complement,
     to_module,
-    witness_complement,
 )
 
 
@@ -227,18 +226,22 @@ def test_closure_is_invariant(seed):
     assert ok, leak
 
 
-def test_restrict_and_complement(rng):
+def test_invariant_complement():
     q = kronecker_quiver(1)
     rep = qf.direct_sum(
         qf.build_rep(q, None, {"1": 1, "2": 1}, {"a0": [np.array([[1.0]])]}),
         qf.build_rep(q, None, {"1": 1, "2": 1}, {"a0": [np.array([[2.0]])]}),
     )
     w = qf.SubrepWitness({"1": np.eye(2)[:, :1], "2": np.eye(2)[:, :1]})
-    sub = restrict_rep(rep, w)
-    assert sub.dims == {"1": 1, "2": 1}
-    assert sub.slices["a0"][0][0, 0] == pytest.approx(1.0)
-    comp = witness_complement(rep, w)
+    comp = invariant_complement(rep, w)
+    assert comp.dims == {"1": 1, "2": 1}
     assert qf.check_subrep(rep, comp)[0]
+    # the kernel of a nilpotent Jordan block is not a direct summand
+    jordan = qf.build_rep(
+        qf.Quiver.from_lists(["v"], [("phi", "v", "v")]), None, {"v": 2},
+        {"phi": [np.array([[0.0, 1.0], [0.0, 0.0]])]},
+    )
+    assert invariant_complement(jordan, qf.SubrepWitness({"v": np.eye(2)[:, :1]})) is None
 
 
 # ---------------------------------------------------------------------------

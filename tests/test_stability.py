@@ -169,6 +169,24 @@ def test_oracle_direct_sum_polystable():
     assert v.tag == "polystable"
 
 
+def test_oracle_polystable_in_a_general_frame():
+    # the summands of a polystable sum are not orthogonal after a GL change
+    # of basis at each vertex; the splitting is found anyway
+    summed = qf.direct_sum(two_arrow_kron_rep((1.0, 0.0)), two_arrow_kron_rep((0.0, 1.0)))
+    params = kronecker_params(t=1.0)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        g = {v: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for v in ("1", "2")}
+        rep = qf.build_rep(
+            summed.quiver, None, summed.dims,
+            {
+                a.name: [g[a.head] @ sl @ np.linalg.inv(g[a.tail]) for sl in summed.slices[a.name]]
+                for a in summed.quiver.arrows
+            },
+        )
+        assert qf.stability_oracle(rep, params).tag == "polystable", seed
+
+
 def test_oracle_jordan_strictly_semistable():
     v = qf.stability_oracle(jordan_rep(), jordan_params())
     assert v.tag == "strictly-semistable"

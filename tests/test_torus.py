@@ -186,6 +186,12 @@ def test_weight_spec_refuses_non_finite_field(fields):
         WeightSpec("bump", **fields)
 
 
+@pytest.mark.parametrize("width", [0.0, -0.4])
+def test_weight_spec_refuses_nonpositive_width(width):
+    with pytest.raises(ShapeMismatch):
+        WeightSpec("bump", width=width)
+
+
 def test_build_rejects_negative_weight():
     q = kronecker_quiver(1)
     params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -1.0, "2": 1.0})
