@@ -64,7 +64,7 @@ def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
         return np.zeros((n, 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     cut = tol * max(1.0, s[0] if s.size else 0.0)
-    r = int(np.sum(s > cut))
+    r = int(np.count_nonzero(s > cut))
     return u[:, :r]
 
 

@@ -42,14 +42,16 @@ SCHEMA_TAG = "qf-1"
 # primitive codecs
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``bool`` is an ``int`` subclass, but ``true`` is not
+    a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_complex(value, errs, ptr):
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         z = complex(value[0], value[1])
-    elif isinstance(value, (int, float)):
+    elif _is_number(value):
         z = complex(value, 0.0)
     else:
         errs.append((ptr, "expected [re, im] pair"))
@@ -61,15 +63,17 @@ def _decode_complex(value, errs, ptr):
 
 
 def _decode_number(value, errs, ptr, kind=float):
-    """``kind(value)`` when that is finite and equals the value (an ``int``
-    is not truncated); otherwise the error is recorded and ``kind(1)``
-    returned, a value every constructor downstream accepts."""
-    try:
-        x = kind(value)
-        if math.isfinite(x) and x == float(value):
-            return x
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``kind(value)`` when the value is a JSON number (not a string or a
+    boolean), finite, and equal to it (an ``int`` is not truncated);
+    otherwise the error is recorded and ``kind(1)`` returned, a value every
+    constructor downstream accepts."""
+    if _is_number(value):
+        try:
+            x = kind(value)
+            if math.isfinite(x) and x == value:
+                return x
+        except (ValueError, OverflowError):
+            pass
     errs.append((ptr, f"expected a finite {kind.__name__}, got {value!r}"))
     return kind(1)
 
@@ -210,11 +214,13 @@ def decode_params(doc: Mapping, errs: list, ptr: str = "/params"):
     if not isinstance(sigma, dict) or not isinstance(tau, dict):
         errs.append((ptr, "expected sigma and tau objects"))
         return None
+    n_errs = len(errs)
+    sigma = {v: _decode_number(s, errs, f"{ptr}/sigma/{v}") for v, s in sigma.items()}
+    tau = {v: _decode_number(t, errs, f"{ptr}/tau/{v}") for v, t in tau.items()}
+    if len(errs) > n_errs:
+        return None
     try:
-        return StabilityParams(
-            {v: float(s) for v, s in sigma.items()},
-            {v: float(t) for v, t in tau.items()},
-        )
+        return StabilityParams(sigma, tau)
     except Exception as exc:
         errs.append((ptr, str(exc)))
         return None
@@ -254,7 +260,7 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
     if _expect(doc, dict, errs, ptr, "a system object") is None:
         return None
     n = doc.get("N")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         errs.append((f"{ptr}/N", "expected an integer grid resolution"))
         return None
     degrees = {}
@@ -271,7 +277,7 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
         if a not in {x.name for x in quiver.arrows}:
             errs.append((aptr, f"unknown arrow {a!r}"))
             continue
-        if isinstance(w, (int, float)):
+        if isinstance(w, (int, float)):  # booleans too: _decode_number refuses them
             weights[a] = WeightSpec("constant", value=_decode_number(w, errs, aptr))
             continue
         if not isinstance(w, dict):

@@ -8,10 +8,13 @@ The subobject enumeration used by :func:`stability_oracle` is a stated
 heuristic: invariant closures of seeded generating vectors enriched by
 pairwise sums and intersections.  It is exact on the curated families the
 test-suite uses and returns ``undecided`` rather than overclaim beyond its
-envelope (any vertex dimension above 4).
+envelope (any vertex dimension above 4).  Random generators at a vertex
+stop at the first closure the enumeration rejects, so ``n_random`` bounds
+the random part but no longer sets its cost.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,33 +79,42 @@ def _witness_key(w: SubrepWitness) -> tuple:
     parts = []
     for v in sorted(w.basis):
         b = w.basis[v]
-        p = b @ b.conj().T
-        parts.append((v, b.shape[1], np.round(p, 7).tobytes()))
+        # rounding the real view is rounding real and imaginary parts, but
+        # cheaper; + 0.0 turns the -0.0 rounding leaves into 0.0, so one
+        # subspace has one key
+        p = (b @ b.conj().T).view(float)
+        parts.append((v, b.shape[1], (p.round(7) + 0.0).tobytes()))
     return tuple(parts)
 
 
-def _generator_vectors(rep: TwistedRep, options: OracleOptions, rng) -> list[tuple[str, np.ndarray]]:
-    gens: list[tuple[str, np.ndarray]] = []
+def _generator_vectors(
+    rep: TwistedRep, options: OracleOptions, rng
+) -> tuple[list[tuple[str, np.ndarray]], Iterator[tuple[str, np.ndarray]]]:
+    """(exact, random) generators: a list of basis vectors and eigenvectors
+    of selfadjoint words, and a lazy stream of ``n_random`` random unit
+    vectors drawn from ``rng`` after them."""
+    exact: list[tuple[str, np.ndarray]] = []
     for v in rep.quiver.vertices:
         for i in range(rep.dims[v]):
             e = np.zeros(rep.dims[v], dtype=complex)
             e[i] = 1.0
-            gens.append((v, e))
+            exact.append((v, e))
     # eigenvectors of selfadjoint words in the slices
-    words = _selfadjoint_words(rep, rng)
-    for v, op in words:
+    for v, op in _selfadjoint_words(rep, rng):
         if op.shape[0] == 0:
             continue
         _, vecs = eigh_checked(herm(op))
         for i in range(vecs.shape[1]):
-            gens.append((v, vecs[:, i]))
-    # random unit vectors
+            exact.append((v, vecs[:, i]))
     verts = [v for v in rep.quiver.vertices if rep.dims[v] > 0]
-    for _ in range(options.n_random):
-        v = verts[rng.integers(len(verts))]
-        x = rng.normal(size=rep.dims[v]) + 1j * rng.normal(size=rep.dims[v])
-        gens.append((v, x / np.linalg.norm(x)))
-    return gens
+
+    def random():
+        for _ in range(options.n_random):
+            v = verts[rng.integers(len(verts))]
+            x = rng.normal(size=rep.dims[v]) + 1j * rng.normal(size=rep.dims[v])
+            yield v, x / np.linalg.norm(x)
+
+    return exact, random()
 
 
 def _selfadjoint_words(rep: TwistedRep, rng) -> list[tuple[str, np.ndarray]]:
@@ -133,30 +145,53 @@ def _selfadjoint_words(rep: TwistedRep, rng) -> list[tuple[str, np.ndarray]]:
 
 
 def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWitness]:
+    """Distinct closures of the generators, then ``ENRICHMENT_DEPTH`` rounds
+    of pairwise sums and intersections, at most ``PER_DIMS_CAP`` per
+    dimension vector.
+
+    Work whose result would be rejected is skipped; the list is the one the
+    full enumeration gives.  The closure of a random vector at a vertex v
+    almost surely has v's generic dimension vector, and when it repeats a
+    candidate W, W_v is almost surely all of V_v.  Either way every later
+    random closure at v would be rejected too, so v stops at its first
+    rejected one, and no vector is drawn once every vertex has stopped.  A
+    pair of candidates both present in the previous round gave its sum and
+    intersection there already.
+    """
     rng = np.random.default_rng(options.seed)
     seen: dict[tuple, SubrepWitness] = {}
     dims_count: dict[tuple, int] = {}
 
-    def add(w: SubrepWitness):
+    def add(w: SubrepWitness) -> bool:
         if len(seen) >= MAX_CANDIDATES:
-            return
-        key = _witness_key(w)
-        if key in seen:
-            return
+            return False
         dims_key = tuple(sorted(w.dims.items()))
         if dims_count.get(dims_key, 0) >= PER_DIMS_CAP:
-            return
+            return False
+        key = _witness_key(w)
+        if key in seen:
+            return False
         seen[key] = w
         dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
+        return True
 
-    for v, x in _generator_vectors(rep, options, rng):
+    exact, random = _generator_vectors(rep, options, rng)
+    for v, x in exact:
         add(invariant_closure(rep, {v: x}))
+    live = {v for v in rep.quiver.vertices if rep.dims[v] > 0}
+    for v, x in random:
+        if v in live and not add(invariant_closure(rep, {v: x})):
+            live.remove(v)
+            if not live:
+                break
+    old = 0
     for _ in range(ENRICHMENT_DEPTH):
         current = list(seen.values())
         for i in range(len(current)):
-            for j in range(i + 1, len(current)):
+            for j in range(max(i + 1, old), len(current)):
                 add(witness_sum(current[i], current[j]))
                 add(witness_intersection(current[i], current[j]))
+        old = len(current)
     return list(seen.values())
 
 
@@ -171,8 +206,12 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     among semistable objects of one slope), ``strictly-semistable`` with a
     witness that has none, and ``stable`` when there is no such candidate.
 
-    ``options`` sets the generator seed and the number of random generating
-    vectors; the enumeration limits are the module constants.
+    ``options`` sets the generator seed and the largest number of random
+    generating vectors; those at a vertex stop at the first closure that is
+    rejected (its dimension vector already has ``PER_DIMS_CAP``
+    candidates, or it repeats one), so once every vertex has stopped a
+    larger ``n_random`` costs nothing.  The enumeration limits are the
+    module constants.
     """
     options = options or OracleOptions()
     if rep.total_dim == 0:

@@ -12,38 +12,7 @@ import itertools
 import numpy as np
 
 import quiverforge as qf
-
-
-def random_onedim_instance(seed, integer_tau=False):
-    """Random one-dimensional representation on 2-4 vertices.  With
-    ``integer_tau`` every slice is nonzero and tau is integral, which makes
-    subsets of equal slope common."""
-    rng = np.random.default_rng(seed)
-    nv = int(rng.integers(2, 5))
-    verts = [str(i) for i in range(nv)]
-    arrows = []
-    for i in range(nv):
-        for j in range(nv):
-            if i != j and rng.random() < 0.4:
-                arrows.append((f"a{i}{j}", str(i), str(j)))
-    if not arrows:
-        return None
-    q = qf.Quiver.from_lists(verts, arrows)
-    slices = {}
-    for name, _, _ in arrows:
-        val = rng.normal() + 1j * rng.normal() if integer_tau or rng.random() < 0.8 else 0.0
-        slices[name] = [np.array([[val]])]
-    rep = qf.build_rep(q, None, {v: 1 for v in verts}, slices)
-    if integer_tau:
-        taus = [float(t) for t in rng.integers(-2, 3, size=nv - 1)]
-        taus.append(-sum(taus))
-    else:
-        taus = rng.normal(size=nv)
-        taus -= taus.mean()
-    params = qf.StabilityParams(
-        {v: 1.0 for v in verts}, {v: float(t) for v, t in zip(verts, taus)}
-    )
-    return rep, params
+from conftest import random_onedim_instance
 
 
 def brute_force_verdict(rep, params, tol=1e-9):

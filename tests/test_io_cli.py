@@ -351,7 +351,7 @@ def test_cli_non_finite_params_exit_1(tmp_path):
     badp.write_text('{"sigma": {"1": 1.0, "2": 1.0}, "tau": {"1": NaN, "2": 0.0}}')
     with pytest.raises(SchemaError) as info:
         qio.load_instance([q, r, str(badp)])
-    assert [ptr for ptr, _ in info.value.errors] == ["/params"]
+    assert [ptr for ptr, _ in info.value.errors] == ["/params/tau/1"]
     code = cli.main(["check", "--quiver", q, "--rep", r, "--params", str(badp), "--quiet"])
     assert code == 1
 
@@ -423,6 +423,35 @@ def test_decoder_refuses_non_integers(tmp_path, doc, pointer):
     with pytest.raises(SchemaError) as info:
         qio.load_instance([write(tmp_path, "inst.json", doc)])
     assert [ptr for ptr, _ in info.value.errors] == [pointer]
+
+
+@pytest.mark.parametrize(
+    "doc, pointer, command",
+    [
+        (_with(_kronecker_doc(), ("rep", "dims", "1"), "1"), "/rep/dims/1", "check"),
+        (_with(_kronecker_doc(), ("rep", "dims", "2"), True), "/rep/dims/2", "check"),
+        (_with(_kronecker_doc(), ("quiver", "arrows", 0, "twist_dim"), "1"), "/quiver/arrows/0/twist_dim", "check"),
+        (_with(_kronecker_doc(), ("params", "sigma", "1"), "1.0"), "/params/sigma/1", "check"),
+        (_with(_kronecker_doc(), ("params", "tau", "2"), "1"), "/params/tau/2", "check"),
+        (_with(_kronecker_doc(), ("params", "sigma", "2"), True), "/params/sigma/2", "check"),
+        (_with(_torus_doc(1.0), ("system", "degrees", "1"), "0"), "/system/degrees/1", "vortex"),
+        (_torus_doc(True), "/system/weights/a0", "vortex"),
+        (_torus_doc({"kind": "bump", "params": {"width": "0.4"}}), "/system/weights/a0/params/width", "vortex"),
+        (_with(_torus_doc(1.0), ("system", "N"), True), "/system/N", "vortex"),
+        (_with(_kronecker_doc(), ("rep", "arrows", "a0"), [[[[True, False]]]]), "/rep/arrows/a0/0/0/0", "check"),
+        (_with(_kronecker_doc(), ("rep", "arrows", "a0"), [[[True]]]), "/rep/arrows/a0/0/0/0", "check"),
+    ],
+    ids=["dims-string", "dims-bool", "twist-dim-string", "sigma-string", "tau-string", "sigma-bool",
+         "degrees-string", "weight-bool", "bump-width-string", "grid-bool", "slice-bool-pair", "slice-bool"],
+)
+def test_decoder_refuses_numeric_strings_and_booleans(tmp_path, doc, pointer, command):
+    # int("1"), int(True), float("1.0") and complex(True, False) succeed, so
+    # these loaded as 1
+    path = write(tmp_path, "inst.json", doc)
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([path])
+    assert [ptr for ptr, _ in info.value.errors] == [pointer]
+    assert cli.main([command, "--instance", path, "--quiet"]) == 1
 
 
 @pytest.mark.parametrize("width", [0, -0.4])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from quiverforge.errors import (
     ZeroTotalRank,
 )
 from quiverforge.flow import FlowReport, MetricState
+from quiverforge import stability
 from quiverforge.gallery import kronecker_quiver
+from quiverforge.reps import invariant_closure, witness_intersection, witness_sum
 from conftest import (
     jordan_params,
     jordan_rep,
     kronecker_params,
     kronecker_rep,
+    random_onedim_instance,
     random_two_vertex_instance,
     two_arrow_kron_rep,
 )
@@ -216,6 +221,143 @@ def test_oracle_sigma_independent_verdicts():
             params = qf.StabilityParams(sigma, tau)
             tags.add(qf.stability_oracle(rep, params, qf.OracleOptions(seed=0, n_random=60)).tag)
         assert len(tags) == 1
+
+
+# ---------------------------------------------------------------------------
+# the oracle's candidate enumeration
+
+
+def twisted_draw(base_seed):
+    """Twisted draw of the benchmark generator (``bench/gen.py``): arrow
+    1 -> 2 of multiplicity 2 with a random positive twist weight and an
+    optional plain back arrow."""
+    rng = np.random.default_rng(base_seed)
+    d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    arrows = [("a", "1", "2")]
+    if rng.random() < 0.5:
+        arrows.append(("b", "2", "1"))
+    q = qf.Quiver.from_lists(["1", "2"], arrows)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    weight = g @ g.conj().T + 0.5 * np.eye(2)
+    twist = qf.TwistSpec({"a": 2, **{n: 1 for n, _, _ in arrows[1:]}},
+                         {"a": weight, **{n: np.eye(1, dtype=complex) for n, _, _ in arrows[1:]}})
+    dims = {"1": d1, "2": d2}
+
+    def gaussian(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    slices = {"a": [gaussian((d2, d1)) for _ in range(2)]}
+    for name, t, h in arrows[1:]:
+        slices[name] = [gaussian((dims[h], dims[t]))]
+    return qf.build_rep(q, twist, dims, slices)
+
+
+def three_vertex_draw(base_seed):
+    """Three-vertex draw of the benchmark generator: arrows 1 -> 2 -> 3 and
+    an optional 3 -> 1, dims 1-2."""
+    rng = np.random.default_rng(base_seed)
+    dims = {v: int(rng.integers(1, 3)) for v in ("1", "2", "3")}
+    arrows = [("a", "1", "2"), ("b", "2", "3")]
+    if rng.random() < 0.5:
+        arrows.append(("c", "3", "1"))
+    q = qf.Quiver.from_lists(["1", "2", "3"], arrows)
+    slices = {
+        name: [rng.normal(size=(dims[h], dims[t])) + 1j * rng.normal(size=(dims[h], dims[t]))]
+        for name, t, h in arrows
+    }
+    return qf.build_rep(q, None, dims, slices)
+
+
+def _full_enumeration(closures):
+    """Reference: admit the given generator closures, then pair every two
+    candidates in every enrichment round, with no work skipped."""
+    seen, dims_count = {}, {}
+
+    def add(w):
+        if len(seen) >= stability.MAX_CANDIDATES:
+            return
+        key = stability._witness_key(w)
+        if key in seen:
+            return
+        dims_key = tuple(sorted(w.dims.items()))
+        if dims_count.get(dims_key, 0) >= stability.PER_DIMS_CAP:
+            return
+        seen[key] = w
+        dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
+
+    for w in closures:
+        add(w)
+    for _ in range(stability.ENRICHMENT_DEPTH):
+        current = list(seen.values())
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                add(witness_sum(current[i], current[j]))
+                add(witness_intersection(current[i], current[j]))
+    return list(seen.values())
+
+
+def _duplicate_pairs(candidates):
+    projs = [{v: b @ b.conj().T for v, b in w.basis.items()} for w in candidates]
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(projs)), 2)
+        if all(np.abs(projs[i][v] - projs[j][v]).max(initial=0.0) < 1e-9 for v in projs[i])
+    ]
+
+
+def test_candidates_span_distinct_subspaces():
+    # rounding leaves -0.0 on a projector's diagonal where another basis of
+    # the same subspace gives 0.0; both must give one key, or copies of one
+    # subspace use up the slots of its dimension vector (draw 6017 held 18
+    # such pairs)
+    reps = [twisted_draw(6017)] + [random_two_vertex_instance(5000 + k)[0] for k in range(10)]
+    for rep in reps:
+        assert _duplicate_pairs(stability._candidate_subreps(rep, qf.OracleOptions(seed=0))) == []
+
+
+def _oracle_draws():
+    yield from (random_two_vertex_instance(5000 + k)[0] for k in range(20))
+    yield from (twisted_draw(6000 + k) for k in range(12))
+    yield from (three_vertex_draw(6500 + k) for k in range(6))
+    yield from (inst[0] for inst in map(random_onedim_instance, range(20000, 20030)) if inst)
+
+
+def _basis_bytes(w):
+    return [(v, w.basis[v].shape, w.basis[v].tobytes()) for v in sorted(w.basis)]
+
+
+def test_candidates_match_full_enumeration():
+    # candidates do not depend on the stability parameters, so one list per
+    # representation covers every sigma; the random vectors of a smaller
+    # n_random are the first ones of a larger, so their closures are shared
+    for rep in _oracle_draws():
+        options = qf.OracleOptions(seed=0, n_random=200)
+        exact, random = stability._generator_vectors(rep, options, np.random.default_rng(options.seed))
+        closures = [invariant_closure(rep, {v: x}) for v, x in exact + list(random)]
+        for n_random in (20, 200):
+            got = stability._candidate_subreps(rep, qf.OracleOptions(seed=0, n_random=n_random))
+            want = _full_enumeration(closures[: len(exact) + n_random])
+            assert [_basis_bytes(w) for w in got] == [_basis_bytes(w) for w in want]
+
+
+def test_oracle_cost_does_not_grow_with_n_random(monkeypatch):
+    # random generators at a vertex stop at the first rejected closure
+    rep, tau = random_two_vertex_instance(5008)
+    assert "b" in {a.name for a in rep.quiver.arrows}
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return invariant_closure(*args)
+
+    monkeypatch.setattr(stability, "invariant_closure", counted)
+    counts = []
+    for n_random in (200, 2000):
+        calls[0] = 0
+        qf.stability_oracle(rep, params, qf.OracleOptions(seed=0, n_random=n_random))
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------------------
