@@ -1,6 +1,6 @@
 """quiverforge: stability of twisted quiver representations, decided by a
-Kempf-Ness gradient flow, with destabilizer extraction and an abelian
-vortex solver on the flat 2-torus."""
+Kempf-Ness flow (damped Riemannian Newton steps on the metrics), with
+destabilizer extraction and an abelian vortex solver on the flat 2-torus."""
 
 from .quiver import (
     Arrow,

@@ -30,6 +30,14 @@ def eigh_checked(a: np.ndarray, rtol: float = 1e-10):
     return w, v
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices, as ``np.kron`` without its
+    general-rank bookkeeping (this sits on the flow's hot path)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def funm_herm(a: np.ndarray, f) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its eigenvalues."""
     w, v = eigh_checked(a)

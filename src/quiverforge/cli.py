@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("flow", help="metric existence by gradient flow")
+    p = sub.add_parser("flow", help="metric existence by the Kempf-Ness flow")
     _add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=5000)

@@ -12,14 +12,23 @@ solving m(H) = 0 are exactly the minima of the Kempf-Ness energy
     M(s) = (psi(s) phi, phi) - |phi|^2 - sum_v tau_v tr(s_v),
     psi(x, y) = exp(x - y),
 
-which is geodesically convex on the positive-definite cone, so gradient
-descent along metric geodesics decides existence: either the residual goes
-to zero with bounded s = log H, or ||s|| blows up with monotonically
-decreasing energy and the normalized limit direction s/||s|| carries the
-destabilizing spectral data.
+which is geodesically convex on the positive-definite cone, so its descent
+along metric geodesics decides existence: either the residual goes to zero
+with bounded s = log H, or ||s|| blows up with monotonically decreasing
+energy and the normalized limit direction s/||s|| carries the destabilizing
+spectral data.
+
+The descent is a damped Riemannian Newton method.  In the H-frame, where the
+arrow slices read phi~ = H_head^{1/2} phi H_tail^{-1/2} (twist slices rotated
+by (q^{-1})^{1/2}), the energy along H^{1/2} e^{tu} H^{1/2} has first
+derivative sum_v tr(m~_v u_v), with m~ = H^{1/2} m H^{-1/2}, and second
+derivative |L u|^2, with L(u) = u_head phi~ - phi~ u_tail the module-map
+operator of :func:`reps.module_map_operator`.  The Newton direction solves
+the Hessian L^T L on Hermitian u by pseudo-inverse; its kernel is the
+selfadjoint part of End(V) in the H-frame.
 
 The flow optimizes in the s-chart (H = e^s against the identity background)
-and transports the metric gradient into that chart through the joint
+and transports each H-frame direction into that chart through the joint
 eigenbasis; this keeps every eigendecomposition applied to matrices of
 moderate norm even while H itself becomes astronomically ill-conditioned
 near divergence.
@@ -37,9 +46,25 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._linalg import check_hpd, eigh_checked, funm_herm, herm, orthonormal_columns, random_hermitian
+from ._linalg import (
+    check_hpd,
+    complement_basis,
+    eigh_checked,
+    funm_herm,
+    herm,
+    kron,
+    orthonormal_columns,
+    random_hermitian,
+)
 from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
-from .reps import SubrepWitness, TwistedRep, check_subrep, invariant_closure, invariant_complement
+from .reps import (
+    SubrepWitness,
+    TwistedRep,
+    check_subrep,
+    invariant_closure,
+    invariant_complement,
+    module_map_operator,
+)
 from .slope import SLOPE_TOL, admissibility, degree_and_slope
 
 HermCollection = Mapping[str, np.ndarray]
@@ -51,22 +76,48 @@ HermCollection = Mapping[str, np.ndarray]
 
 class _Chart:
     """Eigen-data of s = log H (identity background), the metric factors
-    e^{±s} and, given ``rep``, its adjoint slices; the half factors
-    e^{±s/2} are built on first use."""
+    e^{±s} and half factors e^{±s/2}, built on first use, and, given ``rep``
+    and its :func:`_rotated_slices`, the H-frame slices
+    psi = H_head^{1/2} phi' H_tail^{-1/2}: |phi|^2_H = sum |psi|^2 and
+    H^{1/2} m H^{-1/2} = sum psi psi^dagger - sum psi^dagger psi - tau."""
 
-    def __init__(self, s: HermCollection, rep: TwistedRep | None = None):
+    def __init__(self, s: HermCollection, rep: TwistedRep | None = None, rotated=None):
         self.s = {v: herm(sv) for v, sv in s.items()}
         self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()}
-        self.h = {v: herm((u * np.exp(w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
-        self.hinv = {v: herm((u * np.exp(-w)) @ u.conj().T) for v, (w, u) in self.eig.items()}
-        self.adj = None if rep is None else _adjoint_raw(rep, self.h, self.hinv)
+        self.psi = None
+        if rep is not None:
+            self.psi = {
+                a.name: tuple(self.half[a.head][0] @ p @ self.half[a.tail][1] for p in rotated[a.name])
+                for a in rep.quiver.arrows
+            }
+
+    def _factor(self, power: float) -> dict[str, np.ndarray]:
+        return {v: (u * np.exp(power * w)) @ u.conj().T for v, (w, u) in self.eig.items()}
+
+    @cached_property
+    def h(self) -> dict[str, np.ndarray]:
+        return {v: herm(x) for v, x in self._factor(1.0).items()}
+
+    @cached_property
+    def hinv(self) -> dict[str, np.ndarray]:
+        return {v: herm(x) for v, x in self._factor(-1.0).items()}
 
     @cached_property
     def half(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return {
-            v: ((u * np.exp(0.5 * w)) @ u.conj().T, (u * np.exp(-0.5 * w)) @ u.conj().T)
-            for v, (w, u) in self.eig.items()
-        }
+        hs, his = self._factor(0.5), self._factor(-0.5)
+        return {v: (hs[v], his[v]) for v in self.eig}
+
+
+def _rotated_slices(rep: TwistedRep) -> dict[str, tuple]:
+    """Slices phi'_j = sum_k c_kj phi_k with c = (q^{-1})^{1/2}, which turn
+    the twist pairing sum_kl (q^{-1})_kl tr(phi_k x phi_l^dagger y) into
+    sum_j tr(phi'_j x phi'_j^dagger y)."""
+    out = {}
+    for a in rep.quiver.arrows:
+        c = funm_herm(rep.twist.metric_inv(a.name), np.sqrt)
+        sl = rep.slices[a.name]
+        out[a.name] = tuple(sum(c[k, j] * sl[k] for k in range(len(sl))) for j in range(len(sl)))
+    return out
 
 
 def _frob(c: HermCollection) -> float:
@@ -350,7 +401,8 @@ def kempf_ness_metric(
 def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str, np.ndarray]:
     """Moment-map defect at H = e^s: the first Lie derivative of the energy
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
-    return _moment_raw(rep, _Chart(s, rep).adj, params.tau)
+    chart = _Chart(s)
+    return _moment_raw(rep, _adjoint_raw(rep, chart.h, chart.hinv), params.tau)
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
@@ -368,8 +420,8 @@ def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> 
 
 # spectral gaps wider than this fraction of the spread cut a filtration
 GAP_THRESHOLD = 0.05
-# block-coordinate sweeps of the invariant rounding
-POLISH_SWEEPS = 40
+# Gauss-Newton steps of the invariant rounding
+POLISH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -382,37 +434,50 @@ class FiltrationStep:
 def _polish_invariant(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness:
     """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
 
-    Block-coordinate descent on the total squared leakage: at each vertex
-    the optimal subspace of the given rank is spanned by the lowest
-    eigenvectors of (outgoing leakage form) - (incoming image form).
-    Starting near an exactly invariant subspace this converges to it.
+    Gauss-Newton on graph coordinates: the subspace at v is the span of
+    U_v = B_v + B_v^perp X_v, with B_v the witness basis and B_v^perp its
+    complement, and it is invariant exactly when every slice phi has
+    (B_head^perp^H - X_head B_head^H) phi U_tail = 0.  The residual is
+    bilinear in X, so minimum-norm least squares on its analytic Jacobian
+    converges quadratically from a nearly invariant start.
     """
-    bases = {v: np.array(witness.basis[v]) for v in rep.quiver.vertices}
-    dims = {v: b.shape[1] for v, b in bases.items()}
-    for _ in range(POLISH_SWEEPS):
-        changed = 0.0
-        for v in rep.quiver.vertices:
-            r = dims[v]
-            n = rep.dims[v]
-            if r == 0 or r == n:
-                continue
-            quad = np.zeros((n, n), dtype=complex)
-            for a in rep.quiver.arrows_out_of(v):
-                ph = bases[a.head] @ bases[a.head].conj().T
-                perp = np.eye(rep.dims[a.head], dtype=complex) - ph
-                for sl in rep.slices[a.name]:
-                    quad += sl.conj().T @ perp @ sl
-            for a in rep.quiver.arrows_into(v):
-                pt = bases[a.tail] @ bases[a.tail].conj().T
-                for sl in rep.slices[a.name]:
-                    quad -= sl @ pt @ sl.conj().T
-            w, vecs = eigh_checked(herm(quad))
-            new = vecs[:, :r]
-            changed = max(changed, float(np.linalg.norm(new @ new.conj().T - bases[v] @ bases[v].conj().T)))
-            bases[v] = new
-        if changed < 1e-14:
+    verts = rep.quiver.vertices
+    b = {v: np.asarray(witness.basis[v]) for v in verts}
+    perp = {v: complement_basis(b[v]) for v in verts}
+    x = {v: np.zeros((perp[v].shape[1], b[v].shape[1]), dtype=complex) for v in verts}
+    offsets = dict(zip(verts, np.cumsum([0] + [x[v].size for v in verts])))
+    unknowns = sum(x[v].size for v in verts)
+    best, best_norm = x, np.inf
+    for _ in range(POLISH_STEPS):
+        u = {v: b[v] + perp[v] @ x[v] for v in verts}
+        left = {v: perp[v].conj().T - x[v] @ b[v].conj().T for v in verts}
+        jac, res = [], []
+        for a in rep.quiver.arrows:
+            h, t = a.head, a.tail
+            for sl in rep.slices[a.name]:
+                image = sl @ u[t]
+                r = left[h] @ image
+                if r.size == 0:
+                    continue
+                rows = np.zeros((r.size, unknowns), dtype=complex)
+                rows[:, offsets[t]: offsets[t] + x[t].size] += kron(
+                    left[h] @ sl @ perp[t], np.eye(x[t].shape[1])
+                )
+                rows[:, offsets[h]: offsets[h] + x[h].size] -= kron(
+                    np.eye(x[h].shape[0]), (b[h].conj().T @ image).T
+                )
+                jac.append(rows)
+                res.append(r.ravel())
+        norm = float(np.linalg.norm(np.concatenate(res))) if res else 0.0
+        if norm >= best_norm:
             break
-    return SubrepWitness(bases)
+        best, best_norm = x, norm
+        if norm == 0.0:
+            break
+        # least squares through the SVD, the factorization the flow already loads
+        step = np.linalg.pinv(np.vstack(jac)) @ -np.concatenate(res)
+        x = {v: x[v] + step[offsets[v]: offsets[v] + x[v].size].reshape(x[v].shape) for v in verts}
+    return SubrepWitness({v: orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts})
 
 
 def filtration_steps(
@@ -423,7 +488,7 @@ def filtration_steps(
     Eigenvalues are pooled across vertices and split at gaps exceeding
     ``GAP_THRESHOLD`` times the spectral spread; each cut yields the span of
     eigenvectors below it, kept when it passes :func:`check_subrep` and
-    otherwise rounded to the nearest invariant subspace (leakage-minimizing
+    otherwise rounded to the nearest invariant subspace (Gauss-Newton
     polish at fixed dimensions, kept when it passes :func:`check_subrep`,
     with closure under the arrow slices as the fallback).  Cuts whose span
     has slope <= ``min_slope`` are skipped before the rounding, which is
@@ -508,16 +573,24 @@ class FlowOptions:
     init_scale: float = 0.0
 
 
-# Armijo backtracking with a multiplicatively growing trial step; the trial
-# step multiplies an O(residual) direction, so huge caps are safe in the
-# s-chart, and semistable flows need steps ~ e^{||s||} to keep moving once
-# the residual has collapsed
+# Newton steps start at 1 and backtrack by BACKTRACK; the gradient fallback
+# backtracks from a multiplicatively growing trial step: it multiplies an
+# O(residual) direction, so huge caps are safe in the s-chart, and
+# semistable flows need steps ~ e^{||s||} to keep moving once the residual
+# has collapsed.  Both accept on Armijo's sufficient decrease (ARMIJO_C).
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 STEP0 = 1.0
 STEP_GROWTH = 2.0
 STEP_MAX = 1e60
 STEP_MIN = 1e-20
+# a Newton step that needs more damping than this is a poor model (on a
+# divergent flow, a near-kernel direction of the Hessian); the gradient
+# fallback takes over
+NEWTON_STEP_MIN = 1.0 / 64
+# Hessian eigenvalues at most this fraction of the largest count as its
+# kernel in the pseudo-inverse
+PINV_RTOL = 1e-12
 # largest ||s||_F a trial may reach: keeps exp(s) and the adjoint products
 # inside float64 range (e^{2 EIG_CAP} must stay finite)
 EIG_CAP = 175.0
@@ -556,8 +629,52 @@ def gauge_project(rep: TwistedRep, params, u: HermCollection) -> dict[str, np.nd
     }
 
 
+def _hermitian_basis(sizes) -> np.ndarray:
+    """Columns: the row-major entries of an orthonormal basis, for the real
+    pairing Re tr(x y), of the Hermitian matrices of each size, block by
+    block (the column layout of :func:`reps.module_map_operator`)."""
+    total = sum(n * n for n in sizes)
+    out = np.zeros((total, total), dtype=complex)
+    col = start = 0
+    root = np.sqrt(0.5)
+    for n in sizes:
+        for i in range(n):
+            out[start + i * n + i, col] = 1.0
+            col += 1
+            for j in range(i + 1, n):
+                out[start + i * n + j, col] = out[start + j * n + i, col] = root
+                out[start + i * n + j, col + 1] = 1j * root
+                out[start + j * n + i, col + 1] = -1j * root
+                col += 2
+        start += n * n
+    return out
+
+
+def _to_chart(chart: _Chart, u: HermCollection) -> dict[str, np.ndarray]:
+    """s-chart velocity of the metric path H^{1/2} e^{tu} H^{1/2} at t = 0
+    for an H-frame direction u: the background direction H^{-1/2} u H^{1/2}
+    under the inverse derivative of exp, both read in the eigenbasis of s."""
+    xi = {}
+    for v, (w, q) in chart.eig.items():
+        d = w[None, :] - w[:, None]
+        coeff = _dexp_inverse(d) * np.exp(0.5 * d)
+        xi[v] = herm(q @ (coeff * (q.conj().T @ u[v] @ q)) @ q.conj().T)
+    return xi
+
+
+@dataclass
+class _Point:
+    """A flow iterate: its chart, energy and H-frame moment map m~."""
+
+    chart: _Chart
+    energy: float
+    moment: dict[str, np.ndarray]
+    residual: float
+
+
 def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> FlowReport:
-    """Kempf-Ness gradient descent deciding metric existence.
+    """Kempf-Ness energy descent by damped Riemannian Newton steps,
+    deciding metric existence.
 
     Refuses parameters that :func:`admissibility` rejects (no solution can
     exist when the trace constraint fails).  ``opts`` sets the residual
@@ -580,9 +697,17 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     ``FlowReport.stop`` names the rule that ended the flow: ``tol``,
     ``certificate``, ``no-complement``, ``line-search`` or ``max-iter``.
 
-    The line search is Armijo backtracking (factor ``BACKTRACK``, slope
-    constant ``ARMIJO_C``) with a multiplicatively growing trial step, so
-    divergent flows accelerate instead of stalling at logarithmic speed.
+    Each step first tries the Newton direction u = -(L^T L)^+ m~ (see the
+    module docstring), shifted by a multiple of the identity, which lies in
+    the Hessian's kernel, onto the gauge sum_v sigma_v tr u_v = 0; Armijo
+    backtracking (factor ``BACKTRACK``, slope constant ``ARMIJO_C``) starts
+    at step 1.  When no Newton trial is accepted, the step falls back to
+    the gauge-projected gradient with a multiplicatively growing trial step,
+    so divergent flows accelerate instead of stalling at logarithmic speed.
+    Near a minimum the certifiable energy decrease (~ residual^2) sinks
+    below the floating-point resolution of the energy while the residual is
+    still computed to full relative precision, so there a trial is accepted
+    on strict residual descent instead.
     """
     opts = opts or FlowOptions()
     if rep.total_dim == 0:
@@ -593,35 +718,71 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             f"trace constraint fails: sum tau_v dim_v = {defect:.3e}"
         )
 
+    verts = rep.quiver.vertices
     if opts.init_scale > 0:
         rng = np.random.default_rng(0 if opts.seed is None else opts.seed)
         s = gauge_project(
             rep,
             params,
-            {v: random_hermitian(rng, rep.dims[v], opts.init_scale) for v in rep.quiver.vertices},
+            {v: random_hermitian(rng, rep.dims[v], opts.init_scale) for v in verts},
         )
     else:
-        s = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=complex) for v in rep.quiver.vertices}
+        s = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=complex) for v in verts}
 
-    eye = MetricState.identity(rep).h
-    phi0 = _phi_sq_raw(rep, _adjoint_raw(rep, eye, eye))
+    rotated = _rotated_slices(rep)
+    phi0 = sum(float(np.linalg.norm(p)) ** 2 for ps in rotated.values() for p in ps)
+    basis = _hermitian_basis([rep.dims[v] for v in verts])
+    blocks = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
+    gauge_den = sum(params.sigma[v] * rep.dims[v] for v in verts)
 
-    def energy_of(chart: _Chart) -> float:
-        val = _phi_sq_raw(rep, chart.adj) - phi0
-        val -= sum(
-            params.tau[v] * float(np.real(np.trace(chart.s[v]))) for v in rep.quiver.vertices
-        )
-        return val
+    def evaluate(s_new: HermCollection) -> _Point:
+        chart = _Chart(s_new, rep, rotated)
+        m = {v: -params.tau[v] * np.eye(rep.dims[v], dtype=complex) for v in verts}
+        energy = -phi0
+        for a in rep.quiver.arrows:
+            for p in chart.psi[a.name]:
+                m[a.head] = m[a.head] + p @ p.conj().T
+                m[a.tail] = m[a.tail] - p.conj().T @ p
+                energy += float(np.linalg.norm(p)) ** 2
+        energy -= sum(params.tau[v] * float(np.real(np.trace(chart.s[v]))) for v in verts)
+        return _Point(chart, energy, m, _frob(m))
 
-    def residual_of(chart: _Chart) -> tuple[dict[str, np.ndarray], float]:
-        m = _moment_raw(rep, chart.adj, params.tau)
-        return m, float(np.sqrt(_h_norm_sq(chart.half, m)))
+    def newton_direction(point: _Point) -> tuple[dict[str, np.ndarray], float]:
+        """H-frame Newton direction in the gauge, and the energy's
+        derivative along it."""
+        op = module_map_operator(rep, point.chart.psi) @ basis
+        grad = (basis.conj().T @ np.concatenate([point.moment[v].ravel() for v in verts])).real
+        w, q = eigh_checked((op.conj().T @ op).real)
+        keep = w > PINV_RTOL * w[-1]
+        x = basis @ -(q[:, keep] @ ((q[:, keep].conj().T @ grad) / w[keep])).real
+        u = {v: x[lo:hi].reshape(rep.dims[v], rep.dims[v]) for v, lo, hi in zip(verts, blocks, blocks[1:])}
+        # shift along the identity, which L annihilates, onto the gauge
+        c = sum(params.sigma[v] * float(np.real(np.trace(u[v]))) for v in verts) / gauge_den
+        u = {v: u[v] - c * np.eye(rep.dims[v]) for v in verts}
+        return u, sum(float(np.real(np.vdot(point.moment[v], u[v]))) for v in verts)
 
-    chart = _Chart(s, rep)
-    energy = energy_of(chart)
+    def line_search(point: _Point, u: HermCollection, slope: float, trial_step: float, min_step: float):
+        """First accepted (step, point) backtracking from ``trial_step`` to
+        ``min_step`` along the H-frame direction u of derivative ``slope``."""
+        xi = _to_chart(point.chart, u)
+        energy_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(point.energy))
+        while trial_step >= min_step:
+            cand = {v: point.chart.s[v] + trial_step * xi[v] for v in verts}
+            if _frob(cand) <= EIG_CAP:
+                trial = evaluate(cand)
+                need = -ARMIJO_C * trial_step * slope
+                if need > energy_floor:
+                    if trial.energy <= point.energy - need:
+                        return trial_step, trial
+                elif trial.residual <= point.residual * (1.0 - 1e-4):
+                    return trial_step, trial
+            trial_step *= BACKTRACK
+        return None
+
+    point = evaluate(s)
     iter_log: list[tuple[int, float, float, float, float]] = []
     monotone = True
-    step = STEP0
+    step = taken = STEP0
     stop = "max-iter"
     proof = None
     _, mu = degree_and_slope(rep, params)
@@ -630,12 +791,12 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     # which skips it on geometrically converging flows
     next_check = 1
     check_res = None
-    res, s_norm, it = np.inf, 0.0, 0
+    s_norm, it = 0.0, 0
 
     for it in range(opts.max_iter + 1):
-        m, res = residual_of(chart)
-        s_norm = _frob(chart.s)
-        iter_log.append((it, energy, res, step, s_norm))
+        res = point.residual
+        s_norm = _frob(point.chart.s)
+        iter_log.append((it, point.energy, res, taken, s_norm))
 
         if res <= opts.tol:
             stop = "tol"
@@ -645,88 +806,32 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             halved = check_res is not None and res <= 0.5 * check_res
             check_res = res
             if not halved and s_norm > 0:
-                proof = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
+                proof = _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu)
                 if proof:
                     break
         if it == opts.max_iter:
             break
 
-        direction = gauge_project(rep, params, {v: -mv for v, mv in m.items()})
-        grad_sq = _h_norm_sq(chart.half, direction)
-        xi = {}
-        for v in rep.quiver.vertices:
-            w, u = chart.eig[v]
-            coeff = _dexp_inverse(w[None, :] - w[:, None])
-            xi[v] = herm(u @ (coeff * (u.conj().T @ direction[v] @ u)) @ u.conj().T)
-        if grad_sq == 0.0:
-            continue
-
-        # Near a minimum the certifiable energy decrease (~ residual^2) sinks
-        # below the floating-point resolution of the energy while the residual
-        # itself is still computed to full relative precision, so the
-        # acceptance test switches from Armijo-on-energy to strict residual
-        # descent for the endgame.
-        energy_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(energy))
-
-        def trial_s(step_size):
-            return {v: chart.s[v] + step_size * xi[v] for v in rep.quiver.vertices}
-
-        accepted = False
-        trial_step = min(step * STEP_GROWTH, STEP_MAX)
-        while trial_step >= STEP_MIN:
-            cand = trial_s(trial_step)
-            if _frob(cand) > EIG_CAP:
-                trial_step *= BACKTRACK
-                continue
-            trial_chart = _Chart(cand, rep)
-            trial_energy = energy_of(trial_chart)
-            need = ARMIJO_C * trial_step * grad_sq
-            if need > energy_floor:
-                if trial_energy <= energy - need:
-                    accepted = True
-                    trial_score = None
-                    break
-            else:
-                trial_score = residual_of(trial_chart)[1]
-                if trial_score <= res * (1.0 - 1e-4):
-                    accepted = True
-                    break
-            trial_step *= BACKTRACK
-        if not accepted:
+        found = None
+        u, slope = newton_direction(point)
+        if slope < 0:
+            found = line_search(point, u, slope, 1.0, NEWTON_STEP_MIN)
+        if found is None:
+            direction = gauge_project(rep, params, {v: -mv for v, mv in point.moment.items()})
+            grad_sq = _frob(direction) ** 2
+            if grad_sq > 0:
+                found = line_search(point, direction, -grad_sq, min(step * STEP_GROWTH, STEP_MAX), STEP_MIN)
+                if found is not None:
+                    step = found[0]
+        if found is None:
             stop = "line-search"
             break
-        # refine within the admissible range: a bare sufficient-decrease step
-        # can sit at the edge of stability (contraction 1 - 2c per iteration);
-        # halving while the merit meaningfully improves lands near the 1-D
-        # optimum and is a no-op on divergent rays
-        for _ in range(60):
-            half_step = trial_step * BACKTRACK
-            if half_step < STEP_MIN:
-                break
-            half_chart = _Chart(trial_s(half_step), rep)
-            half_energy = energy_of(half_chart)
-            if trial_score is None:
-                if half_energy < trial_energy - energy_floor:
-                    trial_step, trial_chart, trial_energy = half_step, half_chart, half_energy
-                else:
-                    break
-            else:
-                half_score = residual_of(half_chart)[1]
-                if half_score < trial_score * (1.0 - 1e-6):
-                    trial_step, trial_chart, trial_energy, trial_score = (
-                        half_step,
-                        half_chart,
-                        half_energy,
-                        half_score,
-                    )
-                else:
-                    break
-        if trial_energy > energy + 1e-12 * (1.0 + abs(energy)):
+        taken, trial = found
+        if trial.energy > point.energy + 1e-12 * (1.0 + abs(point.energy)):
             monotone = False
-        chart = trial_chart
-        energy = trial_energy
-        step = trial_step
+        point = trial
 
+    chart = point.chart
     # a semistable flow can push the residual below tol while ||s|| diverges
     if not proof and s_norm > 0:
         proof = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
@@ -738,7 +843,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     return FlowReport(
         status=status,
         final_metric=final,
-        residual_norm=res,
+        residual_norm=point.residual,
         iterations=it,
         iter_log=iter_log,
         limit_direction=limit,

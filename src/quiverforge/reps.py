@@ -14,6 +14,7 @@ import numpy as np
 
 from ._linalg import (
     complement_basis,
+    kron,
     orthonormal_columns,
     projector,
     subspace_intersection,
@@ -276,6 +277,32 @@ def witness_intersection(w1: SubrepWitness, w2: SubrepWitness) -> SubrepWitness:
     return SubrepWitness(
         {v: subspace_intersection(w1.basis[v], w2.basis[v]) for v in w1.basis}
     )
+
+
+def module_map_operator(
+    rep: TwistedRep, slices: Mapping[str, Sequence[np.ndarray]] | None = None
+) -> np.ndarray:
+    """Matrix of the linear map u -> (u_head phi - phi u_tail) over every
+    arrow slice phi; its kernel is End(V).
+
+    Columns run over the row-major entries of u_v, vertex by vertex in
+    quiver order; rows over the row-major entries of each slice's image,
+    arrow by arrow and slice by slice.  ``slices`` replaces the
+    representation's own (same shapes), e.g. by the slices in another frame.
+    """
+    slices = rep.slices if slices is None else slices
+    verts = rep.quiver.vertices
+    offsets = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
+    col = dict(zip(verts, offsets))
+    blocks = []
+    for a in rep.quiver.arrows:
+        nh, nt = rep.dims[a.head], rep.dims[a.tail]
+        for sl in slices[a.name]:
+            block = np.zeros((nh * nt, offsets[-1]), dtype=complex)
+            block[:, col[a.head]: col[a.head] + nh * nh] += kron(np.eye(nh), sl.T)
+            block[:, col[a.tail]: col[a.tail] + nt * nt] -= kron(sl, np.eye(nt))
+            blocks.append(block)
+    return np.vstack(blocks) if blocks else np.zeros((0, offsets[-1]), dtype=complex)
 
 
 def invariant_complement(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness | None:

@@ -17,6 +17,7 @@ from quiverforge.flow import (
     gauge_project,
 )
 from quiverforge.gallery import kronecker_quiver
+from quiverforge.reps import module_map_operator
 from conftest import (
     geodesic_energy,
     h_selfadjoint_direction,
@@ -25,6 +26,7 @@ from conftest import (
     kronecker_params,
     kronecker_rep,
     random_two_vertex_instance,
+    two_arrow_kron_rep,
 )
 
 
@@ -264,6 +266,115 @@ def test_second_difference_nonnegative(rng):
 
 
 # ---------------------------------------------------------------------------
+# Hessian
+
+
+def _h_frame(rep, metric):
+    """H^{1/2} factors and the H-frame slices H_head^{1/2} phi H_tail^{-1/2},
+    twist slices rotated by (q^{-1})^{1/2}."""
+    half = {}
+    for v, h in metric.h.items():
+        w, u = np.linalg.eigh(h)
+        half[v] = ((u * np.sqrt(w)) @ u.conj().T, (u / np.sqrt(w)) @ u.conj().T)
+    psi = {}
+    for a in rep.quiver.arrows:
+        w, u = np.linalg.eigh(rep.twist.metric_inv(a.name))
+        root = (u * np.sqrt(w)) @ u.conj().T
+        tilde = [half[a.head][0] @ sl @ half[a.tail][1] for sl in rep.slices[a.name]]
+        psi[a.name] = [sum(root[k, j] * t for k, t in enumerate(tilde)) for j in range(len(tilde))]
+    return half, psi
+
+
+def _hermitian_kernel_dim(rep, psi):
+    """Real dimension of the Hermitian u with u_head psi = psi u_tail."""
+    cols = []
+    for v in rep.quiver.vertices:
+        n = rep.dims[v]
+        for i in range(n):
+            for j in range(n):
+                # e_ij + e_ji for i <= j and i (e_ij - e_ji) for i > j span
+                # the Hermitian matrices over the reals
+                e = np.zeros((n, n), dtype=complex)
+                if i <= j:
+                    e[i, j] += 1.0
+                    e[j, i] += 1.0
+                else:
+                    e[i, j], e[j, i] = 1j, -1j
+                cols.append(np.concatenate(
+                    [e.ravel() if x == v else np.zeros(rep.dims[x] ** 2) for x in rep.quiver.vertices]
+                ))
+    op = module_map_operator(rep, psi) @ np.array(cols).T
+    sv = np.linalg.svd(np.vstack([op.real, op.imag]), compute_uv=False)
+    return int(np.sum(sv <= 1e-10 * sv.max()))
+
+
+def _check_hessian(rep, params, metric, rng):
+    # |L u|^2 on the H-frame direction u equals the second derivative of the
+    # energy along H^{1/2} e^{tu} H^{1/2}
+    half, psi = _h_frame(rep, metric)
+    direction = h_selfadjoint_direction(metric, rng)
+    u = np.concatenate([herm(half[v][0] @ direction[v] @ half[v][1]).ravel() for v in rep.quiver.vertices])
+    hess = float(np.linalg.norm(module_map_operator(rep, psi) @ u) ** 2)
+    energy = lambda t: geodesic_energy(rep, metric, params, direction, t)
+    diff = lambda h: (energy(h) - 2 * energy(0.0) + energy(-h)) / h**2
+    second = (4 * diff(5e-4) - diff(1e-3)) / 3  # Richardson: O(h^4) truncation
+    assert abs(hess - second) <= 1e-6 * hess
+
+
+def test_hessian_is_second_derivative_of_energy(rng):
+    for seed in range(10):
+        rep, tau = random_two_vertex_instance(500 + seed)
+        params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
+        s = {v: random_hermitian(rng, rep.dims[v], 0.4) for v in rep.quiver.vertices}
+        _check_hessian(rep, params, MetricState.from_log(s), rng)
+
+
+def test_hessian_twisted_second_derivative(rng):
+    # a multiplicity-2 arrow with a non-diagonal twist weight
+    q = kronecker_quiver(1)
+    twist = qf.TwistSpec({"a0": 2}, {"a0": np.array([[1.5, 0.2j], [-0.2j, 0.9]])})
+    rep = qf.build_rep(
+        q, twist, {"1": 2, "2": 3},
+        {"a0": [rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(2)]},
+    )
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -0.3, "2": 0.2})
+    for _ in range(5):
+        s = {v: random_hermitian(rng, rep.dims[v], 0.5) for v in ("1", "2")}
+        _check_hessian(rep, params, MetricState.from_log(s), rng)
+
+
+def test_hessian_kernel_is_hermitian_commutant():
+    # ker L on Hermitian u is the selfadjoint part of End(V): 1 for a stable
+    # rep, 4 for R + R (End = gl(2)) and 2 for R + R' with R, R' stable,
+    # non-isomorphic and of one slope (End = C x C)
+    r = two_arrow_kron_rep((1.0, 2.0))
+    r_other = two_arrow_kron_rep((1.0, -1.0))
+    for rep, want in ((r, 1), (qf.direct_sum(r, r), 4), (qf.direct_sum(r, r_other), 2)):
+        _, psi = _h_frame(rep, MetricState.identity(rep))
+        assert _hermitian_kernel_dim(rep, psi) == want
+
+
+def test_flow_metric_makes_the_stabilizer_selfadjoint():
+    # R + R in a general frame, phi_a = g_2 phi_a g_1^{-1}: at the identity
+    # the selfadjoint part of End(V) = gl(2) is the commutant of M^dagger M,
+    # M = g_2 g_1^{-1} (dimension 2); at the flow's metric End(V) is a
+    # *-algebra again, so all 4 dimensions come back
+    rng = np.random.default_rng(3)
+    r = two_arrow_kron_rep((1.0, 2.0))
+    rep0 = qf.direct_sum(r, r)
+    g = {v: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for v in ("1", "2")}
+    rep = qf.build_rep(
+        rep0.quiver, None, rep0.dims,
+        {a.name: [g[a.head] @ sl @ np.linalg.inv(g[a.tail]) for sl in rep0.slices[a.name]]
+         for a in rep0.quiver.arrows},
+    )
+    assert _hermitian_kernel_dim(rep, _h_frame(rep, MetricState.identity(rep))[1]) == 2
+    rpt = qf.flow_solve(rep, kronecker_params(t=1.0))
+    assert rpt.converged
+    assert _hermitian_kernel_dim(rep, _h_frame(rep, rpt.final_metric)[1]) == 4
+
+
+# ---------------------------------------------------------------------------
 # the flow
 
 
@@ -345,6 +456,44 @@ def test_flow_stops_on_certificate():
             for step in qf.destabilizer_extract(rep, params, rpt)
         )
     assert diverged > 0
+
+
+def test_converged_flows_take_newton_steps():
+    # Newton steps converge quadratically: every converged criterion-4 draw
+    # at sigma = 1 needs at most 15 iterations
+    sigma = {"1": 1.0, "2": 1.0}
+    converged = 0
+    for seed in range(100):
+        rep, tau = random_two_vertex_instance(5000 + seed)
+        rpt = qf.flow_solve(rep, qf.StabilityParams(sigma, tau))
+        if rpt.converged:
+            converged += 1
+            assert rpt.iterations <= 15 and rpt.residual_norm <= qf.FlowOptions().tol, seed
+    assert converged > 0
+
+
+def test_gl_frame_nilpotent_blocks_prove_no_complement():
+    # the 3x3 nilpotent block in a general frame: the cuts of s/||s|| leak
+    # above check_subrep's bound until the Gauss-Newton rounding makes the
+    # kernels of phi and phi^2 exactly invariant
+    nil = np.diag([1.0, 1.0], 1)
+    for seed in range(12):
+        re, im = (np.random.default_rng(k).normal(size=(3, 3)) for k in (seed, seed + 100))
+        g = re + 1j * im
+        rep = qf.build_rep(jordan_rep().quiver, None, {"v": 3}, {"phi": [g @ nil @ np.linalg.inv(g)]})
+        rpt = qf.flow_solve(rep, jordan_params())
+        assert rpt.status == "diverged" and rpt.stop in ("certificate", "no-complement"), seed
+
+
+def test_small_jordan_block_takes_its_first_step():
+    # the Newton step does not shrink with phi: a Jordan block scaled by
+    # 1e-3, in unitary frames, is proved not polystable at iteration 1
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    frames = [np.eye(2)] + [random_unitary(np.random.default_rng(seed), 2) for seed in range(3)]
+    for u in frames:
+        rep = qf.build_rep(jordan_rep().quiver, None, {"v": 2}, {"phi": [1e-3 * u @ nil @ u.conj().T]})
+        rpt = qf.flow_solve(rep, jordan_params())
+        assert (rpt.status, rpt.stop, rpt.iterations) == ("diverged", "no-complement", 1)
 
 
 def test_flow_refuses_inadmissible():

@@ -18,6 +18,7 @@ from quiverforge.reps import (
     from_module,
     invariant_closure,
     invariant_complement,
+    module_map_operator,
     to_module,
 )
 
@@ -242,6 +243,27 @@ def test_invariant_complement():
         {"phi": [np.array([[0.0, 1.0], [0.0, 0.0]])]},
     )
     assert invariant_complement(jordan, qf.SubrepWitness({"v": np.eye(2)[:, :1]})) is None
+
+
+def test_module_map_operator_matches_definition():
+    # a loop (both column blocks at one vertex), an arrow of multiplicity 2
+    # and a zero-dimensional vertex
+    rng = np.random.default_rng(4)
+    q = qf.Quiver.from_lists(["1", "2", "3"], [("a", "1", "2"), ("c", "2", "2"), ("d", "3", "1")])
+    twist = qf.TwistSpec({"a": 2}, {"a": np.array([[1.5, 0.2j], [-0.2j, 0.9]])})
+    dims = {"1": 2, "2": 3, "3": 0}
+    cplx = lambda shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rep = qf.build_rep(
+        q, twist, dims, {"a": [cplx((3, 2)), cplx((3, 2))], "c": [cplx((3, 3))], "d": [cplx((2, 0))]}
+    )
+    u = {v: cplx((n, n)) for v, n in dims.items()}
+    want = np.concatenate([
+        (u[a.head] @ sl - sl @ u[a.tail]).ravel() for a in q.arrows for sl in rep.slices[a.name]
+    ])
+    got = module_map_operator(rep) @ np.concatenate([u[v].ravel() for v in q.vertices])
+    assert np.abs(got - want).max() < 1e-12
+    # the kernel is End(V), for these generic slices the scalars alone
+    assert np.linalg.matrix_rank(module_map_operator(rep)) == 2 * 2 + 3 * 3 - 1
 
 
 # ---------------------------------------------------------------------------
