@@ -3,7 +3,8 @@
 Exit codes: 0 for positive verdicts (stable/polystable, converged, solved,
 identity satisfied, relations satisfied); 2 for mathematically meaningful
 negatives (unstable, strictly semistable, undecided, diverged, Newton
-stall, max-iter, identity violated); 1 for errors.  All randomness flows
+stall, max-iter, identity violated); 1 for errors, among them a tolerance
+that is not finite and positive and a negative seed.  All randomness flows
 from --seed (default 0, never time-based).
 """
 import argparse
@@ -14,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import io as qio
-from .errors import NewtonStall, NoSeparation, QuiverforgeError, SchemaError
+from .errors import NewtonStall, NoSeparation, QuiverforgeError, SchemaError, check_seed, check_tolerance
 from .flow import (
     FlowOptions,
     MetricState,
@@ -166,6 +167,7 @@ def _cmd_tensor(args):
     }
     code = EXIT_OK
     if args.verify:
+        check_tolerance("verify-tol", args.verify_tol)
         opts = FlowOptions(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
         rl = flow_solve(left.rep, left.params, opts)
         rr = flow_solve(right.rep, right.params, opts)
@@ -191,6 +193,7 @@ def _cmd_tensor(args):
 def _cmd_ymh(args):
     bundle = _load(args, need=("quiver", "params", "system"))
     system = bundle.system
+    check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     if args.state:
         u = qio.read_potential_binary(args.state, sorted(system.quiver.vertices))

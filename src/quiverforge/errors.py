@@ -1,4 +1,5 @@
 """Exception hierarchy with stable machine-readable codes (used by the CLI)."""
+import math
 
 
 class QuiverforgeError(Exception):
@@ -94,10 +95,12 @@ class GaugeViolation(QuiverforgeError):
 
 
 class NewtonStall(QuiverforgeError):
-    """Damped Newton could not decrease the sup residual any further.
+    """The vortex solver stopped without reaching its tolerance.
 
-    Expected on vortex-unstable data; carries the best state reached and the
-    residual history for diagnosis.
+    Raised before any Newton step on data with no solution (a vertex subset
+    fails the solvability test; the message names it), and otherwise when
+    the Newton budget runs out or the line search on the energy finds no
+    step.  Carries the best state reached and the residual history.
     """
 
     code = "newton_stall"
@@ -126,3 +129,19 @@ class SchemaError(QuiverforgeError):
         self.errors = list(errors)
         lines = "; ".join(f"{ptr}: {msg}" for ptr, msg in self.errors)
         super().__init__(f"{len(self.errors)} validation error(s): {lines}")
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Refuse a tolerance that is not finite and positive: NaN fails every
+    comparison and infinity passes every one, so either would decide a
+    verdict by itself."""
+    if not math.isfinite(value):
+        raise NonFiniteData(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise NonpositiveScale(f"{name} must be positive, got {value}")
+
+
+def check_seed(seed: int | None) -> None:
+    """Refuse a negative random seed (numpy's generators reject it)."""
+    if seed is not None and seed < 0:
+        raise NonpositiveScale(f"seed must be nonnegative, got {seed}")

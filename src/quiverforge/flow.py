@@ -56,7 +56,7 @@ from ._linalg import (
     orthonormal_columns,
     random_hermitian,
 )
-from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank
+from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank, check_seed, check_tolerance
 from .reps import (
     SubrepWitness,
     TwistedRep,
@@ -678,8 +678,9 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
 
     Refuses parameters that :func:`admissibility` rejects (no solution can
     exist when the trace constraint fails).  ``opts`` sets the residual
-    tolerance, the iteration budget and an optional random start (``seed``,
-    ``init_scale``); the step rules are the module constants.
+    tolerance (finite and positive), the iteration budget and an optional
+    random start (``seed``, nonnegative, and ``init_scale``); the step rules
+    are the module constants.
 
     At iterations 1, 2, 4, 8, ... (skipped while the residual halves between
     checkpoints), and once more at any other exit, the flow reads the cuts
@@ -710,6 +711,8 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     on strict residual descent instead.
     """
     opts = opts or FlowOptions()
+    check_tolerance("tol", opts.tol)
+    check_seed(opts.seed)
     if rep.total_dim == 0:
         raise ZeroTotalRank("representation has no nonzero vertex space")
     if not admissibility(rep, params):

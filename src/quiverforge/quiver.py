@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteData,
     ShapeMismatch,
     TwistedRelationUnsupported,
+    check_tolerance,
 )
 
 DEFAULT_MAX_PATH_LENGTH = 8
@@ -363,7 +364,9 @@ def check_relations(rep, relations: Sequence[Relation], tol: float = 1e-10) -> l
 
     Only untwisted arrows are supported: relation satisfaction is defined for
     plain arrow maps, and we refuse rather than guess an extension.
+    ``tol`` must be finite and positive.
     """
+    check_tolerance("tol", tol)
     reports = []
     for rel in relations:
         for _, p in rel.terms:

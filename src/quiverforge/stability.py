@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import eigh_checked, herm
-from .errors import NotASolution, NotDivergent, ZeroTotalRank
+from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_seed
 from .flow import (
     FiltrationStep,
     FlowReport,
@@ -58,6 +58,9 @@ class Verdict:
 class OracleOptions:
     seed: int = 0
     n_random: int = 200
+
+    def __post_init__(self):
+        check_seed(self.seed)
 
 
 # pairwise enrichment rounds over the closures of the generators

@@ -25,6 +25,7 @@ bundle equal to 2 pi d_v.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -40,11 +41,12 @@ from .errors import (
     NotFlatCase,
     ShapeMismatch,
     UnsupportedDegrees,
+    check_tolerance,
 )
 from .flow import FlowOptions, flow_solve
 from .quiver import Quiver, TwistSpec
 from .reps import build_rep
-from .slope import DegreeData, StabilityParams, admissibility
+from .slope import DegreeData, StabilityParams, admissibility, degree_and_slope
 
 TWO_PI = 2.0 * np.pi
 # largest trace-gauge defect vortex_residual accepts
@@ -257,10 +259,13 @@ def vortex_residual(system: TorusSystem, state: PotentialState):
     return _residual_fields(system, state.u)
 
 
-def _residual_fields(system: TorusSystem, u: Mapping[str, np.ndarray]):
+def _residual_fields(system: TorusSystem, u: Mapping[str, np.ndarray], coupling=None):
+    """Residual fields; ``coupling`` (the arrow terms w_a e^{2(u_head -
+    u_tail)}) is computed from ``u`` unless given."""
     grid = system.grid
     sig, tau = system.params.sigma, system.params.tau
-    coupling = _arrow_exponents(system, u)
+    if coupling is None:
+        coupling = _arrow_exponents(system, u)
     out = {
         v: sig[v] * (TWO_PI * system.degrees[v] - grid.lap(u[v])) - tau[v]
         for v in system.quiver.vertices
@@ -301,13 +306,19 @@ def _jacobian_apply(system, coupling, delta):
     return out
 
 
+def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
+    """mean(a * b) of two real fields, without forming the product."""
+    return float(np.vdot(a, b)) / a.size
+
+
 def _l2(grid: TorusGrid, f: Mapping[str, np.ndarray]) -> float:
     """Mean-L2 norm sqrt(sum_v mean(f_v^2)) of a per-vertex field."""
-    return float(np.sqrt(sum(grid.mean(g * g) for g in f.values())))
+    return float(np.sqrt(sum(_mean_product(g, g) for g in f.values())))
 
 
 def _pcg(system, coupling, b, rtol, max_iter):
-    """Preconditioned CG for the (positive semidefinite) Newton operator.
+    """Preconditioned CG for the (positive semidefinite) Newton operator J;
+    returns the solution x and its Hessian form sum_v mean(x_v (J x)_v).
 
     Stops once the mean-L2 residual is at most ``rtol`` times that of the
     (projected) right-hand side; at least one iteration always runs.
@@ -339,13 +350,13 @@ def _pcg(system, coupling, b, rtol, max_iter):
     r = dict(b)
     b_norm = _l2(grid, b)
     if b_norm == 0:
-        return x
+        return x, 0.0
     z = precond(r)
     p = dict(z)
-    rz = sum(grid.mean(r[v] * z[v]) for v in verts)
+    rz = sum(_mean_product(r[v], z[v]) for v in verts)
     for _ in range(max_iter):
         ap = _jacobian_apply(system, coupling, p)
-        pap = sum(grid.mean(p[v] * ap[v]) for v in verts)
+        pap = sum(_mean_product(p[v], ap[v]) for v in verts)
         if pap <= 0:
             break
         alpha = rz / pap
@@ -354,11 +365,12 @@ def _pcg(system, coupling, b, rtol, max_iter):
         if _l2(grid, r) <= rtol * b_norm:
             break
         z = precond(r)
-        rz_new = sum(grid.mean(r[v] * z[v]) for v in verts)
+        rz_new = sum(_mean_product(r[v], z[v]) for v in verts)
         beta = rz_new / rz
         rz = rz_new
         p = {v: z[v] + beta * p[v] for v in verts}
-    return x
+    # r is updated by recurrence, so J x = b - r
+    return x, sum(_mean_product(x[v], b[v]) - _mean_product(x[v], r[v]) for v in verts)
 
 
 # Eisenstat-Walker forcing terms, choice 2 with its safeguard ("Choosing the
@@ -381,6 +393,94 @@ def _forcing_term(eta_ew: float, r_norm: float, tol: float, cg_rtol: float) -> f
     return max(cg_rtol, min(EW_ETA_MAX, max(eta_ew, EW_TOL_FRACTION * tol / r_norm)))
 
 
+def _unsolvable_subset(system: TorusSystem) -> tuple[tuple[str, ...], float] | None:
+    """A proper vertex subset S proving that the energy F of
+    :func:`solve_vortex` has no minimizer, with its weighted degree
+    sum_{v in S} (2 pi sigma_v d_v - tau_v); None when F has one.
+
+    The Dirichlet term controls every direction but the constant shifts.
+    Moving u by c 1_S (c -> +infinity) keeps F finite only when S is closed
+    under "head in S implies tail in S" for the arrows with a nonzero
+    weight field; F then changes by c times the degree of S plus the terms
+    of the arrows leaving S, which decay.  So F has a minimizer exactly
+    when every closed proper S has a positive degree, or degree zero (to
+    the ``admissibility`` tolerance) and no such arrow leaving it.  The
+    closed subsets are the complements of the subobjects, and this is the
+    point-scale subset test at degrees 2 pi d_v and rank one.
+    """
+    verts = list(system.quiver.vertices)
+    live = [a for a in system.quiver.arrows if system.weights[a.name].max() > 0]
+    for size in range(1, len(verts)):
+        for subset in itertools.combinations(verts, size):
+            inside = set(subset)
+            if any(a.head in inside and a.tail not in inside for a in live):
+                continue
+            data = DegreeData({v: TWO_PI * system.degrees[v] for v in subset}, dict.fromkeys(subset, 1))
+            deg, _ = degree_and_slope(data, system.params)
+            if admissibility(data, system.params):
+                if not any(a.tail in inside and a.head not in inside for a in live):
+                    continue
+            elif deg > 0:
+                continue
+            return subset, deg
+    return None
+
+
+# Armijo's sufficient-decrease constant for the energy line search, and its
+# backtracking factor: the damping factors in ``history`` are powers of one
+# half
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+
+
+def _energy_step(system, u, res, coupling, delta, quad):
+    """Armijo backtracking on the energy F along ``delta``.
+
+    Along u + t delta the change of F is exact in closed form,
+
+        F(t) - F(0) = t (g0 - E1) + t^2 C / 2
+                      + sum_a mean(c_a expm1(2 t (delta_head - delta_tail))) / 2,
+
+    g0 = sum_v mean(res_v delta_v) the derivative at t = 0,
+    E1 = sum_a mean(c_a (delta_head - delta_tail)) and
+    C = sum_v sigma_v mean(|grad delta_v|^2), read off the Hessian form
+    ``quad`` = sum_v mean(delta_v (J delta)_v)
+             = C + 2 sum_a mean(c_a (delta_head - delta_tail)^2)
+    that CG returns.  So a trial costs one ``expm1`` per arrow and no
+    transform.  Returns the accepted step and the coupling there,
+    c_a (1 + expm1(...)), or None when ``delta`` is no descent direction or
+    every step that still moves u fails.
+    """
+    verts = system.quiver.vertices
+    g0 = sum(_mean_product(res[v], delta[v]) for v in verts)
+    if not g0 < 0:
+        return None
+    rise = {a.name: delta[a.head] - delta[a.tail] for a in system.quiver.arrows}
+    e1 = sum(_mean_product(coupling[name], d) for name, d in rise.items())
+    curv = quad - 2.0 * sum(_mean_product(coupling[name] * d, d) for name, d in rise.items())
+    t, t_min = 1.0, None
+    # a long trial may overflow expm1; its energy is then inf or nan and fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            growth = {name: np.expm1((2.0 * t) * d) for name, d in rise.items()}
+            change = t * (g0 - e1) + 0.5 * t * t * curv + 0.5 * sum(
+                _mean_product(coupling[name], g) for name, g in growth.items()
+            )
+            if change <= ARMIJO_C * t * g0:
+                for name, g in growth.items():
+                    g += 1.0
+                    g *= coupling[name]
+                return t, growth
+            t *= BACKTRACK
+            if t_min is None:
+                # below this step, u + t delta rounds to u
+                t_min = np.finfo(float).eps * max(
+                    max(float(np.abs(u[v]).max()) for v in verts), 1.0
+                ) / max(float(np.abs(delta[v]).max()) for v in verts)
+            if t < t_min:
+                return None
+
+
 def solve_vortex(
     system: TorusSystem,
     tol: float = 1e-8,
@@ -388,10 +488,21 @@ def solve_vortex(
     record_states: bool = False,
     initial: PotentialState | None = None,
 ) -> VortexResult:
-    """Damped inexact Newton on the gauge-fixed potentials.
+    """Damped inexact Newton on the gauge-fixed potentials, minimizing the
+    convex energy whose gradient is the residual,
 
-    Each step solves the Newton system by preconditioned CG only as exactly
-    as the step needs: to the Eisenstat-Walker forcing term (choice 2)
+        F(u) = sum_v sigma_v/2 mean|grad u_v|^2 + sum_v (2 pi sigma_v d_v - tau_v) mean(u_v)
+               + sum_a mean(w_a e^{2(u_head - u_tail)}) / 2.
+
+    Before any step, the subset test of :func:`_unsolvable_subset` decides
+    from the data whether F has a minimizer.  On data that fail it,
+    :class:`NewtonStall` is raised at once, naming the subset, with the
+    one-entry history ``[(0, sup residual, 1.0)]`` and the gauge-fixed start
+    as ``best_state``.
+
+    Each step solves the Newton system (the Hessian of F) by preconditioned
+    CG only as exactly as the step needs: to the Eisenstat-Walker forcing
+    term (choice 2)
 
         eta_k = gamma (|r_k| / |r_{k-1}|)^alpha,  gamma = 0.9, alpha = 2,
 
@@ -401,13 +512,16 @@ def solve_vortex(
     ``max(CG_RTOL, 0.1 tol / |r_k|)`` so the last steps still reach
     ``tol`` without over-solving; CG stops after ``CG_MAX_ITER``
     iterations in any case.  Norms |r| are mean-L2 over all
-    vertices.  The step is then damped by halving until the sup residual
-    decreases.
+    vertices.  The step is then damped by halving until F decreases by
+    Armijo's rule (see :func:`_energy_step`); the residual is evaluated
+    once per step, at the accepted point.
 
-    Raises :class:`NewtonStall` (with the best state and residual history)
-    when no damping factor down to 2^-20 decreases the sup residual --
-    the expected signature of vortex-unstable data.
+    The solve stops once the sup residual is at most ``tol``, which must be
+    finite and positive.  :class:`NewtonStall` (with the best state and the
+    residual history) also ends a solve that runs out of ``max_newton``
+    steps or whose line search finds no decrease.
     """
+    check_tolerance("tol", tol)
     grid = system.grid
     verts = list(system.quiver.vertices)
     if initial is None:
@@ -416,36 +530,42 @@ def solve_vortex(
         u = gauge_fix(system, {v: np.array(initial.u[v]) for v in verts})
     history: list[tuple[int, float, float]] = []
     states: list[PotentialState] = []
-    res = _residual_fields(system, u)
+    coupling = _arrow_exponents(system, u)
+    res = _residual_fields(system, u, coupling)
     sup = _sup(res)
     r_norm = _l2(grid, res)
     eta_ew = EW_ETA_MAX
     history.append((0, sup, 1.0))
+    witness = _unsolvable_subset(system)
+    if witness is not None:
+        subset, deg = witness
+        raise NewtonStall(
+            f"vertex subset {{{', '.join(subset)}}} has weighted degree {deg:.6e}: "
+            "the energy has no minimizer and the system no solution",
+            best_state=PotentialState(u),
+            history=history,
+        )
     if record_states:
         states.append(PotentialState(u))
     for it in range(1, max_newton + 1):
         if sup <= tol:
             break
-        coupling = _arrow_exponents(system, u)
         eta = _forcing_term(eta_ew, r_norm, tol, CG_RTOL)
-        delta = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
-        # return to the gauge tangent (the CG kernel direction is free)
+        delta, quad = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
+        # return to the gauge tangent (the CG kernel direction is free, and
+        # the Hessian form does not see it)
         delta = gauge_fix(system, delta)
-        damping = 1.0
-        while True:
-            trial = {v: u[v] + damping * delta[v] for v in verts}
-            trial_res = _residual_fields(system, trial)
-            trial_sup = _sup(trial_res)
-            if trial_sup < sup:
-                break
-            damping *= 0.5
-            if damping < 2.0**-20:
-                raise NewtonStall(
-                    f"sup residual stuck at {sup:.3e}",
-                    best_state=PotentialState(gauge_fix(system, u)),
-                    history=history,
-                )
-        u, res, sup = trial, trial_res, trial_sup
+        step = _energy_step(system, u, res, coupling, delta, quad)
+        if step is None:
+            raise NewtonStall(
+                f"no step along the Newton direction decreases the energy (sup residual {sup:.3e})",
+                best_state=PotentialState(gauge_fix(system, u)),
+                history=history,
+            )
+        damping, coupling = step
+        u = {v: u[v] + damping * delta[v] for v in verts}
+        res = _residual_fields(system, u, coupling)
+        sup = _sup(res)
         r_prev, r_norm = r_norm, _l2(grid, res)
         safeguard = EW_GAMMA * eta**EW_ALPHA
         eta_ew = EW_GAMMA * (r_norm / r_prev) ** EW_ALPHA
@@ -500,8 +620,10 @@ def ymh_identity(
     metrics (no twist-curvature term).  Arrow weights are recomputed as
     |phi_a|^2 pointwise so both sides see the same data; arrows without a
     phi field contribute zero.  Phi fields are genuine periodic sections
-    only between degree-zero vertices, hence the precondition.
+    only between degree-zero vertices, hence the precondition.  ``tol``, the
+    largest relative mismatch accepted, must be finite and positive.
     """
+    check_tolerance("tol", tol)
     grid = system.grid
     sig, tau = system.params.sigma, system.params.tau
     for name in phi_fields:

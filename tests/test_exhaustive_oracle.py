@@ -4,15 +4,19 @@ For representations with every vertex dimension <= 1, the invariant
 subobjects are exactly the vertex subsets closed under the nonzero arrow
 maps, so stability is decidable by brute force over all 2^V subsets.  So is
 polystability: the only complement of a subset's subobject is the
-complementary subset.  Both the enumeration oracle and the flow classifier
-must agree with it.
+complementary subset.  The enumeration oracle, the flow classifier and the
+vortex solver's solvability test must all agree with it.
 """
 import itertools
 
 import numpy as np
 
+import pytest
+
 import quiverforge as qf
 from conftest import random_onedim_instance
+from quiverforge import torus
+from quiverforge.errors import NewtonStall
 
 
 def brute_force_verdict(rep, params, tol=1e-9):
@@ -106,3 +110,41 @@ def test_equal_slope_family_matches_exhaustive_enumeration():
         tags.append(want)
     assert len(tags) == 171
     assert tags.count("strictly-semistable") == 27 and tags.count("polystable") == 4
+
+
+def onedim_torus_draws():
+    """The one-dimensional draws of the oracle tests, with their brute-force
+    tags, lifted to degree-zero torus systems with constant weights
+    w_a = |phi_a|^2 (zero slices give zero weights: the split case)."""
+    draws = [(seed, {}) for seed in range(20000, 20060)]
+    draws += [(seed, {"integer_tau": True}) for seed in range(30000, 30200)]
+    for seed, kwargs in draws:
+        inst = random_onedim_instance(seed, **kwargs)
+        if inst is None:
+            continue
+        rep, params = inst
+        weights = {name: float(abs(s[0][0, 0]) ** 2) for name, s in rep.slices.items()}
+        degrees = dict.fromkeys(rep.quiver.vertices, 0)
+        system = qf.build_torus_system(rep.quiver, degrees, weights, params, 16)
+        yield seed, brute_force_verdict(rep, params), system
+
+
+def test_vortex_solvability_test_matches_exhaustive_enumeration():
+    # by the correspondence, the torus system has a solution exactly when
+    # the point-scale object is polystable
+    tags = []
+    for seed, want, system in onedim_torus_draws():
+        witness = torus._unsolvable_subset(system)
+        unsolvable = want in ("unstable", "strictly-semistable")
+        assert (witness is not None) == unsolvable, (seed, want, witness)
+        if unsolvable:
+            with pytest.raises(NewtonStall) as info:
+                qf.solve_vortex(system)
+            assert len(info.value.history) == 1
+        else:
+            result = qf.solve_vortex(system)
+            residual = qf.vortex_residual(system, result.state)
+            assert max(float(np.abs(r).max()) for r in residual.values()) <= 1e-8, seed
+        tags.append(want)
+    counts = {tag: tags.count(tag) for tag in FLOW_STATUS}
+    assert counts == {"stable": 88, "polystable": 4, "unstable": 106, "strictly-semistable": 27}

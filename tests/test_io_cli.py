@@ -638,3 +638,40 @@ def test_shipped_instance_cli_round_trip(tmp_path):
         ])
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _shipped(name):
+    return str(INSTANCE_DIR / name)
+
+
+@pytest.mark.parametrize(
+    "argv, error_code",
+    [
+        # an infinite tolerance passes every residual test: without the
+        # check, torus_chain "converges" at sup residual 1.45 and the
+        # strictly semistable Jordan block "converges" too
+        (["vortex", "--instance", _shipped("torus_chain.json"), "--tol", "inf"], "non_finite_data"),
+        (["flow", "--instance", _shipped("jordan_nilpotent.json"), "--tol", "inf"], "non_finite_data"),
+        # NaN and negative tolerances fail every test: not negative verdicts
+        (["vortex", "--instance", _shipped("torus_chain.json"), "--tol", "nan"], "non_finite_data"),
+        (["vortex", "--instance", _shipped("torus_chain.json"), "--tol", "-1"], "nonpositive_scale"),
+        (["ymh", "--instance", _shipped("torus_chain.json"), "--tol", "nan"], "non_finite_data"),
+        # numpy refuses a negative seed with a ValueError
+        (["check", "--instance", _shipped("kronecker_stable.json"), "--seed", "-1"], "nonpositive_scale"),
+        (["ymh", "--instance", _shipped("torus_chain.json"), "--seed", "-1"], "nonpositive_scale"),
+        (["flow", "--instance", _shipped("kronecker_stable.json"), "--seed", "-1"], "nonpositive_scale"),
+    ],
+)
+def test_cli_refuses_invalid_tolerance_or_seed(argv, error_code, capsys):
+    assert cli.main(argv + ["--quiet"]) == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == error_code
+
+
+@pytest.mark.parametrize("verify_tol", ["nan", "inf", "0"])
+def test_cli_tensor_refuses_invalid_verify_tol(tmp_path, verify_tol):
+    q, r, p = setup_instance(tmp_path)
+    code = cli.main([
+        "tensor", "--quiver", q, "--rep", r, "--params", p, "--rep2", r, "--params2", p,
+        "--verify", "--verify-tol", verify_tol, "--quiet",
+    ])
+    assert code == 1

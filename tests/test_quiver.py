@@ -8,6 +8,7 @@ from quiverforge.errors import (
     LengthOverflow,
     NonComposable,
     NonFiniteData,
+    NonpositiveScale,
     ShapeMismatch,
     TwistedRelationUnsupported,
 )
@@ -285,6 +286,16 @@ def test_square_relation_scalar_residual():
     rel = Relation(((1.0, Path(q, ("y", "x"))), (-1.0, Path(q, ("w", "z")))))
     (report,) = qf.check_relations(rep, [rel])
     assert report.residual == pytest.approx(abs(2.0 * 1.5 - 0.5 * 4.0))
+
+
+@pytest.mark.parametrize("tol, error", [(np.nan, NonFiniteData), (np.inf, NonFiniteData), (-1.0, NonpositiveScale)])
+def test_check_relations_refuses_invalid_tolerance(tol, error):
+    # a NaN tolerance would call every relation violated, an infinite one
+    # every relation satisfied
+    q = grid_quiver(2, 2)
+    rep = _grid_rep(q, 2.0, 3.0)
+    with pytest.raises(error):
+        qf.check_relations(rep, grid_relations(q), tol=tol)
 
 
 def test_twisted_relation_refused():
