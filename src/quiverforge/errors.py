@@ -1,5 +1,6 @@
 """Exception hierarchy with stable machine-readable codes (used by the CLI)."""
 import math
+import numbers
 
 
 class QuiverforgeError(Exception):
@@ -132,16 +133,25 @@ class SchemaError(QuiverforgeError):
 
 
 def check_tolerance(name: str, value: float) -> None:
-    """Refuse a tolerance that is not finite and positive: NaN fails every
-    comparison and infinity passes every one, so either would decide a
-    verdict by itself."""
+    """Refuse a tolerance (or scale) that is not finite and positive: NaN
+    fails every comparison and infinity passes every one, so either would
+    decide a verdict by itself."""
     if not math.isfinite(value):
         raise NonFiniteData(f"{name} must be finite, got {value}")
     if value <= 0:
         raise NonpositiveScale(f"{name} must be positive, got {value}")
 
 
+def check_count(name: str, value: int) -> None:
+    """Refuse a count or seed that is not a nonnegative integer: a float or
+    a bool would fail deep inside numpy or ``range``, and a negative count
+    would silently mean zero."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise NonpositiveScale(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def check_seed(seed: int | None) -> None:
-    """Refuse a negative random seed (numpy's generators reject it)."""
-    if seed is not None and seed < 0:
-        raise NonpositiveScale(f"seed must be nonnegative, got {seed}")
+    """Refuse a random seed that is neither None nor a nonnegative integer
+    (numpy's generators reject it)."""
+    if seed is not None:
+        check_count("seed", seed)

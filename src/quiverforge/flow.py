@@ -56,7 +56,14 @@ from ._linalg import (
     orthonormal_columns,
     random_hermitian,
 )
-from .errors import InadmissibleParameters, NoSeparation, ZeroTotalRank, check_seed, check_tolerance
+from .errors import (
+    InadmissibleParameters,
+    NoSeparation,
+    ZeroTotalRank,
+    check_count,
+    check_seed,
+    check_tolerance,
+)
 from .reps import (
     SubrepWitness,
     TwistedRep,
@@ -678,9 +685,10 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
 
     Refuses parameters that :func:`admissibility` rejects (no solution can
     exist when the trace constraint fails).  ``opts`` sets the residual
-    tolerance (finite and positive), the iteration budget and an optional
-    random start (``seed``, nonnegative, and ``init_scale``); the step rules
-    are the module constants.
+    tolerance (finite and positive), the iteration budget (a nonnegative
+    integer) and an optional random start (``seed``, a nonnegative integer,
+    and ``init_scale``, finite and nonnegative); the step rules are the
+    module constants.
 
     At iterations 1, 2, 4, 8, ... (skipped while the residual halves between
     checkpoints), and once more at any other exit, the flow reads the cuts
@@ -712,7 +720,10 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     """
     opts = opts or FlowOptions()
     check_tolerance("tol", opts.tol)
+    check_count("max_iter", opts.max_iter)
     check_seed(opts.seed)
+    if opts.init_scale:  # 0 is the zero start; inf would start from NaN
+        check_tolerance("init_scale", opts.init_scale)
     if rep.total_dim == 0:
         raise ZeroTotalRank("representation has no nonzero vertex space")
     if not admissibility(rep, params):

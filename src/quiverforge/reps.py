@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ._linalg import (
+    RANK_TOL,
     complement_basis,
     kron,
     orthonormal_columns,
@@ -247,7 +248,17 @@ def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TO
 
 
 def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> SubrepWitness:
-    """Smallest invariant subspace containing the given per-vertex vectors."""
+    """Smallest invariant subspace containing the given per-vertex vectors.
+
+    Each step stacks the slice images Y of an arrow's tail basis onto its
+    head basis B and keeps the ``orthonormal_columns`` of [B, Y] when the
+    rank grows.  A step whose images already lie in range(B), with
+    ||(1 - B B^H) Y||_F <= ``RANK_TOL``, skips that SVD: by Weyl's
+    inequality sigma_{r+1}([B, Y]) <= ||(1 - B B^H) Y||_2 <= ``RANK_TOL``,
+    at most the cut ``RANK_TOL`` * max(1, s_0), so the SVD would keep rank r
+    = rank B and leave B unchanged.  This holds while s_0 < 1/``RANK_TOL``,
+    so that B's own singular values (all 1) survive the cut.
+    """
     bases = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
     for v, g in generators.items():
         g = np.asarray(g, dtype=complex)
@@ -261,9 +272,12 @@ def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> 
             src = bases[a.tail]
             if src.shape[1] == 0:
                 continue
-            images = [s @ src for s in rep.slices[a.name]]
-            grown = orthonormal_columns(np.hstack([bases[a.head]] + images))
-            if grown.shape[1] != bases[a.head].shape[1]:
+            head = bases[a.head]
+            images = np.hstack([s @ src for s in rep.slices[a.name]])
+            if np.linalg.norm(images - head @ (head.conj().T @ images)) <= RANK_TOL:
+                continue
+            grown = orthonormal_columns(np.hstack([head, images]))
+            if grown.shape[1] != head.shape[1]:
                 bases[a.head] = grown
                 changed = True
     return SubrepWitness(bases)

@@ -10,7 +10,11 @@ pairwise sums and intersections.  It is exact on the curated families the
 test-suite uses and returns ``undecided`` rather than overclaim beyond its
 envelope (any vertex dimension above 4).  Random generators at a vertex
 stop at the first closure the enumeration rejects, so ``n_random`` bounds
-the random part but no longer sets its cost.
+the random part but no longer sets its cost.  No work whose result the
+enumeration would reject is done: each distinct exact generator is closed
+once, a pair of nested candidates is not enriched (their sum and
+intersection are the pair itself), and a closure step whose images lie in
+the head basis skips its SVD (the rank cannot grow).
 """
 from __future__ import annotations
 
@@ -19,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import eigh_checked, herm
-from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_seed
+from ._linalg import RANK_TOL, eigh_checked, herm
+from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
 from .flow import (
     FiltrationStep,
     FlowReport,
@@ -61,6 +65,7 @@ class OracleOptions:
 
     def __post_init__(self):
         check_seed(self.seed)
+        check_count("n_random", self.n_random)
 
 
 # pairwise enrichment rounds over the closures of the generators
@@ -95,20 +100,30 @@ def _generator_vectors(
 ) -> tuple[list[tuple[str, np.ndarray]], Iterator[tuple[str, np.ndarray]]]:
     """(exact, random) generators: a list of basis vectors and eigenvectors
     of selfadjoint words, and a lazy stream of ``n_random`` random unit
-    vectors drawn from ``rng`` after them."""
+    vectors drawn from ``rng`` after them.
+
+    The exact list holds each vector once: a word that repeats another
+    bitwise (a random path of length 1 is an arrow's own phi^dagger phi,
+    computed by the same product) is not decomposed again, and an
+    eigenvector equal to an earlier generator is dropped.  Equal vectors
+    have equal closures, which the enumeration rejects as repeats.  Every
+    word is still drawn, so the random stream is unchanged."""
     exact: list[tuple[str, np.ndarray]] = []
     for v in rep.quiver.vertices:
         for i in range(rep.dims[v]):
             e = np.zeros(rep.dims[v], dtype=complex)
             e[i] = 1.0
             exact.append((v, e))
-    # eigenvectors of selfadjoint words in the slices
-    for v, op in _selfadjoint_words(rep, rng):
-        if op.shape[0] == 0:
-            continue
+    vectors = {(v, x.tobytes()) for v, x in exact}
+    # eigenvectors of selfadjoint words in the slices, one decomposition per
+    # distinct word, in the order of first appearance
+    words = {(v, op.tobytes()): (v, op) for v, op in _selfadjoint_words(rep, rng) if op.shape[0]}
+    for v, op in words.values():
         _, vecs = eigh_checked(herm(op))
-        for i in range(vecs.shape[1]):
-            exact.append((v, vecs[:, i]))
+        for x in vecs.T:
+            if (v, x.tobytes()) not in vectors:
+                vectors.add((v, x.tobytes()))
+                exact.append((v, x))
     verts = [v for v in rep.quiver.vertices if rep.dims[v] > 0]
 
     def random():
@@ -147,19 +162,38 @@ def _selfadjoint_words(rep: TwistedRep, rng) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def _nested(u: SubrepWitness, w: SubrepWitness) -> bool:
+    """U inside W at every vertex: ||B_U - B_W B_W^H B_U||_F <= ``RANK_TOL``
+    for the orthonormal bases B.  Then U + W = W and U ∩ W = U, up to
+    rounding far below the witness key's."""
+    for v, bu in u.basis.items():
+        bw = w.basis[v]
+        if bu.shape[1] > bw.shape[1]:
+            return False
+        if bu.shape[1] and np.linalg.norm(bu - bw @ (bw.conj().T @ bu)) > RANK_TOL:
+            return False
+    return True
+
+
 def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWitness]:
     """Distinct closures of the generators, then ``ENRICHMENT_DEPTH`` rounds
     of pairwise sums and intersections, at most ``PER_DIMS_CAP`` per
     dimension vector.
 
     Work whose result would be rejected is skipped; the list is the one the
-    full enumeration gives.  The closure of a random vector at a vertex v
-    almost surely has v's generic dimension vector, and when it repeats a
-    candidate W, W_v is almost surely all of V_v.  Either way every later
-    random closure at v would be rejected too, so v stops at its first
-    rejected one, and no vector is drawn once every vertex has stopped.  A
-    pair of candidates both present in the previous round gave its sum and
-    intersection there already.
+    full enumeration gives.
+    - Exact generators are distinct vectors (see :func:`_generator_vectors`):
+      equal vectors have equal closures, and the repeat would be rejected.
+    - The closure of a random vector at a vertex v almost surely has v's
+      generic dimension vector, and when it repeats a candidate W, W_v is
+      almost surely all of V_v.  Either way every later random closure at v
+      would be rejected too, so v stops at its first rejected one, and no
+      vector is drawn once every vertex has stopped.
+    - A pair of candidates both present in the previous round gave its sum
+      and intersection there already.
+    - A nested pair U ⊆ W (:func:`_nested`) has sum W and intersection U,
+      both stored, so it is not enriched.
+    - :func:`invariant_closure` skips the SVD of a step that cannot grow.
     """
     rng = np.random.default_rng(options.seed)
     seen: dict[tuple, SubrepWitness] = {}
@@ -192,8 +226,11 @@ def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWi
         current = list(seen.values())
         for i in range(len(current)):
             for j in range(max(i + 1, old), len(current)):
-                add(witness_sum(current[i], current[j]))
-                add(witness_intersection(current[i], current[j]))
+                u, w = current[i], current[j]
+                if _nested(u, w) or _nested(w, u):
+                    continue
+                add(witness_sum(u, w))
+                add(witness_intersection(u, w))
         old = len(current)
     return list(seen.values())
 

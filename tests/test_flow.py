@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 import quiverforge as qf
 from quiverforge._linalg import herm, random_hermitian, random_unitary
-from quiverforge.errors import InadmissibleParameters, SingularMetric, ZeroTotalRank
+from quiverforge.errors import (
+    InadmissibleParameters,
+    NonFiniteData,
+    NonpositiveScale,
+    SingularMetric,
+    ZeroTotalRank,
+)
 from quiverforge.flow import (
     PSI_EXP,
     PSI_REMAINDER,
@@ -501,6 +507,29 @@ def test_flow_refuses_inadmissible():
     bad = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": 1.0, "2": 1.0})
     with pytest.raises(InadmissibleParameters):
         qf.flow_solve(rep, bad)
+
+
+@pytest.mark.parametrize(
+    "opts, error",
+    [
+        # an infinite scale starts from NaN; NaN and negative scales used to
+        # be ignored as if they were 0
+        (dict(init_scale=float("inf")), NonFiniteData),
+        (dict(init_scale=float("nan")), NonFiniteData),
+        (dict(init_scale=-2.0), NonpositiveScale),
+        # a negative budget used to end max-iter on a solved instance, a
+        # float one raised TypeError from range and True meant 1
+        (dict(max_iter=-1), NonpositiveScale),
+        (dict(max_iter=2.5), NonpositiveScale),
+        (dict(max_iter=True), NonpositiveScale),
+        # numpy raised TypeError on a float seed
+        (dict(seed=1.5, init_scale=1.0), NonpositiveScale),
+    ],
+    ids=["scale-inf", "scale-nan", "scale-negative", "iter-negative", "iter-float", "iter-bool", "seed-float"],
+)
+def test_flow_refuses_invalid_options(opts, error):
+    with pytest.raises(error):
+        qf.flow_solve(kronecker_rep(), kronecker_params(), qf.FlowOptions(**opts))
 
 
 def test_flow_refuses_what_admissibility_refuses():

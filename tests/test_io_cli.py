@@ -660,6 +660,12 @@ def _shipped(name):
         (["check", "--instance", _shipped("kronecker_stable.json"), "--seed", "-1"], "nonpositive_scale"),
         (["ymh", "--instance", _shipped("torus_chain.json"), "--seed", "-1"], "nonpositive_scale"),
         (["flow", "--instance", _shipped("kronecker_stable.json"), "--seed", "-1"], "nonpositive_scale"),
+        # an infinite start scale wrote NaN to --out and exited 2; NaN and
+        # negative scales were ignored; a negative budget ended max-iter
+        (["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "inf"], "non_finite_data"),
+        (["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "nan"], "non_finite_data"),
+        (["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "-2"], "nonpositive_scale"),
+        (["flow", "--instance", _shipped("kronecker_stable.json"), "--max-iter", "-1"], "nonpositive_scale"),
     ],
 )
 def test_cli_refuses_invalid_tolerance_or_seed(argv, error_code, capsys):

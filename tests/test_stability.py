@@ -14,6 +14,7 @@ from quiverforge.errors import (
     NotDivergent,
     ZeroTotalRank,
 )
+from quiverforge._linalg import eigh_checked, herm, orthonormal_columns
 from quiverforge.flow import FlowReport, MetricState
 from quiverforge import stability
 from quiverforge.gallery import kronecker_quiver
@@ -130,6 +131,18 @@ def test_reparameterize_slope_shift():
 def test_reparameterize_rejects_nonpositive_scale():
     with pytest.raises(NonpositiveScale):
         qf.reparameterize(kronecker_params(), -1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "options",
+    # a float count or seed raised TypeError inside the oracle, and a
+    # negative count silently meant 0
+    [dict(n_random=2.5), dict(n_random=-3), dict(n_random=True), dict(seed=2.5)],
+    ids=["n-random-float", "n-random-negative", "n-random-bool", "seed-float"],
+)
+def test_oracle_options_refuse_non_counts(options):
+    with pytest.raises(NonpositiveScale):
+        qf.OracleOptions(**options)
 
 
 def test_reparameterize_global_scale_preserves_verdict():
@@ -358,6 +371,87 @@ def test_oracle_cost_does_not_grow_with_n_random(monkeypatch):
         qf.stability_oracle(rep, params, qf.OracleOptions(seed=0, n_random=n_random))
         counts.append(calls[0])
     assert counts[0] == counts[1]
+
+
+def _closure_reference(rep, generators):
+    """invariant_closure with an SVD at every step, none skipped."""
+    bases = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
+    for v, g in generators.items():
+        bases[v] = orthonormal_columns(np.hstack([bases[v], np.asarray(g, dtype=complex)[:, None]]))
+    changed = True
+    while changed:
+        changed = False
+        for a in rep.quiver.arrows:
+            src = bases[a.tail]
+            if src.shape[1] == 0:
+                continue
+            grown = orthonormal_columns(np.hstack([bases[a.head]] + [s @ src for s in rep.slices[a.name]]))
+            if grown.shape[1] != bases[a.head].shape[1]:
+                bases[a.head] = grown
+                changed = True
+    return qf.SubrepWitness(bases)
+
+
+def test_closure_matches_always_svd_reference():
+    for rep in _oracle_draws():
+        options = qf.OracleOptions(seed=0, n_random=10)
+        exact, random = stability._generator_vectors(rep, options, np.random.default_rng(options.seed))
+        for v, x in exact + list(random):
+            got = invariant_closure(rep, {v: x})
+            assert _basis_bytes(got) == _basis_bytes(_closure_reference(rep, {v: x}))
+
+
+def _all_exact_generators(rep, seed):
+    """Basis vectors and the eigenvectors of every selfadjoint word, repeats
+    included."""
+    gens = [(v, e) for v in rep.quiver.vertices for e in np.eye(rep.dims[v], dtype=complex)]
+    for v, op in stability._selfadjoint_words(rep, np.random.default_rng(seed)):
+        if op.shape[0]:
+            gens += [(v, x) for x in eigh_checked(herm(op))[1].T]
+    return gens
+
+
+@pytest.mark.parametrize("rep", [random_two_vertex_instance(5008)[0], twisted_draw(6004)], ids=["criterion-4", "twisted"])
+def test_oracle_closes_each_distinct_generator_once(rep, monkeypatch):
+    # a random path of length 1 is an arrow's own phi^dagger phi, so words
+    # repeat, and so do eigenvectors (a basis vector at a 1-dim vertex)
+    everything = [(v, x.tobytes()) for v, x in _all_exact_generators(rep, 0)]
+    exact = set(everything)
+    assert len(exact) < len(everything)
+    closed = []
+
+    def counted(rep_, generators):
+        ((v, x),) = generators.items()
+        closed.append((v, np.asarray(x).tobytes()))
+        return invariant_closure(rep_, generators)
+
+    monkeypatch.setattr(stability, "invariant_closure", counted)
+    stability._candidate_subreps(rep, qf.OracleOptions(seed=0))
+    n_random = sum(c not in exact for c in closed)
+    assert n_random > 0
+    assert len(closed) == len(exact) + n_random
+
+
+def _inside(u, w):
+    return all(
+        np.linalg.norm(u.basis[v] - w.basis[v] @ (w.basis[v].conj().T @ u.basis[v])) <= 1e-10
+        for v in u.basis
+    )
+
+
+def test_enrichment_skips_nested_pairs(monkeypatch):
+    # U inside W has sum W and intersection U, both stored already
+    pairs = []
+
+    def checked(u, w):
+        pairs.append((u, w))
+        assert not _inside(u, w) and not _inside(w, u)
+        return witness_sum(u, w)
+
+    monkeypatch.setattr(stability, "witness_sum", checked)
+    for rep in itertools.islice(_oracle_draws(), 40):
+        stability._candidate_subreps(rep, qf.OracleOptions(seed=0))
+    assert pairs
 
 
 # ---------------------------------------------------------------------------
