@@ -87,20 +87,20 @@ def complement_basis(basis: np.ndarray) -> np.ndarray:
     return orthonormal_columns(p)
 
 
-def subspace_sum(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    return orthonormal_columns(np.hstack([b1, b2]))
-
-
-def subspace_intersection(b1: np.ndarray, b2: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of range(b1) ∩ range(b2)."""
-    n = b1.shape[0]
-    stack = np.vstack([np.eye(n) - projector(b1), np.eye(n) - projector(b2)])
-    if stack.size == 0:
-        return np.zeros((n, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(stack)
-    s = np.concatenate([s, np.zeros(n - s.size)])
-    keep = s <= tol
-    return orthonormal_columns(vh.conj().T[:, keep]) if keep.any() else np.zeros((n, 0), dtype=complex)
+def null_space(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the kernel of ``a``, with the cut of
+    :func:`orthonormal_columns`.  The SVD fixes each column only up to a
+    phase; the largest entry of each is made real positive, so an exact
+    kernel vector such as -e_1 comes out as e_1."""
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[1]
+    if a.size == 0:
+        return np.eye(n, dtype=complex)
+    _, s, vh = np.linalg.svd(a)
+    r = int(np.count_nonzero(s > tol * max(1.0, s[0])))
+    basis = vh[r:].conj().T
+    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return basis * (lead.conj() / np.abs(lead))
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -488,7 +488,7 @@ def _polish_invariant(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness:
 
 
 def filtration_steps(
-    rep: TwistedRep, params, direction: HermCollection, min_slope: float = -np.inf
+    rep: TwistedRep, params, direction: HermCollection, min_slope: float = -np.inf, max_slope: float = np.inf
 ) -> list[FiltrationStep]:
     """Ascending filtration read off a Hermitian direction (one per vertex).
 
@@ -498,10 +498,11 @@ def filtration_steps(
     otherwise rounded to the nearest invariant subspace (Gauss-Newton
     polish at fixed dimensions, kept when it passes :func:`check_subrep`,
     with closure under the arrow slices as the fallback).  Cuts whose span
-    has slope <= ``min_slope`` are skipped before the rounding, which is
-    most of the cost; only the closure changes the dimension vector.  The
-    flow passes the total slope minus ``SLOPE_TOL``;
-    :func:`destabilizer_extract` keeps every cut.
+    has slope <= ``min_slope`` or > ``max_slope`` are skipped before the
+    rounding, which is most of the cost; only the closure changes the
+    dimension vector.  The flow passes ``min_slope`` = the total slope
+    minus ``SLOPE_TOL``; :func:`destabilizer_extract` adds the cuts below
+    that to the flow's steps.
 
     Raises :class:`NoSeparation` when the spectrum has no usable gap.
     """
@@ -526,7 +527,7 @@ def filtration_steps(
             sel = vecs[:, w <= cut]
             gens[v] = orthonormal_columns(sel)
         candidate = SubrepWitness(gens)
-        if degree_and_slope(candidate, params)[1] <= min_slope:
+        if not min_slope < degree_and_slope(candidate, params)[1] <= max_slope:
             continue
         # where the leakage form is degenerate the polish would swap an
         # exactly invariant span for another invariant subspace
@@ -540,9 +541,13 @@ def filtration_steps(
     return steps
 
 
-def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, mu: float) -> str | None:
+def _certifies_instability(
+    rep: TwistedRep, params, direction: HermCollection, mu: float
+) -> tuple[str | None, list[FiltrationStep]]:
     """Name of the proof, read off the cuts of ``direction``, that no metric
-    exists, or None.  Both are proper subobjects passing :func:`check_subrep`:
+    exists, or None; and the filtration steps read (those of slope above
+    ``mu`` - ``SLOPE_TOL``).  Both proofs are proper subobjects passing
+    :func:`check_subrep`:
     ``certificate`` has slope above ``mu`` by more than ``SLOPE_TOL``
     (unstable; it wins over the other), ``no-complement`` has slope within
     ``SLOPE_TOL`` of ``mu`` and no invariant complement (not polystable:
@@ -553,19 +558,19 @@ def _certifies_instability(rep: TwistedRep, params, direction: HermCollection, m
     try:
         steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL)
     except NoSeparation:
-        return None
+        return None, []
     proper = [
         st for st in steps
         if 0 < st.witness.total_dim < rep.total_dim and check_subrep(rep, st.witness)[0]
     ]
     if any(st.slope > mu + SLOPE_TOL for st in proper):
-        return "certificate"
+        return "certificate", steps
     if any(
         abs(st.slope - mu) <= SLOPE_TOL and invariant_complement(rep, st.witness) is None
         for st in proper
     ):
-        return "no-complement"
-    return None
+        return "no-complement", steps
+    return None, steps
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +620,9 @@ class FlowReport:
     # rule that ended the flow: tol | certificate | no-complement |
     # line-search | max-iter (None for reports not made by flow_solve)
     stop: str | None = None
+    # filtration steps of limit_direction above the total slope minus
+    # SLOPE_TOL, as the proof that ended a diverged flow read them
+    certified_steps: list[FiltrationStep] | None = field(repr=False, default=None)
 
     @property
     def converged(self) -> bool:
@@ -698,7 +706,9 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     polystable).  Classification:
 
     - ``diverged``: a proof was found; the report carries the normalized
-      limit direction, so :func:`destabilizer_extract` returns the proof;
+      limit direction and the filtration steps the proof read
+      (``certified_steps``), so :func:`destabilizer_extract` returns the
+      proof without rounding its cuts again;
     - ``converged``: residual <= tol and no proof;
     - ``max-iter``: no proof, and the budget ran out or the line search
       found no admissible step.
@@ -798,7 +808,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     monotone = True
     step = taken = STEP0
     stop = "max-iter"
-    proof = None
+    proof, steps = None, None
     _, mu = degree_and_slope(rep, params)
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,
@@ -820,7 +830,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             halved = check_res is not None and res <= 0.5 * check_res
             check_res = res
             if not halved and s_norm > 0:
-                proof = _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu)
+                proof, steps = _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu)
                 if proof:
                     break
         if it == opts.max_iter:
@@ -848,7 +858,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     chart = point.chart
     # a semistable flow can push the residual below tol while ||s|| diverges
     if not proof and s_norm > 0:
-        proof = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
+        proof, steps = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
     stop = proof or stop
     status = "diverged" if proof else "converged" if stop == "tol" else "max-iter"
     final = MetricState(chart.h, validate=(status == "converged"))
@@ -863,4 +873,5 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         limit_direction=limit,
         monotone=monotone,
         stop=stop,
+        certified_steps=steps if proof else None,
     )

@@ -18,8 +18,6 @@ from ._linalg import (
     kron,
     orthonormal_columns,
     projector,
-    subspace_intersection,
-    subspace_sum,
 )
 from .errors import (
     DimensionOverflow,
@@ -281,16 +279,6 @@ def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> 
                 bases[a.head] = grown
                 changed = True
     return SubrepWitness(bases)
-
-
-def witness_sum(w1: SubrepWitness, w2: SubrepWitness) -> SubrepWitness:
-    return SubrepWitness({v: subspace_sum(w1.basis[v], w2.basis[v]) for v in w1.basis})
-
-
-def witness_intersection(w1: SubrepWitness, w2: SubrepWitness) -> SubrepWitness:
-    return SubrepWitness(
-        {v: subspace_intersection(w1.basis[v], w2.basis[v]) for v in w1.basis}
-    )
 
 
 def module_map_operator(

@@ -4,26 +4,32 @@ Slopes come from :mod:`quiverforge.slope`; the filtration that extraction
 reads off a divergent flow is computed in :mod:`quiverforge.flow`, which
 stops its flow on the first exactly invariant destabilizer.
 
-The subobject enumeration used by :func:`stability_oracle` is a stated
-heuristic: invariant closures of seeded generating vectors enriched by
-pairwise sums and intersections.  It is exact on the curated families the
-test-suite uses and returns ``undecided`` rather than overclaim beyond its
-envelope (any vertex dimension above 4).  Random generators at a vertex
-stop at the first closure the enumeration rejects, so ``n_random`` bounds
-the random part but no longer sets its cost.  No work whose result the
-enumeration would reject is done: each distinct exact generator is closed
-once, a pair of nested candidates is not enriched (their sum and
-intersection are the pair itself), and a closure step whose images lie in
-the head basis skips its SVD (the rank cannot grow).
+:func:`stability_oracle` enumerates subobjects from two exact
+linear-algebra families.  The coordinate family takes, for every proper
+vertex subset S, the closure of the sum of V_v over S and the largest
+invariant subobject inside it (the Wong sequence U_tail <- U_tail ∩
+phi^{-1}(U_head) of Ivanyos-Karpinski-Qiao-Santha); on one-dimensional
+vertices these are all the subobjects.  The End(V) family takes a basis of
+End(V), the kernel of the module-map operator, and for each element f and
+eigenvalue lambda the kernel and image of f - lambda, which are subobjects
+because f is a module map, and which in a semistable object have its slope.
+Closures of seeded random vectors follow; those at a vertex stop at the
+first closure the enumeration rejects, so ``n_random`` bounds their number
+but not their cost.  Schur's lemma guards the verdict: an object is called
+``stable`` only when End(V) is the scalars, and ``undecided`` when no
+candidate explains a larger End(V).  The enumeration is exact on the
+families the test-suite uses and returns ``undecided`` rather than
+overclaim beyond its envelope (any vertex dimension above 4).
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 import numpy as np
 
-from ._linalg import RANK_TOL, eigh_checked, herm
+from ._linalg import null_space, orthonormal_columns
 from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
 from .flow import (
     FiltrationStep,
@@ -39,8 +45,7 @@ from .reps import (
     TwistedRep,
     invariant_closure,
     invariant_complement,
-    witness_intersection,
-    witness_sum,
+    module_map_operator,
 )
 from .slope import SLOPE_TOL, StabilityParams, degree_and_slope
 
@@ -68,19 +73,15 @@ class OracleOptions:
         check_count("n_random", self.n_random)
 
 
-# pairwise enrichment rounds over the closures of the generators
-ENRICHMENT_DEPTH = 2
 # any vertex dimension above this puts an instance outside the exactness
 # envelope
 EXACT_DIM_CAP = 4
-MAX_CANDIDATES = 512
 # slopes depend only on the dimension vector, so a few representatives per
-# dimension vector suffice for verdicts and keep the pairwise enrichment
-# quadratic in a small set
+# dimension vector suffice for verdicts and bound the random closures
 PER_DIMS_CAP = 4
-# random selfadjoint path words and their largest length
-N_WORDS = 12
-WORD_LENGTH = 3
+# eigenvalues of a unit-norm endomorphism closer than this are one: rounding
+# splits the eigenvalue of a nilpotent block of size k by about eps^(1/k)
+EIGEN_CLUSTER_TOL = 1e-3
 
 
 def _witness_key(w: SubrepWitness) -> tuple:
@@ -95,113 +96,103 @@ def _witness_key(w: SubrepWitness) -> tuple:
     return tuple(parts)
 
 
-def _generator_vectors(
-    rep: TwistedRep, options: OracleOptions, rng
-) -> tuple[list[tuple[str, np.ndarray]], Iterator[tuple[str, np.ndarray]]]:
-    """(exact, random) generators: a list of basis vectors and eigenvectors
-    of selfadjoint words, and a lazy stream of ``n_random`` random unit
-    vectors drawn from ``rng`` after them.
-
-    The exact list holds each vector once: a word that repeats another
-    bitwise (a random path of length 1 is an arrow's own phi^dagger phi,
-    computed by the same product) is not decomposed again, and an
-    eigenvector equal to an earlier generator is dropped.  Equal vectors
-    have equal closures, which the enumeration rejects as repeats.  Every
-    word is still drawn, so the random stream is unchanged."""
-    exact: list[tuple[str, np.ndarray]] = []
-    for v in rep.quiver.vertices:
-        for i in range(rep.dims[v]):
-            e = np.zeros(rep.dims[v], dtype=complex)
-            e[i] = 1.0
-            exact.append((v, e))
-    vectors = {(v, x.tobytes()) for v, x in exact}
-    # eigenvectors of selfadjoint words in the slices, one decomposition per
-    # distinct word, in the order of first appearance
-    words = {(v, op.tobytes()): (v, op) for v, op in _selfadjoint_words(rep, rng) if op.shape[0]}
-    for v, op in words.values():
-        _, vecs = eigh_checked(herm(op))
-        for x in vecs.T:
-            if (v, x.tobytes()) not in vectors:
-                vectors.add((v, x.tobytes()))
-                exact.append((v, x))
-    verts = [v for v in rep.quiver.vertices if rep.dims[v] > 0]
-
-    def random():
-        for _ in range(options.n_random):
-            v = verts[rng.integers(len(verts))]
-            x = rng.normal(size=rep.dims[v]) + 1j * rng.normal(size=rep.dims[v])
-            yield v, x / np.linalg.norm(x)
-
-    return exact, random()
+def _endomorphisms(rep: TwistedRep) -> list[dict[str, np.ndarray]]:
+    """Orthonormal basis of End(V), the kernel of
+    :func:`reps.module_map_operator`, one per-vertex block dict per element."""
+    verts = rep.quiver.vertices
+    offsets = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
+    return [
+        {v: f[lo:hi].reshape(rep.dims[v], rep.dims[v]) for v, lo, hi in zip(verts, offsets, offsets[1:])}
+        for f in null_space(module_map_operator(rep)).T
+    ]
 
 
-def _selfadjoint_words(rep: TwistedRep, rng) -> list[tuple[str, np.ndarray]]:
-    """phi(p)^dagger phi(p) and phi(p) phi(p)^dagger for short random paths."""
-    arrows = [a for a in rep.quiver.arrows]
-    out: list[tuple[str, np.ndarray]] = []
-    for a in arrows:
-        for sl in rep.slices[a.name]:
-            out.append((a.tail, sl.conj().T @ sl))
-            out.append((a.head, sl @ sl.conj().T))
-    for _ in range(N_WORDS):
-        if not arrows:
-            break
-        length = int(rng.integers(1, WORD_LENGTH + 1))
-        a = arrows[rng.integers(len(arrows))]
-        mat = rep.slices[a.name][rng.integers(rep.twist.rank(a.name))]
-        src, tgt = a.tail, a.head
-        for _ in range(length - 1):
-            outgoing = rep.quiver.arrows_out_of(tgt)
-            if not outgoing:
-                break
-            b = outgoing[rng.integers(len(outgoing))]
-            mat = rep.slices[b.name][rng.integers(rep.twist.rank(b.name))] @ mat
-            tgt = b.head
-        out.append((src, mat.conj().T @ mat))
-        out.append((tgt, mat @ mat.conj().T))
-    return out
+def _largest_invariant_inside(rep: TwistedRep, subset) -> SubrepWitness:
+    """Largest invariant subobject inside the sum of V_v over ``subset``:
+    U_tail <- U_tail ∩ phi^{-1}(U_head) over every slice, to a fixed point
+    (the Wong sequence)."""
+    n = rep.dims
+    bases = {v: np.eye(n[v], n[v] if v in subset else 0, dtype=complex) for v in rep.quiver.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in rep.quiver.arrows:
+            src, head = bases[a.tail], bases[a.head]
+            if src.shape[1] == 0:
+                continue
+            perp = np.eye(n[a.head]) - head @ head.conj().T
+            keep = null_space(np.vstack([perp @ s @ src for s in rep.slices[a.name]]))
+            if keep.shape[1] < src.shape[1]:
+                bases[a.tail] = src @ keep
+                changed = True
+    return SubrepWitness(bases)
 
 
-def _nested(u: SubrepWitness, w: SubrepWitness) -> bool:
-    """U inside W at every vertex: ||B_U - B_W B_W^H B_U||_F <= ``RANK_TOL``
-    for the orthonormal bases B.  Then U + W = W and U ∩ W = U, up to
-    rounding far below the witness key's."""
-    for v, bu in u.basis.items():
-        bw = w.basis[v]
-        if bu.shape[1] > bw.shape[1]:
-            return False
-        if bu.shape[1] and np.linalg.norm(bu - bw @ (bw.conj().T @ bu)) > RANK_TOL:
-            return False
-    return True
+def _eigenvalue_clusters(vals: np.ndarray) -> list[complex]:
+    """Means of the groups of eigenvalues chained within
+    ``EIGEN_CLUSTER_TOL``."""
+    groups: list[list[complex]] = []
+    for lam in vals:
+        near = [g for g in groups if min(abs(lam - z) for z in g) <= EIGEN_CLUSTER_TOL]
+        merged = [lam] + [z for g in near for z in g]
+        groups = [g for g in groups if g not in near] + [merged]
+    return [complex(np.mean(g)) for g in groups]
 
 
-def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWitness]:
-    """Distinct closures of the generators, then ``ENRICHMENT_DEPTH`` rounds
-    of pairwise sums and intersections, at most ``PER_DIMS_CAP`` per
-    dimension vector.
+def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
+    """For every proper subset S of the nonzero vertices, the closure of
+    the sum of V_v over S and the largest invariant subobject inside it.
+    On one-dimensional vertices these are the closed vertex subsets."""
+    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
+    for r in range(1, len(verts)):
+        for subset in combinations(verts, r):
+            yield invariant_closure(rep, {v: np.eye(rep.dims[v], dtype=complex) for v in subset})
+            yield _largest_invariant_inside(rep, subset)
 
-    Work whose result would be rejected is skipped; the list is the one the
-    full enumeration gives.
-    - Exact generators are distinct vectors (see :func:`_generator_vectors`):
-      equal vectors have equal closures, and the repeat would be rejected.
-    - The closure of a random vector at a vertex v almost surely has v's
-      generic dimension vector, and when it repeats a candidate W, W_v is
-      almost surely all of V_v.  Either way every later random closure at v
-      would be rejected too, so v stops at its first rejected one, and no
-      vector is drawn once every vertex has stopped.
-    - A pair of candidates both present in the previous round gave its sum
-      and intersection there already.
-    - A nested pair U ⊆ W (:func:`_nested`) has sum W and intersection U,
-      both stored, so it is not enriched.
-    - :func:`invariant_closure` skips the SVD of a step that cannot grow.
-    """
+
+def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
+    """For every element f of the basis ``ends`` of End(V) and every
+    eigenvalue lambda of f, the closures of ker(f - lambda) and
+    im(f - lambda); both are invariant because f is a module map.  None
+    when End(V) is the scalars."""
+    if len(ends) < 2:
+        return
+    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
+    for f in ends:
+        for lam in _eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
+            shifted = {v: f[v] - lam * np.eye(rep.dims[v]) for v in verts}
+            yield invariant_closure(rep, {v: null_space(m) for v, m in shifted.items()})
+            yield invariant_closure(rep, {v: orthonormal_columns(m) for v, m in shifted.items()})
+
+
+def _random_vectors(rep: TwistedRep, options: OracleOptions) -> Iterator[tuple[str, np.ndarray]]:
+    """``n_random`` random unit vectors, each at a random nonzero vertex,
+    drawn lazily from ``options.seed``."""
     rng = np.random.default_rng(options.seed)
+    verts = [v for v in rep.quiver.vertices if rep.dims[v] > 0]
+    for _ in range(options.n_random):
+        v = verts[rng.integers(len(verts))]
+        x = rng.normal(size=rep.dims[v]) + 1j * rng.normal(size=rep.dims[v])
+        yield v, x / np.linalg.norm(x)
+
+
+def _candidate_subreps(
+    rep: TwistedRep, options: OracleOptions, ends: list[dict[str, np.ndarray]] | None = None
+) -> list[SubrepWitness]:
+    """Distinct subobjects of the coordinate and End(V) families (``ends``
+    is a basis of End(V), computed when not given), then closures of random
+    vectors, at most ``PER_DIMS_CAP`` per dimension vector.
+
+    The closure of a random vector at a vertex v almost surely has v's
+    generic dimension vector, and when it repeats a candidate W, W_v is
+    almost surely all of V_v.  Either way every later random closure at v
+    would be rejected too, so v stops at its first rejected one, and no
+    vector is drawn once every vertex has stopped.
+    """
     seen: dict[tuple, SubrepWitness] = {}
     dims_count: dict[tuple, int] = {}
 
     def add(w: SubrepWitness) -> bool:
-        if len(seen) >= MAX_CANDIDATES:
-            return False
         dims_key = tuple(sorted(w.dims.items()))
         if dims_count.get(dims_key, 0) >= PER_DIMS_CAP:
             return False
@@ -212,52 +203,47 @@ def _candidate_subreps(rep: TwistedRep, options: OracleOptions) -> list[SubrepWi
         dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
         return True
 
-    exact, random = _generator_vectors(rep, options, rng)
-    for v, x in exact:
-        add(invariant_closure(rep, {v: x}))
+    ends = _endomorphisms(rep) if ends is None else ends
+    for w in chain(_coordinate_family(rep), _endomorphism_family(rep, ends)):
+        add(w)
     live = {v for v in rep.quiver.vertices if rep.dims[v] > 0}
-    for v, x in random:
+    for v, x in _random_vectors(rep, options):
         if v in live and not add(invariant_closure(rep, {v: x})):
             live.remove(v)
             if not live:
                 break
-    old = 0
-    for _ in range(ENRICHMENT_DEPTH):
-        current = list(seen.values())
-        for i in range(len(current)):
-            for j in range(max(i + 1, old), len(current)):
-                u, w = current[i], current[j]
-                if _nested(u, w) or _nested(w, u):
-                    continue
-                add(witness_sum(u, w))
-                add(witness_intersection(u, w))
-        old = len(current)
     return list(seen.values())
 
 
 def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOptions | None = None) -> Verdict:
-    """Heuristic enumeration verdict.
+    """Enumeration verdict over exact subobject families.
 
-    Looks for a proper invariant subobject of strictly larger slope
-    (``unstable``, with witness).  Failing that, beyond the exactness
-    envelope (any vertex dimension above ``EXACT_DIM_CAP``) the verdict is
-    ``undecided``.  Inside it, ``polystable`` when every equal-slope
-    candidate has an invariant complement (polystable means semisimple
-    among semistable objects of one slope), ``strictly-semistable`` with a
-    witness that has none, and ``stable`` when there is no such candidate.
+    The candidates are the coordinate family (closures of coordinate
+    subobjects and the largest invariant subobjects inside them), the
+    End(V) family (kernels and images of endomorphisms minus an
+    eigenvalue) and closures of random vectors.  Looks for a proper
+    invariant subobject of strictly larger slope (``unstable``, with
+    witness).  Failing that, beyond the exactness envelope (any vertex
+    dimension above ``EXACT_DIM_CAP``) the verdict is ``undecided``.
+    Inside it, ``polystable`` when every equal-slope candidate has an
+    invariant complement (polystable means semisimple among semistable
+    objects of one slope), ``strictly-semistable`` with a witness that has
+    none.  With no equal-slope candidate, the Schur guard: the object is
+    ``stable`` only when End(V) is the scalars (the dimension of the basis
+    the End(V) family uses), and ``undecided`` otherwise.
 
-    ``options`` sets the generator seed and the largest number of random
-    generating vectors; those at a vertex stop at the first closure that is
-    rejected (its dimension vector already has ``PER_DIMS_CAP``
-    candidates, or it repeats one), so once every vertex has stopped a
-    larger ``n_random`` costs nothing.  The enumeration limits are the
-    module constants.
+    ``options`` sets the random seed and the largest number of random
+    vectors; those at a vertex stop at the first closure that is rejected
+    (its dimension vector already has ``PER_DIMS_CAP`` candidates, or it
+    repeats one), so once every vertex has stopped a larger ``n_random``
+    costs nothing.  The enumeration limits are the module constants.
     """
     options = options or OracleOptions()
     if rep.total_dim == 0:
         raise ZeroTotalRank("empty representation")
     _, mu = degree_and_slope(rep, params)
-    candidates = [w for w in _candidate_subreps(rep, options) if 0 < w.total_dim < rep.total_dim]
+    ends = _endomorphisms(rep)
+    candidates = [w for w in _candidate_subreps(rep, options, ends) if 0 < w.total_dim < rep.total_dim]
     best: SubrepWitness | None = None
     best_slope = -np.inf
     equal: list[SubrepWitness] = []
@@ -274,7 +260,9 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     for w in equal:
         if invariant_complement(rep, w) is None:
             return Verdict("strictly-semistable", mu, w, mu)
-    return Verdict("polystable", mu) if equal else Verdict("stable", mu)
+    if equal:
+        return Verdict("polystable", mu)
+    return Verdict("stable", mu) if len(ends) == 1 else Verdict("undecided", mu)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +280,18 @@ def destabilizer_extract(
     invariant subspace (leakage-minimizing polish at fixed dimensions, with
     closure under the arrow slices as the fallback when no nearby invariant
     subspace of those dimensions exists).  A report whose flow stopped on
-    its certificate yields the certified step among these.
+    its certificate yields the certified step among these.  A report that
+    carries its flow's certified steps has only the cuts at or below the
+    total slope minus ``SLOPE_TOL`` rounded here; the two are merged in cut
+    order, which is the filtration the full reading gives.
     """
     if report.status != "diverged" or report.limit_direction is None:
         raise NotDivergent("destabilizer extraction needs a divergent flow report")
-    return filtration_steps(rep, params, report.limit_direction)
+    if report.certified_steps is None:
+        return filtration_steps(rep, params, report.limit_direction)
+    _, mu = degree_and_slope(rep, params)
+    lower = filtration_steps(rep, params, report.limit_direction, max_slope=mu - SLOPE_TOL)
+    return sorted(lower + report.certified_steps, key=lambda st: st.boundary)
 
 
 # ---------------------------------------------------------------------------

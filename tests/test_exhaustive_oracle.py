@@ -15,39 +15,43 @@ import pytest
 
 import quiverforge as qf
 from conftest import random_onedim_instance
-from quiverforge import torus
+from quiverforge import stability, torus
 from quiverforge.errors import NewtonStall
 
 
-def brute_force_verdict(rep, params, tol=1e-9):
-    """stable / unstable / polystable / strictly-semistable by subset
-    enumeration: polystable when every closed subset of equal slope has a
-    closed complement."""
+def closed_subsets(rep):
+    """Proper nonempty vertex subsets closed under the nonzero arrows: the
+    proper subobjects of a representation with every dimension 1."""
     verts = list(rep.quiver.vertices)
     nonzero = [
         a
         for a in rep.quiver.arrows
         if any(np.abs(s).max() > 0 for s in rep.slices[a.name])
     ]
+    return [
+        set(subset)
+        for r in range(1, len(verts))
+        for subset in itertools.combinations(verts, r)
+        if not any(a.tail in subset and a.head not in subset for a in nonzero)
+    ]
 
-    def closed(S):
-        return not any(a.tail in S and a.head not in S for a in nonzero)
 
+def brute_force_verdict(rep, params, tol=1e-9):
+    """stable / unstable / polystable / strictly-semistable by subset
+    enumeration: polystable when every closed subset of equal slope has a
+    closed complement."""
+    closed = closed_subsets(rep)
     _, mu = qf.degree_and_slope(rep, params)
     best_slope = -np.inf
     equal = False
     splits = True
-    for r in range(1, len(verts)):
-        for subset in itertools.combinations(verts, r):
-            S = set(subset)
-            if not closed(S):
-                continue
-            dd = qf.DegreeData({v: 0.0 for v in S}, {v: 1 for v in S})
-            _, mu_s = qf.degree_and_slope(dd, params)
-            best_slope = max(best_slope, mu_s)
-            if abs(mu_s - mu) <= tol:
-                equal = True
-                splits &= closed(set(verts) - S)
+    for S in closed:
+        dd = qf.DegreeData({v: 0.0 for v in S}, {v: 1 for v in S})
+        _, mu_s = qf.degree_and_slope(dd, params)
+        best_slope = max(best_slope, mu_s)
+        if abs(mu_s - mu) <= tol:
+            equal = True
+            splits &= set(rep.quiver.vertices) - S in closed
     if best_slope > mu + tol:
         return "unstable"
     if equal:
@@ -75,6 +79,26 @@ def test_oracle_matches_exhaustive_enumeration():
         assert got == want, (trial, want, got)
         checked += 1
     assert checked >= 40
+
+
+def test_coordinate_family_is_the_closed_subsets():
+    # on one-dimensional vertices each closed subset S is its own closure
+    # and its own largest invariant subobject, and every closure and
+    # largest invariant subobject is a closed subset
+    checked = 0
+    draws = [random_onedim_instance(seed) for seed in range(20000, 20060)]
+    draws += [random_onedim_instance(seed, integer_tau=True) for seed in range(30000, 30200)]
+    for inst in filter(None, draws):
+        rep, _ = inst
+        verts = rep.quiver.vertices
+        got = {
+            tuple(w.dims[v] for v in verts)
+            for w in stability._coordinate_family(rep)
+            if 0 < w.total_dim < rep.total_dim
+        }
+        assert got == {tuple(int(v in s) for v in verts) for s in closed_subsets(rep)}
+        checked += 1
+    assert checked == 225
 
 
 def test_flow_matches_exhaustive_enumeration():

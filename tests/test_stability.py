@@ -14,11 +14,11 @@ from quiverforge.errors import (
     NotDivergent,
     ZeroTotalRank,
 )
-from quiverforge._linalg import eigh_checked, herm, orthonormal_columns
+from quiverforge._linalg import orthonormal_columns
 from quiverforge.flow import FlowReport, MetricState
-from quiverforge import stability
+from quiverforge import flow, stability
 from quiverforge.gallery import kronecker_quiver
-from quiverforge.reps import invariant_closure, witness_intersection, witness_sum
+from quiverforge.reps import invariant_closure, module_map_operator
 from conftest import (
     jordan_params,
     jordan_rep,
@@ -240,10 +240,10 @@ def test_oracle_sigma_independent_verdicts():
 # the oracle's candidate enumeration
 
 
-def twisted_draw(base_seed):
-    """Twisted draw of the benchmark generator (``bench/gen.py``): arrow
-    1 -> 2 of multiplicity 2 with a random positive twist weight and an
-    optional plain back arrow."""
+def twisted_instance(base_seed):
+    """Twisted draw of the benchmark generator (``bench/gen.py``), as (rep,
+    tau): arrow 1 -> 2 of multiplicity 2 with a random positive twist weight
+    and an optional plain back arrow."""
     rng = np.random.default_rng(base_seed)
     d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     arrows = [("a", "1", "2")]
@@ -262,12 +262,17 @@ def twisted_draw(base_seed):
     slices = {"a": [gaussian((d2, d1)) for _ in range(2)]}
     for name, t, h in arrows[1:]:
         slices[name] = [gaussian((dims[h], dims[t]))]
-    return qf.build_rep(q, twist, dims, slices)
+    t1 = float(rng.normal())
+    return qf.build_rep(q, twist, dims, slices), {"1": t1, "2": -t1 * d1 / d2}
 
 
-def three_vertex_draw(base_seed):
-    """Three-vertex draw of the benchmark generator: arrows 1 -> 2 -> 3 and
-    an optional 3 -> 1, dims 1-2."""
+def twisted_draw(base_seed):
+    return twisted_instance(base_seed)[0]
+
+
+def three_vertex_instance(base_seed):
+    """Three-vertex draw of the benchmark generator, as (rep, tau): arrows
+    1 -> 2 -> 3 and an optional 3 -> 1, dims 1-2."""
     rng = np.random.default_rng(base_seed)
     dims = {v: int(rng.integers(1, 3)) for v in ("1", "2", "3")}
     arrows = [("a", "1", "2"), ("b", "2", "3")]
@@ -278,35 +283,13 @@ def three_vertex_draw(base_seed):
         name: [rng.normal(size=(dims[h], dims[t])) + 1j * rng.normal(size=(dims[h], dims[t]))]
         for name, t, h in arrows
     }
-    return qf.build_rep(q, None, dims, slices)
+    t1, t2 = float(rng.normal()), float(rng.normal())
+    tau = {"1": t1, "2": t2, "3": -(t1 * dims["1"] + t2 * dims["2"]) / dims["3"]}
+    return qf.build_rep(q, None, dims, slices), tau
 
 
-def _full_enumeration(closures):
-    """Reference: admit the given generator closures, then pair every two
-    candidates in every enrichment round, with no work skipped."""
-    seen, dims_count = {}, {}
-
-    def add(w):
-        if len(seen) >= stability.MAX_CANDIDATES:
-            return
-        key = stability._witness_key(w)
-        if key in seen:
-            return
-        dims_key = tuple(sorted(w.dims.items()))
-        if dims_count.get(dims_key, 0) >= stability.PER_DIMS_CAP:
-            return
-        seen[key] = w
-        dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
-
-    for w in closures:
-        add(w)
-    for _ in range(stability.ENRICHMENT_DEPTH):
-        current = list(seen.values())
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                add(witness_sum(current[i], current[j]))
-                add(witness_intersection(current[i], current[j]))
-    return list(seen.values())
+def three_vertex_draw(base_seed):
+    return three_vertex_instance(base_seed)[0]
 
 
 def _duplicate_pairs(candidates):
@@ -339,20 +322,6 @@ def _basis_bytes(w):
     return [(v, w.basis[v].shape, w.basis[v].tobytes()) for v in sorted(w.basis)]
 
 
-def test_candidates_match_full_enumeration():
-    # candidates do not depend on the stability parameters, so one list per
-    # representation covers every sigma; the random vectors of a smaller
-    # n_random are the first ones of a larger, so their closures are shared
-    for rep in _oracle_draws():
-        options = qf.OracleOptions(seed=0, n_random=200)
-        exact, random = stability._generator_vectors(rep, options, np.random.default_rng(options.seed))
-        closures = [invariant_closure(rep, {v: x}) for v, x in exact + list(random)]
-        for n_random in (20, 200):
-            got = stability._candidate_subreps(rep, qf.OracleOptions(seed=0, n_random=n_random))
-            want = _full_enumeration(closures[: len(exact) + n_random])
-            assert [_basis_bytes(w) for w in got] == [_basis_bytes(w) for w in want]
-
-
 def test_oracle_cost_does_not_grow_with_n_random(monkeypatch):
     # random generators at a vertex stop at the first rejected closure
     rep, tau = random_two_vertex_instance(5008)
@@ -377,7 +346,8 @@ def _closure_reference(rep, generators):
     """invariant_closure with an SVD at every step, none skipped."""
     bases = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
     for v, g in generators.items():
-        bases[v] = orthonormal_columns(np.hstack([bases[v], np.asarray(g, dtype=complex)[:, None]]))
+        g = np.asarray(g, dtype=complex).reshape(rep.dims[v], -1)
+        bases[v] = orthonormal_columns(np.hstack([bases[v], g]))
     changed = True
     while changed:
         changed = False
@@ -392,66 +362,136 @@ def _closure_reference(rep, generators):
     return qf.SubrepWitness(bases)
 
 
+def _closure_generators(rep):
+    """Generators of the oracle's closures: coordinate spans, and random
+    vectors."""
+    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
+    for r in range(1, len(verts)):
+        for subset in itertools.combinations(verts, r):
+            yield {v: np.eye(rep.dims[v], dtype=complex) for v in subset}
+    for v, x in stability._random_vectors(rep, qf.OracleOptions(seed=0, n_random=10)):
+        yield {v: x}
+
+
 def test_closure_matches_always_svd_reference():
     for rep in _oracle_draws():
-        options = qf.OracleOptions(seed=0, n_random=10)
-        exact, random = stability._generator_vectors(rep, options, np.random.default_rng(options.seed))
-        for v, x in exact + list(random):
-            got = invariant_closure(rep, {v: x})
-            assert _basis_bytes(got) == _basis_bytes(_closure_reference(rep, {v: x}))
+        for generators in _closure_generators(rep):
+            got = invariant_closure(rep, generators)
+            assert _basis_bytes(got) == _basis_bytes(_closure_reference(rep, generators))
 
 
-def _all_exact_generators(rep, seed):
-    """Basis vectors and the eigenvectors of every selfadjoint word, repeats
-    included."""
-    gens = [(v, e) for v in rep.quiver.vertices for e in np.eye(rep.dims[v], dtype=complex)]
-    for v, op in stability._selfadjoint_words(rep, np.random.default_rng(seed)):
-        if op.shape[0]:
-            gens += [(v, x) for x in eigh_checked(herm(op))[1].T]
-    return gens
+def _proper(rep, family):
+    return [w for w in family if 0 < w.total_dim < rep.total_dim]
 
 
-@pytest.mark.parametrize("rep", [random_two_vertex_instance(5008)[0], twisted_draw(6004)], ids=["criterion-4", "twisted"])
-def test_oracle_closes_each_distinct_generator_once(rep, monkeypatch):
-    # a random path of length 1 is an arrow's own phi^dagger phi, so words
-    # repeat, and so do eigenvectors (a basis vector at a 1-dim vertex)
-    everything = [(v, x.tobytes()) for v, x in _all_exact_generators(rep, 0)]
-    exact = set(everything)
-    assert len(exact) < len(everything)
-    closed = []
-
-    def counted(rep_, generators):
-        ((v, x),) = generators.items()
-        closed.append((v, np.asarray(x).tobytes()))
-        return invariant_closure(rep_, generators)
-
-    monkeypatch.setattr(stability, "invariant_closure", counted)
-    stability._candidate_subreps(rep, qf.OracleOptions(seed=0))
-    n_random = sum(c not in exact for c in closed)
-    assert n_random > 0
-    assert len(closed) == len(exact) + n_random
+def _end_dim(rep):
+    """dim End(V), the nullity of the module-map operator."""
+    op = module_map_operator(rep)
+    return op.shape[1] - np.linalg.matrix_rank(op)
 
 
-def _inside(u, w):
-    return all(
-        np.linalg.norm(u.basis[v] - w.basis[v] @ (w.basis[v].conj().T @ u.basis[v])) <= 1e-10
-        for v in u.basis
-    )
+# the sigma vectors of acceptance criterion 4 and of the benchmark's
+# three-vertex draws
+SIGMAS = {
+    2: [{"1": 1.0, "2": 1.0}, {"1": 2.0, "2": 3.0}, {"1": 5.0, "2": 1.0}],
+    3: [{"1": 1.0, "2": 1.0, "3": 1.0}, {"1": 2.0, "2": 3.0, "3": 1.0}, {"1": 5.0, "2": 1.0, "3": 2.0}],
+}
 
 
-def test_enrichment_skips_nested_pairs(monkeypatch):
-    # U inside W has sum W and intersection U, both stored already
-    pairs = []
+@pytest.mark.parametrize(
+    "rep, tau, end_dim, semistable",
+    [(*random_two_vertex_instance(5018), 2, True), (*twisted_instance(6004), 3, False)],
+    ids=["criterion-4", "twisted"],
+)
+def test_exact_families_are_invariant(rep, tau, end_dim, semistable):
+    # End(V) is computed once, by one SVD; both families give exactly
+    # invariant subobjects, and in the semistable draw 5018 every kernel and
+    # image of an endomorphism has the total slope (semistable objects of
+    # one slope form an abelian category)
+    ends = stability._endomorphisms(rep)
+    assert len(ends) == _end_dim(rep) == end_dim
+    for f in ends:
+        for a in rep.quiver.arrows:
+            for sl in rep.slices[a.name]:
+                assert np.abs(f[a.head] @ sl - sl @ f[a.tail]).max() < 1e-12
+    coordinate = _proper(rep, stability._coordinate_family(rep))
+    endomorphism = _proper(rep, stability._endomorphism_family(rep, ends))
+    assert endomorphism
+    for w in coordinate + endomorphism:
+        ok, leak = qf.check_subrep(rep, w)
+        assert ok, leak
+    for sigma in SIGMAS[2] if semistable else []:
+        params = qf.StabilityParams(sigma, tau)
+        _, mu = qf.degree_and_slope(rep, params)
+        slopes = [qf.degree_and_slope(w, params)[1] for w in endomorphism]
+        assert slopes == pytest.approx([mu] * len(slopes), abs=1e-12)
 
-    def checked(u, w):
-        pairs.append((u, w))
-        assert not _inside(u, w) and not _inside(w, u)
-        return witness_sum(u, w)
 
-    monkeypatch.setattr(stability, "witness_sum", checked)
-    for rep in itertools.islice(_oracle_draws(), 40):
-        stability._candidate_subreps(rep, qf.OracleOptions(seed=0))
-    assert pairs
+def _nilpotent_block(n, frame):
+    """The n x n nilpotent Jordan block in the basis ``frame`` (columns)."""
+    nil = np.diag(np.ones(n - 1), 1).astype(complex)
+    q = qf.Quiver.from_lists(["v"], [("phi", "v", "v")])
+    rep = qf.build_rep(q, None, {"v": n}, {"phi": [frame @ nil @ np.linalg.inv(frame)]})
+    return rep, rep.slices["phi"][0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_endomorphism_family_yields_nilpotent_kernels(n):
+    # End(V) of a nilpotent block N is spanned by 1, N, ..., N^(n-1); rounding
+    # splits the eigenvalue of each element, which must be taken as one, or
+    # the kernel leaks and its closure is the whole space.  The family
+    # yields ker N, and the oracle reports it, in any frame
+    params = qf.StabilityParams({"v": 1.0}, {"v": 0.0})
+    rng = np.random.default_rng(n)
+    frames = [np.eye(n)] + [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(5)]
+    for frame in frames:
+        rep, nil = _nilpotent_block(n, frame)
+        assert _end_dim(rep) == n
+        kernels = [
+            w for w in stability._endomorphism_family(rep, stability._endomorphisms(rep))
+            if w.dims == {"v": 1}
+        ]
+        assert kernels
+        for w in kernels:
+            assert np.linalg.norm(nil @ w.basis["v"]) <= 1e-10 * np.linalg.norm(nil)
+        verdict = qf.stability_oracle(rep, params)
+        assert verdict.tag == "strictly-semistable"
+        assert qf.check_subrep(rep, verdict.witness)[0]
+
+
+CORRECTED_DRAWS = [
+    ("twisted-6004", twisted_instance(6004), "unstable"),
+    ("twisted-6019", twisted_instance(6019), "unstable"),
+    ("criterion-4-5018", random_two_vertex_instance(5018), "polystable"),
+    ("twisted-6013", twisted_instance(6013), "polystable"),
+    ("three-vertex-6508", three_vertex_instance(6508), "polystable"),
+]
+
+
+@pytest.mark.parametrize("instance, tag", [d[1:] for d in CORRECTED_DRAWS], ids=[d[0] for d in CORRECTED_DRAWS])
+def test_oracle_verdicts_where_end_is_not_scalar(instance, tag):
+    # these draws were called stable although End(V) is not the scalars:
+    # 6004 and 6019 have a common kernel of the two slices of arrow a (the
+    # Wong interior of V_1), the others split into equal-slope summands
+    rep, tau = instance
+    assert _end_dim(rep) > 1
+    for sigma in SIGMAS[len(rep.quiver.vertices)]:
+        params = qf.StabilityParams(sigma, tau)
+        verdict = qf.stability_oracle(rep, params, qf.OracleOptions(seed=0))
+        assert verdict.tag == tag
+        if tag == "unstable":
+            assert verdict.witness.dims == {"1": 1, "2": 0}
+            assert qf.check_subrep(rep, verdict.witness)[0]
+            assert verdict.witness_slope > verdict.slope
+
+
+def test_schur_guard(monkeypatch):
+    # with no equal-slope candidate, only End(V) = C gives stable
+    monkeypatch.setattr(stability, "_candidate_subreps", lambda *args: [])
+    rep, tau = random_two_vertex_instance(5018)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
+    assert qf.stability_oracle(rep, params).tag == "undecided"
+    assert qf.stability_oracle(kronecker_rep(phi=1.0), kronecker_params(t=1.0)).tag == "stable"
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +556,39 @@ def test_extraction_witnesses_pass_subrep_check():
         for step in qf.destabilizer_extract(rep, params, rpt):
             ok, leak = qf.check_subrep(rep, step.witness, tol=1e-6)
             assert ok, leak
+
+
+def test_extract_reuses_certified_steps(monkeypatch):
+    # a diverged report carries the steps its proof read, so extraction
+    # rounds only the cuts at or below mu - SLOPE_TOL, and merged in cut
+    # order they are the full reading, byte for byte
+    polished = [0]
+    polish = flow._polish_invariant
+
+    def counted(*args):
+        polished[0] += 1
+        return polish(*args)
+
+    monkeypatch.setattr(flow, "_polish_invariant", counted)
+    diverged = saved = 0
+    for k in range(30):
+        rep, tau = random_two_vertex_instance(5000 + k)
+        params = qf.StabilityParams({"1": 2.0, "2": 3.0}, tau)
+        rpt = qf.flow_solve(rep, params)
+        if rpt.status != "diverged":
+            assert rpt.certified_steps is None
+            continue
+        diverged += 1
+        polished[0] = 0
+        want = flow.filtration_steps(rep, params, rpt.limit_direction)
+        full = polished[0]
+        polished[0] = 0
+        got = qf.destabilizer_extract(rep, params, rpt)
+        saved += full - polished[0]
+        assert [(st.boundary, st.slope, _basis_bytes(st.witness)) for st in got] == [
+            (st.boundary, st.slope, _basis_bytes(st.witness)) for st in want
+        ]
+    assert diverged >= 10 and saved > 0
 
 
 # ---------------------------------------------------------------------------
