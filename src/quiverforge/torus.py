@@ -22,6 +22,13 @@ Yang-Mills-Higgs energy-splitting identity in :func:`ymh_identity`, which
 fails with the opposite orientation.  Volume is normalized to 1 and the
 background curvature constant 2 pi d_v makes the degree of each vertex
 bundle equal to 2 pi d_v.
+
+:func:`solve_vortex` runs damped Newton on a convex energy.  On a grid
+finer than ``COARSE_N`` = 64 it starts from the solution on the grid of
+half its size, prolonged by trigonometric interpolation, and the coarse
+solve starts the same way; ``max_newton`` is a budget per level, and the
+returned ``iterations``, ``history`` and ``states`` are the finest
+level's.
 """
 from __future__ import annotations
 
@@ -288,11 +295,16 @@ def _sup(residual: Mapping[str, np.ndarray]) -> float:
 
 @dataclass
 class VortexResult:
+    """A converged solve.  ``iterations``, ``history`` and ``states`` are
+    the finest grid's; ``levels`` lists (grid size, Newton steps) of each
+    grid whose solution started the next, coarsest first, and the finest."""
+
     state: PotentialState
     sup_residual: float
     iterations: int
     history: list[tuple[int, float, float]] = field(repr=False, default_factory=list)
     states: list[PotentialState] | None = None
+    levels: list[tuple[int, int]] = field(default_factory=list)
 
 
 def _jacobian_apply(system, coupling, delta):
@@ -481,6 +493,41 @@ def _energy_step(system, u, res, coupling, delta, quad):
                 return None
 
 
+# a solve on a grid finer than this starts from the solution on the grid of
+# half its size (nested iteration)
+COARSE_N = 64
+
+
+def _coarse_system(system: TorusSystem) -> TorusSystem:
+    """The same system on the grid of half the size, its weight fields
+    sampled at the even points; for a :class:`WeightSpec` that is exactly
+    the field realized on the coarse grid."""
+    return TorusSystem(
+        system.quiver,
+        TorusGrid(system.grid.n // 2),
+        system.degrees,
+        {name: np.ascontiguousarray(w[::2, ::2]) for name, w in system.weights.items()},
+        system.params,
+        system.weight_specs,
+    )
+
+
+def _prolong(f: np.ndarray, n: int) -> np.ndarray:
+    """Trigonometric interpolation of a periodic m x m field to the n x n
+    grid, n = 2m: the half spectrum is zero-padded, and the coarse Nyquist
+    row and column are split in half between the frequencies +-m/2.  The
+    result sampled at the coarse points is ``f`` again."""
+    m = f.shape[0]
+    h = m // 2
+    coarse = np.fft.rfft2(f) * (n / m) ** 2
+    coarse[h, :] *= 0.5
+    coarse[:, h] *= 0.5
+    fine = np.zeros((n, n // 2 + 1), dtype=complex)
+    fine[: h + 1, : h + 1] = coarse[: h + 1]
+    fine[n - h :, : h + 1] = coarse[h:]
+    return np.fft.irfft2(fine, s=(n, n))
+
+
 def solve_vortex(
     system: TorusSystem,
     tol: float = 1e-8,
@@ -520,12 +567,36 @@ def solve_vortex(
     finite and positive.  :class:`NewtonStall` (with the best state and the
     residual history) also ends a solve that runs out of ``max_newton``
     steps or whose line search finds no decrease.
+
+    Without ``initial``, a grid finer than ``COARSE_N`` starts from the
+    solution on the grid of half its size (nested iteration): that solve,
+    itself started the same way, takes the same ``tol`` and ``max_newton``
+    (a budget per level) and the weight fields at the even points, and its
+    solution is prolonged by trigonometric interpolation.  A coarse level
+    that raises :class:`NewtonStall` (the even points can miss a weight's
+    support) leaves the start at zero.  The fine solve's stopping rule is
+    unchanged, so ``tol`` holds on the fine grid, and a smooth solution
+    often needs no fine step at all.  ``iterations``, ``history`` and
+    ``states`` are the finest level's; ``levels`` gives (grid size, Newton
+    steps) per level, coarsest first, leaving out a level that stalled.
+    Grids of at most ``COARSE_N`` points and solves given ``initial`` run
+    one level.
     """
     check_tolerance("tol", tol)
     grid = system.grid
     verts = list(system.quiver.vertices)
+    witness = _unsolvable_subset(system)
+    levels: list[tuple[int, int]] = []
     if initial is None:
         u = {v: np.zeros((grid.n, grid.n)) for v in verts}
+        if witness is None and grid.n > COARSE_N:
+            try:
+                coarse = solve_vortex(_coarse_system(system), tol, max_newton)
+            except NewtonStall:
+                pass  # e.g. the even points miss a weight's support
+            else:
+                levels = coarse.levels
+                u = gauge_fix(system, {v: _prolong(coarse.state.u[v], grid.n) for v in verts})
     else:
         u = gauge_fix(system, {v: np.array(initial.u[v]) for v in verts})
     history: list[tuple[int, float, float]] = []
@@ -536,7 +607,6 @@ def solve_vortex(
     r_norm = _l2(grid, res)
     eta_ew = EW_ETA_MAX
     history.append((0, sup, 1.0))
-    witness = _unsolvable_subset(system)
     if witness is not None:
         subset, deg = witness
         raise NewtonStall(
@@ -587,6 +657,7 @@ def solve_vortex(
         iterations=len(history) - 1,
         history=history,
         states=states if record_states else None,
+        levels=levels + [(grid.n, len(history) - 1)],
     )
 
 

@@ -339,15 +339,90 @@ def test_newton_stall_on_unsolvable_data():
     assert len(info.value.history) >= 1
 
 
-def test_unsolvable_data_stall_before_any_newton_step():
+def counted_solves(monkeypatch):
+    """Grid sizes of every solve_vortex call, the coarse levels included."""
+    sizes = []
+    solve = torus.solve_vortex
+
+    def counted(system, *args, **kwargs):
+        sizes.append(system.grid.n)
+        return solve(system, *args, **kwargs)
+
+    monkeypatch.setattr(torus, "solve_vortex", counted)
+    return sizes
+
+
+def test_unsolvable_data_stall_before_any_newton_step(monkeypatch):
     # the solvability test names the subset {1} (degree -tau_1 = -1 < 0)
-    # and the solver stops at the gauge-fixed start, without a Newton step;
-    # there the vertex-1 residual is -tau_1 - c = -2
+    # and the solver stops at the gauge-fixed start, without a Newton step
+    # and before any coarse solve; there the vertex-1 residual is
+    # -tau_1 - c = -2
     system = two_vertex_system(t=-1.0, c=1.0, n=512)
+    sizes = counted_solves(monkeypatch)
     with pytest.raises(NewtonStall, match=r"subset \{1\}") as info:
-        qf.solve_vortex(system)
+        torus.solve_vortex(system)
+    assert sizes == [512]
     assert info.value.history == [(0, 2.0, 1.0)]
     assert all(np.abs(f).max() == 0.0 for f in info.value.best_state.u.values())
+
+
+# ---------------------------------------------------------------------------
+# coarse-grid start
+
+
+def test_prolong_keeps_the_coarse_samples(rng):
+    f = rng.standard_normal((32, 32))
+    g = torus._prolong(f, 64)
+    assert np.abs(g[::2, ::2] - f).max() <= 1e-14
+    assert abs(g.mean() - f.mean()) <= 1e-14
+
+
+def test_prolong_reproduces_band_limited_fields(rng):
+    # frequencies |k1|, |k2| < 16 are represented exactly on the 32 grid
+    k = np.fft.fftfreq(64, 1.0 / 64)
+    low = (np.abs(k)[:, None] < 16) & (np.abs(k)[None, :] < 16)
+    spec = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) * low
+    f = np.real(np.fft.ifft2(spec))
+    assert np.abs(torus._prolong(f[::2, ::2], 64) - f).max() <= 1e-14
+
+
+def test_coarse_start_matches_zero_start():
+    # the criterion-9 bump: the 64 grid does the Newton work, the finer
+    # levels at most one step each
+    spec = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+    system = two_vertex_system(t=3.0, n=256, weight=spec)
+    result = qf.solve_vortex(system)
+    zero = PotentialState({v: np.zeros((256, 256)) for v in ("1", "2")})
+    reference = qf.solve_vortex(system, initial=zero)
+    assert [n for n, _ in result.levels] == [64, 128, 256]
+    assert result.levels[-1] == (256, result.iterations) and result.iterations <= 1
+    assert result.sup_residual <= 1e-8
+    diff = max(np.abs(result.state.u[v] - reference.state.u[v]).max() for v in ("1", "2"))
+    assert diff <= 1e-10
+
+
+def test_coarse_stall_falls_back_to_zero_start(monkeypatch):
+    # a spike at an odd index: the even points see no weight, the coarse
+    # system has no solution, and the fine solve starts from zero
+    w = np.zeros((128, 128))
+    w[37, 81] = 128.0**2
+    system = two_vertex_system(t=1.5, n=128, weight=w)
+    sizes = counted_solves(monkeypatch)
+    result = torus.solve_vortex(system)
+    assert sizes == [128, 64]
+    assert result.levels == [(128, result.iterations)]
+    recomputed = vortex_residual(system, result.state)
+    assert max(np.abs(r).max() for r in recomputed.values()) <= 1e-8
+
+
+def test_given_start_runs_no_coarse_solve(monkeypatch):
+    spec = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+    system = two_vertex_system(t=1.5, n=128, weight=spec)
+    sizes = counted_solves(monkeypatch)
+    zero = PotentialState({v: np.zeros((128, 128)) for v in ("1", "2")})
+    result = torus.solve_vortex(system, initial=zero)
+    assert sizes == [128]
+    assert result.levels == [(128, result.iterations)]
 
 
 def test_solution_invariant_under_parameter_rescaling():
