@@ -17,16 +17,14 @@ def herm(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def eigh_checked(a: np.ndarray, rtol: float = 1e-10):
-    """Hermitian eigendecomposition with a reconstruction check."""
-    a = np.asarray(a, dtype=complex)
-    w, v = np.linalg.eigh(herm(a))
-    recon = (v * w) @ v.conj().T
-    scale = 1.0 + np.abs(a).max(initial=0.0)
-    if np.abs(recon - herm(a)).max(initial=0.0) > rtol * scale:
-        raise IllConditionedSpectrum(
-            f"eigendecomposition reconstruction error exceeds {rtol:g}"
-        )
+def eigh_checked(a: np.ndarray):
+    """Hermitian eigendecomposition of the Hermitian part of ``a``; raises
+    :class:`IllConditionedSpectrum` when an eigenvalue is not finite (a NaN
+    or infinite entry).  LAPACK's eigh is backward stable, so on finite
+    input a reconstruction check would only repeat its guarantee."""
+    w, v = np.linalg.eigh(herm(np.asarray(a, dtype=complex)))
+    if not np.isfinite(w).all():
+        raise IllConditionedSpectrum("eigendecomposition has a non-finite eigenvalue")
     return w, v
 
 

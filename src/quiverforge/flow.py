@@ -487,8 +487,46 @@ def _polish_invariant(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness:
     return SubrepWitness({v: orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts})
 
 
+def _weight_bound(deg, size, total):
+    """Moment-weight bound delta(d') = deg(d') sqrt(|n| / (|d'| (|n| - |d'|)))
+    of a proper dimension vector d' of plain total dimension ``size`` and
+    degree ``deg`` (-sum_v tau_v d'_v), in an object of total dimension
+    ``total``; scalars or arrays.
+
+    For an invariant W of dimension vector d' with H-orthogonal projection
+    pi, tr(m~ pi) = deg(d') + sum |pi_head psi (1 - pi_tail)|^2 at every
+    metric, and tr m~ = 0 by admissibility; Cauchy-Schwarz against
+    pi - (|d'|/|n|) 1 gives |m~| >= delta(d') (the point-scale form of
+    Georgoulas-Robbin-Salamon's moment-weight inequality).  So a residual
+    below delta(d') rules out every invariant subobject of dimension
+    vector d'."""
+    return deg * np.sqrt(total / (size * (total - size)))
+
+
+def _semistability_bound(rep: TwistedRep, params, mu: float) -> tuple[float, bool]:
+    """The least :func:`_weight_bound` over the proper dimension vectors of
+    slope above ``mu`` + ``SLOPE_TOL`` (inf when there are none), and
+    whether some proper dimension vector has slope within ``SLOPE_TOL`` of
+    ``mu``.  Sizes are plain total dimensions, as the residual is the
+    unweighted norm of m~; sigma only decides which vectors destabilize."""
+    verts = rep.quiver.vertices
+    grid = np.indices([rep.dims[v] + 1 for v in verts]).reshape(len(verts), -1).T
+    size = grid.sum(axis=1)
+    proper = (size > 0) & (size < rep.total_dim)
+    grid, size = grid[proper], size[proper]
+    deg = -grid @ np.array([params.tau[v] for v in verts])
+    slope = deg / (grid @ np.array([params.sigma[v] for v in verts]))
+    delta = _weight_bound(deg, size, rep.total_dim)[slope > mu + SLOPE_TOL].min(initial=np.inf)
+    return float(delta), bool(np.any(np.abs(slope - mu) <= SLOPE_TOL))
+
+
 def filtration_steps(
-    rep: TwistedRep, params, direction: HermCollection, min_slope: float = -np.inf, max_slope: float = np.inf
+    rep: TwistedRep,
+    params,
+    direction: HermCollection,
+    min_slope: float = -np.inf,
+    max_slope: float = np.inf,
+    residual: float = np.inf,
 ) -> list[FiltrationStep]:
     """Ascending filtration read off a Hermitian direction (one per vertex).
 
@@ -502,7 +540,11 @@ def filtration_steps(
     rounding, which is most of the cost; only the closure changes the
     dimension vector.  The flow passes ``min_slope`` = the total slope
     minus ``SLOPE_TOL``; :func:`destabilizer_extract` adds the cuts below
-    that to the flow's steps.
+    that to the flow's steps.  The flow also passes its current
+    ``residual``: a non-invariant cut whose dimension vector has a
+    :func:`_weight_bound` above it spans no invariant subspace of those
+    dimensions, so it goes straight to the closure without the rounding.
+    Other callers leave ``residual`` at inf and round every such cut.
 
     Raises :class:`NoSeparation` when the spectrum has no usable gap.
     """
@@ -527,14 +569,17 @@ def filtration_steps(
             sel = vecs[:, w <= cut]
             gens[v] = orthonormal_columns(sel)
         candidate = SubrepWitness(gens)
-        if not min_slope < degree_and_slope(candidate, params)[1] <= max_slope:
+        deg, slope = degree_and_slope(candidate, params)
+        if not min_slope < slope <= max_slope:
             continue
         # where the leakage form is degenerate the polish would swap an
         # exactly invariant span for another invariant subspace
         witness = candidate
         if not check_subrep(rep, candidate)[0]:
-            witness = _polish_invariant(rep, candidate)
-            if not check_subrep(rep, witness)[0]:
+            witness = None
+            if _weight_bound(deg, candidate.total_dim, rep.total_dim) <= residual:
+                witness = _polish_invariant(rep, candidate)
+            if witness is None or not check_subrep(rep, witness)[0]:
                 witness = invariant_closure(rep, gens)
         _, slope = degree_and_slope(witness, params)
         steps.append(FiltrationStep(witness, slope, cut))
@@ -542,7 +587,7 @@ def filtration_steps(
 
 
 def _certifies_instability(
-    rep: TwistedRep, params, direction: HermCollection, mu: float
+    rep: TwistedRep, params, direction: HermCollection, mu: float, residual: float
 ) -> tuple[str | None, list[FiltrationStep]]:
     """Name of the proof, read off the cuts of ``direction``, that no metric
     exists, or None; and the filtration steps read (those of slope above
@@ -554,9 +599,10 @@ def _certifies_instability(
     semistable objects of one slope form an abelian category in which
     polystable means semisimple).  Slopes are those of the final witnesses,
     which the closure fallback can raise.  No gap means no proof yet.
+    ``residual`` goes to :func:`filtration_steps`.
     """
     try:
-        steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL)
+        steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL, residual=residual)
     except NoSeparation:
         return None, []
     proper = [
@@ -703,7 +749,12 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     of s/||s|| for a proof that no metric exists: an exactly invariant
     proper subobject of larger slope (``certificate``: unstable), or one of
     the total slope with no invariant complement (``no-complement``: not
-    polystable).  Classification:
+    polystable).  An invariant subobject of dimension vector d' bounds the
+    residual at every metric by deg(d') sqrt(|n| / (|d'| (|n| - |d'|)));
+    a reading is skipped when the residual is below delta, the least such
+    bound over the dimension vectors of larger slope, and no dimension
+    vector has the total slope, since it could then find neither proof.
+    Classification:
 
     - ``diverged``: a proof was found; the report carries the normalized
       limit direction and the filtration steps the proof read
@@ -810,6 +861,15 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     stop = "max-iter"
     proof, steps = None, None
     _, mu = degree_and_slope(rep, params)
+    delta, tied = _semistability_bound(rep, params, mu)
+
+    def read_proof(point: _Point, s_norm: float):
+        # below delta no destabilizing invariant subobject exists, and with
+        # no dimension vector of slope mu no no-complement proof either
+        if point.residual < delta and not tied:
+            return None, None
+        return _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu, point.residual)
+
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,
     # which skips it on geometrically converging flows
@@ -830,7 +890,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             halved = check_res is not None and res <= 0.5 * check_res
             check_res = res
             if not halved and s_norm > 0:
-                proof, steps = _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu)
+                proof, steps = read_proof(point, s_norm)
                 if proof:
                     break
         if it == opts.max_iter:
@@ -858,7 +918,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     chart = point.chart
     # a semistable flow can push the residual below tol while ||s|| diverges
     if not proof and s_norm > 0:
-        proof, steps = _certifies_instability(rep, params, _unit(chart.s, s_norm), mu)
+        proof, steps = read_proof(point, s_norm)
     stop = proof or stop
     status = "diverged" if proof else "converged" if stop == "tol" else "max-iter"
     final = MetricState(chart.h, validate=(status == "converged"))

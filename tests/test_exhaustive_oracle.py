@@ -15,8 +15,9 @@ import pytest
 
 import quiverforge as qf
 from conftest import random_onedim_instance
-from quiverforge import stability, torus
+from quiverforge import flow, stability, torus
 from quiverforge.errors import NewtonStall
+from quiverforge.slope import SLOPE_TOL
 
 
 def closed_subsets(rep):
@@ -134,6 +135,52 @@ def test_equal_slope_family_matches_exhaustive_enumeration():
         tags.append(want)
     assert len(tags) == 171
     assert tags.count("strictly-semistable") == 27 and tags.count("polystable") == 4
+
+
+def test_moment_weight_bound_holds_on_closed_subsets():
+    # every destabilizing closed subset S is an invariant subobject, so at
+    # every metric tr(m pi_S) = deg(S) + |phi_perp|^2 and the residual is at
+    # least delta(S) = deg(S) sqrt(n / (|S| (n - |S|))); the flow's delta is
+    # the brute-force minimum over all destabilizing subsets
+    checked = 0
+    for seed in range(30000, 30200):
+        inst = random_onedim_instance(seed, integer_tau=True)
+        if inst is None:
+            continue
+        rep, params = inst
+        verts, n = rep.quiver.vertices, rep.total_dim
+        _, mu = qf.degree_and_slope(rep, params)
+
+        def bound(S):
+            deg = -sum(params.tau[v] for v in S)
+            return deg, deg * np.sqrt(n / (len(S) * (n - len(S))))
+
+        def slope(S):
+            return qf.degree_and_slope(qf.DegreeData({v: 0.0 for v in S}, {v: 1 for v in S}), params)[1]
+
+        subsets = [set(c) for r in range(1, n) for c in itertools.combinations(verts, r)]
+        delta, tied = flow._semistability_bound(rep, params, mu)
+        want = min((bound(S)[1] for S in subsets if slope(S) > mu + SLOPE_TOL), default=np.inf)
+        assert delta == pytest.approx(want, rel=1e-12), seed
+        assert tied == any(abs(slope(S) - mu) <= SLOPE_TOL for S in subsets), seed
+        destab = [S for S in closed_subsets(rep) if slope(S) > mu + SLOPE_TOL]
+        rng = np.random.default_rng(seed)
+        for _ in range(20 if destab else 0):
+            metric = qf.MetricState({v: np.exp(rng.normal(scale=2.0, size=(1, 1))) for v in verts})
+            m = qf.moment_map_residual(rep, metric, params)
+            residual = qf.residual_norm_h(rep, metric, m)
+            for S in destab:
+                deg, delta_s = bound(S)
+                assert residual >= delta_s * (1 - 1e-12), (seed, S)
+                perp = {
+                    a.name: [sl if a.head in S and a.tail not in S else 0 * sl for sl in rep.slices[a.name]]
+                    for a in rep.quiver.arrows
+                }
+                leak = qf.phi_norm_sq(qf.TwistedRep(rep.quiver, rep.twist, rep.dims, perp), metric)
+                trace = sum(float(np.real(m[v][0, 0])) for v in S)
+                assert trace == pytest.approx(deg + leak, rel=1e-9, abs=1e-9), (seed, S)
+            checked += 1
+    assert checked == 20 * 74  # the unstable draws
 
 
 def onedim_torus_draws():

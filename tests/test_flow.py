@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverforge as qf
-from quiverforge._linalg import herm, random_hermitian, random_unitary
+from quiverforge._linalg import eigh_checked, herm, random_hermitian, random_unitary
 from quiverforge.errors import (
+    IllConditionedSpectrum,
     InadmissibleParameters,
     NonFiniteData,
     NonpositiveScale,
     SingularMetric,
     ZeroTotalRank,
 )
+from quiverforge import flow
 from quiverforge.flow import (
     PSI_EXP,
     PSI_REMAINDER,
@@ -181,6 +183,13 @@ def test_kempf_ness_cocycle(seed):
 
 # ---------------------------------------------------------------------------
 # eigenvalue calculus
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigh_checked_refuses_a_non_finite_spectrum(bad):
+    # nan > x is False, so a comparison-based check lets a NaN through
+    with pytest.raises(IllConditionedSpectrum), np.errstate(invalid="ignore"):
+        eigh_checked(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_eigen_calculus_identity_returns_s(rng):
@@ -462,6 +471,72 @@ def test_flow_stops_on_certificate():
             for step in qf.destabilizer_extract(rep, params, rpt)
         )
     assert diverged > 0
+
+
+CRITERION4_SIGMAS = ({"1": 1.0, "2": 1.0}, {"1": 2.0, "2": 3.0}, {"1": 5.0, "2": 1.0})
+
+
+def test_divergent_flows_stay_above_the_semistability_bound():
+    # an unstable object has a destabilizing invariant subobject, whose
+    # moment-weight bound holds at every metric: no iterate of a divergent
+    # criterion-4 flow goes below delta
+    diverged = 0
+    for seed in range(100):
+        rep, tau = random_two_vertex_instance(5000 + seed)
+        for sigma in CRITERION4_SIGMAS:
+            params = qf.StabilityParams(sigma, tau)
+            rpt = qf.flow_solve(rep, params)
+            if rpt.status != "diverged":
+                continue
+            diverged += 1
+            delta, _ = flow._semistability_bound(rep, params, qf.degree_and_slope(rep, params)[1])
+            assert min(row[2] for row in rpt.iter_log) >= delta, (seed, sigma)
+    assert diverged == 186
+
+
+def test_converged_flows_skip_readings_below_the_bound(monkeypatch):
+    # below the semistability bound the flow reads no cut for a proof, and
+    # a cut whose own bound exceeds the residual goes to the closure without
+    # the rounding; before the bound the 24 converged flows of draws
+    # 5000-5029 made 51 readings and 108 roundings, and draw 5004 at
+    # sigma = (2, 3) made 3 readings
+    calls = {"read": 0, "polish": 0}
+    steps = []
+    read, polish, cuts = flow._certifies_instability, flow._polish_invariant, flow.filtration_steps
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recorded(*args, **kwargs):
+        out = cuts(*args, **kwargs)
+        steps.extend((args[0], st) for st in out)
+        return out
+
+    monkeypatch.setattr(flow, "_certifies_instability", counted("read", read))
+    monkeypatch.setattr(flow, "_polish_invariant", counted("polish", polish))
+    monkeypatch.setattr(flow, "filtration_steps", recorded)
+    totals = {"read": 0, "polish": 0}
+    converged = 0
+    for seed in range(30):
+        rep, tau = random_two_vertex_instance(5000 + seed)
+        for sigma in CRITERION4_SIGMAS:
+            before = dict(calls)
+            rpt = qf.flow_solve(rep, qf.StabilityParams(sigma, tau))
+            if not rpt.converged:
+                continue
+            converged += 1
+            for name in totals:
+                totals[name] += calls[name] - before[name]
+            if seed == 4 and sigma == CRITERION4_SIGMAS[1]:
+                assert dict(rep.dims) == {"1": 1, "2": 1}
+                assert calls["read"] == before["read"]
+    assert converged == 24
+    assert totals == {"read": 30, "polish": 54}
+    assert steps and all(qf.check_subrep(rep, st.witness)[0] for rep, st in steps)
 
 
 def test_converged_flows_take_newton_steps():
