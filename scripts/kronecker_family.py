@@ -61,6 +61,9 @@ def main():
                 "witness_slope": slope,
             }
         )
+    if not rows:
+        print("empty sweep: no t other than 0 in --t-min..--t-max with --steps points", file=sys.stderr)
+        return 1
     fields = list(rows[0].keys())
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -9,8 +9,7 @@ Hermitian metric H the per-vertex defect
 with twist slices contracted against the inverse twist weight.  Metrics
 solving m(H) = 0 are exactly the minima of the Kempf-Ness energy
 
-    M(s) = (psi(s) phi, phi) - |phi|^2 - sum_v tau_v tr(s_v),
-    psi(x, y) = exp(x - y),
+    M(s) = |phi|^2_H - |phi|^2 - sum_v tau_v tr(s_v),    H = e^s,
 
 which is geodesically convex on the positive-definite cone, so its descent
 along metric geodesics decides existence: either the residual goes to zero
@@ -18,11 +17,16 @@ with bounded s = log H, or ||s|| blows up with monotonically decreasing
 energy and the normalized limit direction s/||s|| carries the destabilizing
 spectral data.
 
-The descent is a damped Riemannian Newton method.  In the H-frame, where the
-arrow slices read phi~ = H_head^{1/2} phi H_tail^{-1/2} (twist slices rotated
-by (q^{-1})^{1/2}), the energy along H^{1/2} e^{tu} H^{1/2} has first
-derivative sum_v tr(m~_v u_v), with m~ = H^{1/2} m H^{-1/2}, and second
-derivative |L u|^2, with L(u) = u_head phi~ - phi~ u_tail the module-map
+One kernel computes both.  :class:`_Chart` turns a metric (s = log H or a
+:class:`MetricState`) into the H-frame slices psi = H_head^{1/2} phi'
+H_tail^{-1/2}, twist slices phi' rotated by (q^{-1})^{1/2}; one pass over
+psi gives m~ = H^{1/2} m H^{-1/2} = sum psi psi^dagger - sum psi^dagger psi
+- tau and the energy, with |phi|^2_H = sum |psi|^2.  The flow and every
+public moment, norm and energy function read it; :func:`adjoint` does not.
+
+The descent is a damped Riemannian Newton method: the energy along
+H^{1/2} e^{tu} H^{1/2} has first derivative sum_v tr(m~_v u_v) and second
+derivative |L u|^2, with L(u) = u_head psi - psi u_tail the module-map
 operator of :func:`reps.module_map_operator`.  The Newton direction solves
 the Hessian L^T L on Hermitian u by pseudo-inverse; its kernel is the
 selfadjoint part of End(V) in the H-frame.
@@ -59,6 +63,7 @@ from ._linalg import (
 from .errors import (
     InadmissibleParameters,
     NoSeparation,
+    SingularMetric,
     ZeroTotalRank,
     check_count,
     check_seed,
@@ -78,25 +83,37 @@ HermCollection = Mapping[str, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# the chart kernel: e^{±s}, the H-norm and metric states
+# the chart kernel: H-frame slices, the moment map and the energy
 
 
 class _Chart:
-    """Eigen-data of s = log H (identity background), the metric factors
-    e^{±s} and half factors e^{±s/2}, built on first use, and, given ``rep``
-    and its :func:`_rotated_slices`, the H-frame slices
-    psi = H_head^{1/2} phi' H_tail^{-1/2}: |phi|^2_H = sum |psi|^2 and
-    H^{1/2} m H^{-1/2} = sum psi psi^dagger - sum psi^dagger psi - tau."""
+    """The one source of H-frame data: eigen-data of s = log H (identity
+    background), built from s or by :meth:`of_metric`; factors e^s and
+    (e^{s/2}, e^{-s/2}) on first use; given ``rep``, the H-frame slices
+    psi = H_head^{1/2} phi' H_tail^{-1/2} of its :func:`_rotated_slices`
+    (``rotated``, computed when not given), read by :meth:`moment`."""
 
-    def __init__(self, s: HermCollection, rep: TwistedRep | None = None, rotated=None):
+    def __init__(self, s: HermCollection, rep: TwistedRep | None = None, rotated=None, eig=None):
         self.s = {v: herm(sv) for v, sv in s.items()}
-        self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()}
+        self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()} if eig is None else eig
+        self.rep = rep
         self.psi = None
         if rep is not None:
+            rotated = _rotated_slices(rep) if rotated is None else rotated
             self.psi = {
                 a.name: tuple(self.half[a.head][0] @ p @ self.half[a.tail][1] for p in rotated[a.name])
                 for a in rep.quiver.arrows
             }
+
+    @classmethod
+    def of_metric(cls, metric: "MetricState", rep: TwistedRep | None = None, rotated=None) -> "_Chart":
+        """Chart of a metric: one eigendecomposition per vertex, eigenvalues
+        logged; raises :class:`SingularMetric` on an eigenvalue <= 0."""
+        eig = {v: eigh_checked(h) for v, h in metric.h.items()}
+        if any(np.any(w <= 0) for w, _ in eig.values()):
+            raise SingularMetric("metric is not positive definite")
+        eig = {v: (np.log(w), u) for v, (w, u) in eig.items()}
+        return cls({v: (u * w) @ u.conj().T for v, (w, u) in eig.items()}, rep, rotated, eig)
 
     def _factor(self, power: float) -> dict[str, np.ndarray]:
         return {v: (u * np.exp(power * w)) @ u.conj().T for v, (w, u) in self.eig.items()}
@@ -106,13 +123,27 @@ class _Chart:
         return {v: herm(x) for v, x in self._factor(1.0).items()}
 
     @cached_property
-    def hinv(self) -> dict[str, np.ndarray]:
-        return {v: herm(x) for v, x in self._factor(-1.0).items()}
-
-    @cached_property
     def half(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         hs, his = self._factor(0.5), self._factor(-0.5)
         return {v: (hs[v], his[v]) for v in self.eig}
+
+    def moment(self, tau: Mapping[str, float], c: float = 0.0) -> tuple[dict[str, np.ndarray], float]:
+        """m~ = sum psi psi^dagger - sum psi^dagger psi - tau and the energy
+        c + sum |psi|^2 - sum_v tau_v tr s_v, in one pass over psi."""
+        verts = self.rep.quiver.vertices
+        m = {v: -tau[v] * np.eye(self.rep.dims[v], dtype=complex) for v in verts}
+        energy = c
+        for a in self.rep.quiver.arrows:
+            for p in self.psi[a.name]:
+                m[a.head] = m[a.head] + p @ p.conj().T
+                m[a.tail] = m[a.tail] - p.conj().T @ p
+                energy += float(np.linalg.norm(p)) ** 2
+        energy -= sum(tau[v] * float(np.real(np.trace(self.s[v]))) for v in verts)
+        return m, energy
+
+    def to_background(self, m: HermCollection) -> dict[str, np.ndarray]:
+        """H^{-1/2} m~ H^{1/2}: an H-frame collection in the background frame."""
+        return {v: self.half[v][1] @ mv @ self.half[v][0] for v, mv in m.items()}
 
 
 def _rotated_slices(rep: TwistedRep) -> dict[str, tuple]:
@@ -130,16 +161,6 @@ def _rotated_slices(rep: TwistedRep) -> dict[str, tuple]:
 def _frob(c: HermCollection) -> float:
     """Frobenius norm of a per-vertex collection."""
     return float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in c.values())))
-
-
-def _h_norm_sq(half: Mapping[str, tuple], m: HermCollection) -> float:
-    """Squared H-Frobenius norm sum_v |H_v^{1/2} m_v H_v^{-1/2}|^2 of an
-    H-selfadjoint collection, given the pairs (H_v^{1/2}, H_v^{-1/2})."""
-    total = 0.0
-    for v, mv in m.items():
-        hs, his = half[v]
-        total += float(np.linalg.norm(herm(hs @ mv @ his)) ** 2)
-    return total
 
 
 @dataclass(frozen=True)
@@ -304,27 +325,7 @@ def eigen_calculus(s: HermCollection, table: ScalarFunctionTable, target=None):
 
 
 # ---------------------------------------------------------------------------
-# adjoints and the moment map
-
-
-def _adjoint_raw(rep: TwistedRep, h, hinv) -> dict[str, tuple]:
-    out = {}
-    for a in rep.quiver.arrows:
-        qinv = rep.twist.metric_inv(a.name)
-        m = rep.twist.rank(a.name)
-        raw = [hinv[a.tail] @ sl.conj().T @ h[a.head] for sl in rep.slices[a.name]]
-        out[a.name] = tuple(
-            sum(qinv[k, l] * raw[l] for l in range(m)) for k in range(m)
-        )
-    return out
-
-
-def _checked_inverses(metric: MetricState) -> dict[str, np.ndarray]:
-    hinv = {}
-    for v, m in metric.h.items():
-        check_hpd(m)  # enforces the 1e12 conditioning contract
-        hinv[v] = np.linalg.inv(m)
-    return hinv
+# adjoints, the moment map and the Kempf-Ness energy
 
 
 def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
@@ -334,91 +335,63 @@ def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
     H_head, which makes the defining pairing identity hold against the tail
     metric tensored with the twist weight.
     """
-    return _adjoint_raw(rep, metric.h, _checked_inverses(metric))
-
-
-def _moment_raw(rep: TwistedRep, adj, tau) -> dict[str, np.ndarray]:
-    out = {
-        v: -tau[v] * np.eye(rep.dims[v], dtype=complex)
-        for v in rep.quiver.vertices
-    }
+    for m in metric.h.values():
+        check_hpd(m)  # enforces the 1e12 conditioning contract
+    hinv = {v: np.linalg.inv(m) for v, m in metric.h.items()}
+    out = {}
     for a in rep.quiver.arrows:
-        for sl, ad in zip(rep.slices[a.name], adj[a.name]):
-            out[a.head] = out[a.head] + sl @ ad
-            out[a.tail] = out[a.tail] - ad @ sl
+        qinv = rep.twist.metric_inv(a.name)
+        raw = [hinv[a.tail] @ sl.conj().T @ metric.h[a.head] for sl in rep.slices[a.name]]
+        out[a.name] = tuple(sum(qinv[k, l] * raw[l] for l in range(len(raw))) for k in range(len(raw)))
     return out
 
 
 def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[str, np.ndarray]:
-    """Per-vertex moment-map defect m_v(H); H_v-selfadjoint by construction."""
-    return _moment_raw(rep, adjoint(rep, metric), params.tau)
-
-
-def _phi_sq_raw(rep: TwistedRep, adj, x: Mapping[str, tuple] | None = None) -> float:
-    """Metric pairing Re sum_a tr(x_a phi_a^{*H}) of a slice family with
-    phi, given the adjoint slices ``adj``; |phi|^2_H when ``x`` is phi
-    itself (the default)."""
-    x = rep.slices if x is None else x
-    total = 0.0
-    for a in rep.quiver.arrows:
-        for sl, ad in zip(x[a.name], adj[a.name]):
-            total += float(np.real(np.trace(sl @ ad)))
-    return total
+    """Per-vertex moment-map defect m_v(H) = H_v^{-1/2} m~_v H_v^{1/2}, H_v-selfadjoint;
+    refuses metrics that :func:`check_hpd` rejects (condition above 1e12)."""
+    for h in metric.h.values():
+        check_hpd(h)
+    chart = _Chart.of_metric(metric, rep)
+    return chart.to_background(chart.moment(params.tau)[0])
 
 
 def phi_norm_sq(rep: TwistedRep, metric: MetricState) -> float:
-    """|phi|^2 in the metric pairing (trace against the metric adjoint)."""
-    hinv = {v: np.linalg.inv(m) for v, m in metric.h.items()}
-    return _phi_sq_raw(rep, _adjoint_raw(rep, metric.h, hinv))
-
-
-# ---------------------------------------------------------------------------
-# Kempf-Ness energy and gradient
+    """|phi|^2 in the metric pairing: sum |psi|^2 over the H-frame slices."""
+    return _Chart.of_metric(metric, rep).moment(dict.fromkeys(rep.quiver.vertices, 0.0))[1]
 
 
 def kempf_ness(rep: TwistedRep, s: HermCollection, params) -> float:
-    """Energy at H = e^s against the identity background, through the psi
-    calculus: (psi(s) phi, phi) - |phi|^2 - sum_v tau_v tr(s_v)."""
-    eye = MetricState.identity(rep).h
-    adj = _adjoint_raw(rep, eye, eye)
-    value = _phi_sq_raw(rep, adj, apply_bivariate_rep(s, PSI_EXP, rep))
-    value -= _phi_sq_raw(rep, adj)
-    value -= sum(params.tau[v] * float(np.real(np.trace(s[v]))) for v in rep.quiver.vertices)
-    return float(value)
+    """Energy |phi|^2_H - |phi|^2 - sum_v tau_v tr(s_v) at H = e^s (identity
+    background): the chart kernel at s minus the kernel at 0."""
+    e0 = _Chart({v: np.zeros_like(sv) for v, sv in s.items()}, rep).moment(params.tau)[1]
+    return _Chart(s, rep).moment(params.tau, -e0)[1]
 
 
 def kempf_ness_metric(
     rep: TwistedRep, metric: MetricState, params, background: MetricState | None = None
 ) -> float:
-    """Energy of a metric relative to a background (identity by default).
+    """Energy of a metric relative to a background (identity by default),
+    the chart kernel at the metric minus the kernel at the background.
 
     Equals :func:`kempf_ness` at metric = e^s and satisfies the exact cocycle
     M(K, H) + M(H, J) = M(K, J) because the trace term only sees log dets.
     """
-    if background is None:
-        background = MetricState.identity(rep)
-    value = phi_norm_sq(rep, metric) - phi_norm_sq(rep, background)
-    for v in rep.quiver.vertices:
-        wb = np.linalg.eigvalsh(herm(background.h[v]))
-        wh = np.linalg.eigvalsh(herm(metric.h[v]))
-        value -= params.tau[v] * float(np.sum(np.log(wh)) - np.sum(np.log(wb)))
-    return float(value)
+    e0 = _Chart.of_metric(background or MetricState.identity(rep), rep).moment(params.tau)[1]
+    return _Chart.of_metric(metric, rep).moment(params.tau, -e0)[1]
 
 
 def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str, np.ndarray]:
     """Moment-map defect at H = e^s: the first Lie derivative of the energy
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
-    chart = _Chart(s)
-    return _moment_raw(rep, _adjoint_raw(rep, chart.h, chart.hinv), params.tau)
+    chart = _Chart(s, rep)
+    return chart.to_background(chart.moment(params.tau)[0])
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
-    """H-Frobenius norm of an H-selfadjoint collection."""
-    half = {}
-    for v in m:
-        w, u = eigh_checked(metric.h[v])
-        half[v] = ((u * np.sqrt(w)) @ u.conj().T, (u / np.sqrt(w)) @ u.conj().T)
-    return float(np.sqrt(_h_norm_sq(half, m)))
+    """H-Frobenius norm sqrt(sum_v |H_v^{1/2} m_v H_v^{-1/2}|^2) of an
+    H-selfadjoint collection."""
+    half = _Chart.of_metric(metric).half
+    return float(np.sqrt(sum(np.linalg.norm(herm(half[v][0] @ mv @ half[v][1])) ** 2 for v, mv in m.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -812,14 +785,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
 
     def evaluate(s_new: HermCollection) -> _Point:
         chart = _Chart(s_new, rep, rotated)
-        m = {v: -params.tau[v] * np.eye(rep.dims[v], dtype=complex) for v in verts}
-        energy = -phi0
-        for a in rep.quiver.arrows:
-            for p in chart.psi[a.name]:
-                m[a.head] = m[a.head] + p @ p.conj().T
-                m[a.tail] = m[a.tail] - p.conj().T @ p
-                energy += float(np.linalg.norm(p)) ** 2
-        energy -= sum(params.tau[v] * float(np.real(np.trace(chart.s[v]))) for v in verts)
+        m, energy = chart.moment(params.tau, -phi0)
         return _Point(chart, energy, m, _frob(m))
 
     def newton_direction(point: _Point) -> tuple[dict[str, np.ndarray], float]:

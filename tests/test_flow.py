@@ -742,7 +742,8 @@ def test_flow_with_zero_dimensional_vertex():
     assert v.tag == "polystable"
 
 
-def test_kempf_ness_twisted_matches_metric_form(rng):
+def _twisted_pair(rng):
+    """Kronecker arrow of multiplicity 2 with a non-diagonal twist weight q."""
     q = kronecker_quiver(1)
     qmat = np.array([[1.5, 0.2j], [-0.2j, 0.9]])
     twist = qf.TwistSpec({"a0": 2}, {"a0": qmat})
@@ -750,8 +751,64 @@ def test_kempf_ness_twisted_matches_metric_form(rng):
         q, twist, {"1": 2, "2": 2},
         {"a0": [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]},
     )
-    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -0.3, "2": 0.3})
+    return rep, qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -0.3, "2": 0.3})
+
+
+def test_kempf_ness_twisted_matches_metric_form(rng):
+    rep, params = _twisted_pair(rng)
     s = {v: random_hermitian(rng, 2, 0.5) for v in ("1", "2")}
     a = qf.kempf_ness(rep, s, params)
     b = qf.kempf_ness_metric(rep, MetricState.from_log(s), params)
     assert a == pytest.approx(b, abs=1e-10 * (1 + abs(a)))
+
+
+def _pairing(rep, x, adj):
+    """Re sum_a tr(x_a adj_a) over the slices of every arrow."""
+    return sum(
+        float(np.real(np.trace(sl @ ad)))
+        for a in rep.quiver.arrows
+        for sl, ad in zip(x[a.name], adj[a.name])
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chart_kernel_matches_adjoint_formulas(seed):
+    # the moment map, |phi|^2_H and both energies all come from the chart
+    # kernel; these references do not: the public adjoint and the psi calculus
+    rng = np.random.default_rng(seed)
+    rep, params = _twisted_pair(rng)
+    s = {v: random_hermitian(rng, 2, 1.0) for v in ("1", "2")}
+    metric = MetricState.from_log(s)
+    adj = qf.adjoint(rep, metric)
+    want = {v: -params.tau[v] * np.eye(2, dtype=complex) for v in ("1", "2")}
+    for a in rep.quiver.arrows:
+        for sl, ad in zip(rep.slices[a.name], adj[a.name]):
+            want[a.head] = want[a.head] + sl @ ad
+            want[a.tail] = want[a.tail] - ad @ sl
+    scale = max(np.abs(w).max() for w in want.values())
+    for got in (qf.moment_map_residual(rep, metric, params), qf.kempf_ness_gradient(rep, s, params)):
+        for v in want:
+            assert np.abs(got[v] - want[v]).max() <= 1e-12 * scale
+    assert qf.phi_norm_sq(rep, metric) == pytest.approx(_pairing(rep, rep.slices, adj), rel=1e-12)
+    eye = qf.adjoint(rep, MetricState.identity(rep))
+    psi_form = (
+        _pairing(rep, apply_bivariate_rep(s, PSI_EXP, rep), eye)
+        - _pairing(rep, rep.slices, eye)
+        - sum(params.tau[v] * float(np.real(np.trace(s[v]))) for v in s)
+    )
+    tol = 1e-10 * (1 + abs(psi_form))
+    assert qf.kempf_ness(rep, s, params) == pytest.approx(psi_form, abs=tol)
+    assert qf.kempf_ness_metric(rep, metric, params) == pytest.approx(psi_form, abs=tol)
+
+
+def test_non_positive_metrics_are_refused():
+    # validate=False lets an indefinite form through; the kernel must refuse
+    # it rather than return a negative norm squared or a NaN energy or H-norm
+    rep = kronecker_rep()
+    metric = MetricState({"1": -np.eye(1), "2": np.eye(1)}, validate=False)
+    with pytest.raises(SingularMetric):
+        qf.phi_norm_sq(rep, metric)
+    with pytest.raises(SingularMetric):
+        qf.kempf_ness_metric(rep, metric, kronecker_params())
+    with pytest.raises(SingularMetric):
+        qf.residual_norm_h(rep, metric, {"1": np.eye(1), "2": np.eye(1)})

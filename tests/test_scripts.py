@@ -1,3 +1,4 @@
+import csv
 import runpy
 import sys
 from pathlib import Path
@@ -13,3 +14,30 @@ def test_torus_bump_demo_runs(monkeypatch, capsys):
         runpy.run_path(str(SCRIPTS / "torus_bump_demo.py"), run_name="__main__")
     assert info.value.code == 0
     assert "Newton steps per grid: 64x64 " in capsys.readouterr().out
+
+
+def _run_kronecker_family(monkeypatch, *args):
+    monkeypatch.setattr(sys, "argv", ["kronecker_family.py", *args])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "kronecker_family.py"), run_name="__main__")
+    return info.value.code
+
+
+def test_kronecker_family_matches_closed_form(monkeypatch, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert _run_kronecker_family(monkeypatch, "--phi", "1.5", "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    positive = [r for r in rows if float(r["t"]) > 0]
+    assert len(positive) == 4
+    for r in positive:
+        # the flow stops at residual 1e-10; the ratio is printed to 10 places
+        assert r["status"] == "converged"
+        assert float(r["metric_ratio"]) == pytest.approx(float(r["closed_form"]), abs=1e-9)
+    assert all(r["status"] == "diverged" for r in rows if float(r["t"]) < 0)
+
+
+@pytest.mark.parametrize("args", [("--steps", "0"), ("--t-min", "0", "--t-max", "0", "--steps", "1")])
+def test_kronecker_family_refuses_an_empty_sweep(monkeypatch, capsys, args):
+    assert _run_kronecker_family(monkeypatch, *args) == 1
+    assert "empty sweep" in capsys.readouterr().err
