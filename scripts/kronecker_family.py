@@ -34,7 +34,8 @@ def main():
         quiver, None, {"1": 1, "2": 1}, {"a0": [np.array([[args.phi]])]}
     )
     rows = []
-    for t in np.linspace(args.t_min, args.t_max, args.steps):
+    # fewer than one step is the empty sweep
+    for t in np.linspace(args.t_min, args.t_max, max(args.steps, 0)):
         if abs(t) < 1e-12:
             continue  # wall: tau = 0 makes the pair strictly semistable
         params = qf.StabilityParams({"1": 1.0, "2": args.sigma2}, {"1": -t, "2": t})
@@ -56,7 +57,8 @@ def main():
                 "iterations": report.iterations,
                 "residual": f"{report.residual_norm:.3e}",
                 "metric_ratio": ratio,
-                "closed_form": f"{t / abs(args.phi) ** 2:.10f}" if t > 0 else "",
+                # phi = 0 splits the pair: no metric solves it at any t
+                "closed_form": f"{t / abs(args.phi) ** 2:.10f}" if t > 0 and args.phi != 0 else "",
                 "witness_dims": witness_dims,
                 "witness_slope": slope,
             }

@@ -34,14 +34,22 @@ EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 
 
-def _writeout(args, payload):
-    data = qio.export_report(payload, "json")
-    if args.out:
+def _writeout(args, payload, stdout_only=False):
+    """Export ``payload`` under the schema tag and the command's name, to
+    --out unless ``stdout_only``, else to stdout unless --quiet."""
+    data = qio.export_report({"schema": qio.SCHEMA_TAG, "command": args.command, **payload}, "json")
+    if args.out and not stdout_only:
         with open(args.out, "wb") as fh:
             fh.write(data)
     elif not args.quiet:
         sys.stdout.write(data.decode() + "\n")
-    return data
+
+
+def _log(args, csv, result):
+    """Write the iteration log ``csv(result)`` to --log when given."""
+    if args.log:
+        with open(args.log, "wb") as fh:
+            fh.write(csv(result))
 
 
 def _load(args, need=()):
@@ -65,8 +73,6 @@ def _cmd_check(args):
     options = OracleOptions(seed=args.seed)
     verdict = stability_oracle(bundle.rep, bundle.params, options)
     payload = {
-        "schema": qio.SCHEMA_TAG,
-        "command": "check",
         "verdict": verdict.tag,
         "slope": verdict.slope,
         "certificate_source": verdict.certificate_source,
@@ -85,8 +91,6 @@ def _cmd_flow(args):
     )
     report = flow_solve(bundle.rep, bundle.params, opts)
     payload = {
-        "schema": qio.SCHEMA_TAG,
-        "command": "flow",
         "status": report.status,
         "residual_norm": report.residual_norm,
         "iterations": report.iterations,
@@ -108,9 +112,7 @@ def _cmd_flow(args):
             payload["filtration"] = []
             payload["extraction_error"] = exc.code
             payload["limit_spectrum"] = [float(x) for x in (exc.spectrum or [])]
-    if args.log:
-        with open(args.log, "wb") as fh:
-            fh.write(qio.flow_log_csv(report))
+    _log(args, qio.flow_log_csv, report)
     _writeout(args, payload)
     return EXIT_OK if report.converged else EXIT_NEGATIVE
 
@@ -120,32 +122,16 @@ def _cmd_vortex(args):
     try:
         result = solve_vortex(bundle.system, tol=args.tol, max_newton=args.max_newton)
     except NewtonStall as stall:
-        payload = {
-            "schema": qio.SCHEMA_TAG,
-            "command": "vortex",
-            "status": "stall",
-            "sup_residual": stall.history[-1][1] if stall.history else float("nan"),
-            "error_code": stall.code,
-        }
-        if args.log and stall.history:
-            with open(args.log, "wb") as fh:
-                fh.write(qio.newton_log_csv(stall))
-        _writeout(args, payload)
+        if stall.history:
+            _log(args, qio.newton_log_csv, stall)
+        residual = stall.history[-1][1] if stall.history else float("nan")
+        _writeout(args, {"status": "stall", "sup_residual": residual, "error_code": stall.code})
         return EXIT_NEGATIVE
     if args.out:
         qio.write_potential_binary(args.out, result.state, sorted(bundle.system.quiver.vertices))
-    if args.log:
-        with open(args.log, "wb") as fh:
-            fh.write(qio.newton_log_csv(result))
-    if not args.quiet:
-        summary = {
-            "schema": qio.SCHEMA_TAG,
-            "command": "vortex",
-            "status": "converged",
-            "sup_residual": result.sup_residual,
-            "newton_iterations": result.iterations,
-        }
-        sys.stdout.write(qio.export_report(summary, "json").decode() + "\n")
+    _log(args, qio.newton_log_csv, result)
+    summary = dict(status="converged", sup_residual=result.sup_residual, newton_iterations=result.iterations)
+    _writeout(args, summary, stdout_only=True)
     return EXIT_OK
 
 
@@ -159,8 +145,6 @@ def _cmd_tensor(args):
     tau = {v: left.params.tau[v] + right.params.tau[v] for v in product.quiver.vertices}
     params = StabilityParams(dict(left.params.sigma), tau)
     payload = {
-        "schema": qio.SCHEMA_TAG,
-        "command": "tensor",
         "dims": dict(product.dims),
         "tau": tau,
         "rep": qio.encode_rep(product),
@@ -194,27 +178,25 @@ def _cmd_ymh(args):
     bundle = _load(args, need=("quiver", "params", "system"))
     system = bundle.system
     check_seed(args.seed)
+    n = system.grid.n
+    if not 0 <= args.modes <= (n - 1) // 2:
+        # 2 modes + 1 frequencies per axis fit the N-point grid without aliasing
+        raise QuiverforgeError(f"modes must be in 0..{(n - 1) // 2} on a grid of N = {n}, got {args.modes}")
     rng = np.random.default_rng(args.seed)
     if args.state:
         u = qio.read_potential_binary(args.state, sorted(system.quiver.vertices))
         for f in u.values():
-            if f.shape != (system.grid.n, system.grid.n):
-                raise SchemaError(
-                    [("/N", f"state grid N = {f.shape[0]} differs from the system's N = {system.grid.n}")]
-                )
+            if f.shape != (n, n):
+                raise SchemaError([("/N", f"state grid N = {f.shape[0]} differs from the system's N = {n}")])
         state = PotentialState(u)
     else:
-        state = PotentialState(
-            {v: np.zeros((system.grid.n, system.grid.n)) for v in system.quiver.vertices}
-        )
+        state = PotentialState({v: np.zeros((n, n)) for v in system.quiver.vertices})
     phi = {}
     for a in system.quiver.arrows:
         if system.degrees[a.tail] == 0 and system.degrees[a.head] == 0:
-            phi[a.name] = _random_smooth(rng, system.grid.n, args.modes)
+            phi[a.name] = _random_smooth(rng, n, args.modes)
     report = ymh_identity(system, state, phi, tol=args.tol)
     payload = {
-        "schema": qio.SCHEMA_TAG,
-        "command": "ymh",
         "lhs": report.lhs,
         "rhs": report.rhs,
         "mismatch": report.mismatch,
@@ -238,8 +220,6 @@ def _cmd_relations(args):
     bundle = _load(args, need=("quiver", "rep", "relations"))
     reports = check_relations(bundle.rep, bundle.relations, tol=args.tol)
     payload = {
-        "schema": qio.SCHEMA_TAG,
-        "command": "relations",
         "residuals": [r.residual for r in reports],
         "satisfied": all(r.satisfied for r in reports),
     }
@@ -345,8 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _report_error(exc: QuiverforgeError) -> int:
-    payload = {"error": str(exc), "error_code": exc.code}
+def _report_error(exc: Exception) -> int:
+    """One JSON line on stderr; an error without a code (OSError, bad JSON) is an ``io_error``."""
+    payload = {"error": str(exc), "error_code": getattr(exc, "code", "io_error")}
     sys.stderr.write(qio.export_report(payload, "json").decode() + "\n")
     return EXIT_ERROR
 
@@ -356,11 +337,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except QuiverforgeError as exc:
+    except (QuiverforgeError, OSError, json.JSONDecodeError) as exc:
         return _report_error(exc)
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f'{{"error":{json.dumps(str(exc))},"error_code":"io_error"}}\n')
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

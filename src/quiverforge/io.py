@@ -13,6 +13,9 @@ relations   {"relations": [{"terms": [{"coeff": [re, im],
 system      {"degrees": {vertex: int}, "weights": {arrow: {"kind":
              "constant"|"bump", ...}}, "N": int}
 
+A key of dims, rep arrows, sigma, tau, degrees or weights that is not a
+vertex or an arrow of the quiver is refused at its pointer.
+
 Reports are exported with sorted keys and %.17g floats so identical runs
 produce identical bytes.  The vortex output binary starts with the magic
 b"QVTX1", then uint32 N and uint32 vertex count, then the row-major float64
@@ -85,6 +88,30 @@ def _expect(value, kind, errs, ptr, what):
         return value
     errs.append((ptr, f"expected {what}"))
     return None
+
+
+def _known(section: Mapping, quiver: Quiver | None, what: str, errs: list, ptr: str):
+    """(key, value, pointer) for each entry of a keyed section whose key is
+    a ``what`` ("vertex" or "arrow") of ``quiver``, or for every entry when
+    ``quiver`` is None; any other key is recorded as unknown at its own
+    pointer."""
+    if quiver is not None:
+        names = quiver.vertices if what == "vertex" else {a.name for a in quiver.arrows}
+    for key, value in section.items():
+        if quiver is None or key in names:
+            yield key, value, f"{ptr}/{key}"
+        else:
+            errs.append((f"{ptr}/{key}", f"unknown {what} {key!r}"))
+
+
+def _build(errs: list, ptr: str, make, *args):
+    """``make(*args)``, or None when it raises: a constructor's refusal
+    becomes a schema error at ``ptr``."""
+    try:
+        return make(*args)
+    except Exception as exc:
+        errs.append((ptr, str(exc)))
+        return None
 
 
 def _decode_matrix(rows, errs, ptr):
@@ -164,13 +191,8 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
             weight[name] = np.eye(m, dtype=complex)
     if errs:
         return None, None
-    try:
-        quiver = Quiver(tuple(vertices), tuple(arrows))
-        twist = TwistSpec(mult, weight)
-    except Exception as exc:  # surfaced as schema errors with a pointer
-        errs.append((ptr, str(exc)))
-        return None, None
-    return quiver, twist
+    pair = _build(errs, ptr, lambda: (Quiver(tuple(vertices), tuple(arrows)), TwistSpec(mult, weight)))
+    return pair or (None, None)
 
 
 def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: str = "/rep"):
@@ -180,33 +202,21 @@ def decode_rep(doc: Mapping, quiver: Quiver, twist: TwistSpec, errs: list, ptr: 
     if not isinstance(dims_doc, dict):
         errs.append((f"{ptr}/dims", "expected an object of vertex dims"))
         return None
-    dims = {}
-    for v, d in dims_doc.items():
-        if v not in set(quiver.vertices):
-            errs.append((f"{ptr}/dims/{v}", f"unknown vertex {v!r}"))
-            continue
-        dims[v] = _decode_number(d, errs, f"{ptr}/dims/{v}", int)
+    dims = {
+        v: _decode_number(d, errs, p, int)
+        for v, d, p in _known(dims_doc, quiver, "vertex", errs, f"{ptr}/dims")
+    }
     slices = {}
     arrow_docs = _expect(doc.get("arrows") or {}, dict, errs, f"{ptr}/arrows", "an object of arrow slices")
-    for a, mats in (arrow_docs or {}).items():
-        aptr = f"{ptr}/arrows/{a}"
-        if a not in {x.name for x in quiver.arrows}:
-            errs.append((aptr, f"unknown arrow {a!r}"))
-            continue
+    for a, mats, aptr in _known(arrow_docs or {}, quiver, "arrow", errs, f"{ptr}/arrows"):
         if not isinstance(mats, list):
             errs.append((aptr, "expected a list of slice matrices"))
             continue
         slices[a] = [_decode_matrix(m, errs, f"{aptr}/{k}") for k, m in enumerate(mats)]
-    if errs:
-        return None
-    try:
-        return build_rep(quiver, twist, dims, slices)
-    except Exception as exc:
-        errs.append((ptr, str(exc)))
-        return None
+    return None if errs else _build(errs, ptr, build_rep, quiver, twist, dims, slices)
 
 
-def decode_params(doc: Mapping, errs: list, ptr: str = "/params"):
+def decode_params(doc: Mapping, errs: list, ptr: str = "/params", quiver: Quiver | None = None):
     if _expect(doc, dict, errs, ptr, "a params object") is None:
         return None
     sigma = doc.get("sigma")
@@ -215,15 +225,9 @@ def decode_params(doc: Mapping, errs: list, ptr: str = "/params"):
         errs.append((ptr, "expected sigma and tau objects"))
         return None
     n_errs = len(errs)
-    sigma = {v: _decode_number(s, errs, f"{ptr}/sigma/{v}") for v, s in sigma.items()}
-    tau = {v: _decode_number(t, errs, f"{ptr}/tau/{v}") for v, t in tau.items()}
-    if len(errs) > n_errs:
-        return None
-    try:
-        return StabilityParams(sigma, tau)
-    except Exception as exc:
-        errs.append((ptr, str(exc)))
-        return None
+    sigma = {v: _decode_number(s, errs, p) for v, s, p in _known(sigma, quiver, "vertex", errs, f"{ptr}/sigma")}
+    tau = {v: _decode_number(t, errs, p) for v, t, p in _known(tau, quiver, "vertex", errs, f"{ptr}/tau")}
+    return None if len(errs) > n_errs else _build(errs, ptr, StabilityParams, sigma, tau)
 
 
 def decode_relations(doc: Mapping, quiver: Quiver, errs: list, ptr: str = "/relations"):
@@ -244,15 +248,10 @@ def decode_relations(doc: Mapping, quiver: Quiver, errs: list, ptr: str = "/rela
             if not isinstance(names, list) or not names:
                 errs.append((f"{tptr}/path", "expected a nonempty arrow list"))
                 continue
-            try:
-                terms.append((coeff, Path(quiver, tuple(names))))
-            except Exception as exc:
-                errs.append((f"{tptr}/path", str(exc)))
+            # a refused path leaves None behind an error, which skips the relation
+            terms.append((coeff, _build(errs, f"{tptr}/path", Path, quiver, tuple(names))))
         if not errs and terms:
-            try:
-                rels.append(Relation(tuple(terms)))
-            except Exception as exc:
-                errs.append((f"{ptr}/{i}", str(exc)))
+            rels.append(_build(errs, f"{ptr}/{i}", Relation, tuple(terms)))
     return rels if not errs else None
 
 
@@ -263,20 +262,14 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
     if not isinstance(n, int) or isinstance(n, bool):
         errs.append((f"{ptr}/N", "expected an integer grid resolution"))
         return None
-    degrees = {}
     degree_docs = _expect(doc.get("degrees") or {}, dict, errs, f"{ptr}/degrees", "an object of vertex degrees")
-    for v, d in (degree_docs or {}).items():
-        if v not in set(quiver.vertices):
-            errs.append((f"{ptr}/degrees/{v}", f"unknown vertex {v!r}"))
-            continue
-        degrees[v] = _decode_number(d, errs, f"{ptr}/degrees/{v}", int)
+    degrees = {
+        v: _decode_number(d, errs, p, int)
+        for v, d, p in _known(degree_docs or {}, quiver, "vertex", errs, f"{ptr}/degrees")
+    }
     weights = {}
     weight_docs = _expect(doc.get("weights") or {}, dict, errs, f"{ptr}/weights", "an object of arrow weights")
-    for a, w in (weight_docs or {}).items():
-        aptr = f"{ptr}/weights/{a}"
-        if a not in {x.name for x in quiver.arrows}:
-            errs.append((aptr, f"unknown arrow {a!r}"))
-            continue
+    for a, w, aptr in _known(weight_docs or {}, quiver, "arrow", errs, f"{ptr}/weights"):
         if isinstance(w, (int, float)):  # booleans too: _decode_number refuses them
             weights[a] = WeightSpec("constant", value=_decode_number(w, errs, aptr))
             continue
@@ -305,13 +298,7 @@ def decode_system(doc: Mapping, quiver: Quiver, params: StabilityParams, errs: l
             weights[a] = WeightSpec("bump", **fields)
         else:
             errs.append((f"{aptr}/kind", f"unknown weight kind {kind!r}"))
-    if errs:
-        return None
-    try:
-        return build_torus_system(quiver, degrees, weights, params, n)
-    except Exception as exc:
-        errs.append((ptr, str(exc)))
-        return None
+    return None if errs else _build(errs, ptr, build_torus_system, quiver, degrees, weights, params, n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +357,7 @@ def load_instance(paths=None, text=None) -> InstanceBundle:
     if "quiver" in merged:
         bundle.quiver, bundle.twist = decode_quiver(merged["quiver"], errs)
     if "params" in merged:
-        bundle.params = decode_params(merged["params"], errs)
+        bundle.params = decode_params(merged["params"], errs, quiver=bundle.quiver)
     if bundle.quiver is not None and bundle.params is not None:
         for v in bundle.quiver.vertices:
             if v not in bundle.params.sigma:

@@ -29,17 +29,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ._linalg import null_space, orthonormal_columns
+from ._linalg import check_hpd, null_space, orthonormal_columns
 from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
-from .flow import (
-    FiltrationStep,
-    FlowReport,
-    MetricState,
-    filtration_steps,
-    moment_map_residual,
-    phi_norm_sq,
-    residual_norm_h,
-)
+from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _frob, filtration_steps
 from .reps import (
     SubrepWitness,
     TwistedRep,
@@ -311,29 +303,26 @@ def subrep_degree_identity(
 
     ``phi_perp`` is the component of each arrow map that leaks from the
     metric-orthogonal complement of W back into W; for a metric solving the
-    equations the weighted degree of W equals minus its squared norm.
-    Raises :class:`NotASolution` when the metric residual exceeds
-    ``SOLUTION_TOL``.
+    equations the weighted degree of W equals minus its squared norm.  One
+    chart of the metric gives both terms: the residual is the Frobenius
+    norm of m~, and in the H-frame the H-orthogonal projection onto W is the
+    orthogonal projection pi onto H^{1/2} W, so the leakage is the sum of
+    |pi_head psi (1 - pi_tail)|^2 over the H-frame slices psi.  Raises
+    :class:`SingularMetric` on a metric of condition above 1e12 and
+    :class:`NotASolution` when the metric residual exceeds ``SOLUTION_TOL``.
     """
-    m = moment_map_residual(rep, metric, params)
-    res = residual_norm_h(rep, metric, m)
+    for h in metric.h.values():
+        check_hpd(h)
+    chart = _Chart.of_metric(metric, rep)
+    res = _frob(chart.moment(params.tau)[0])
     if res > SOLUTION_TOL:
         raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")
-    proj = {}
-    for v in rep.quiver.vertices:
-        b = witness.basis[v]
-        if b.shape[1] == 0:
-            proj[v] = np.zeros((rep.dims[v], rep.dims[v]), dtype=complex)
-            continue
-        gram = b.conj().T @ metric.h[v] @ b
-        proj[v] = b @ np.linalg.solve(gram, b.conj().T @ metric.h[v])
+    frames = {v: orthonormal_columns(chart.half[v][0] @ b) for v, b in witness.basis.items()}
+    pi = {v: q @ q.conj().T for v, q in frames.items()}
     deg_w, _ = degree_and_slope(witness, params)
-    perp = {
-        a.name: [
-            proj[a.head] @ sl @ (np.eye(rep.dims[a.tail], dtype=complex) - proj[a.tail])
-            for sl in rep.slices[a.name]
-        ]
+    leakage = sum(
+        float(np.linalg.norm(pi[a.head] @ p @ (np.eye(p.shape[1]) - pi[a.tail]))) ** 2
         for a in rep.quiver.arrows
-    }
-    leakage = phi_norm_sq(TwistedRep(rep.quiver, rep.twist, rep.dims, perp), metric)
+        for p in chart.psi[a.name]
+    )
     return float(abs(deg_w + leakage))

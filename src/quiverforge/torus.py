@@ -48,6 +48,7 @@ from .errors import (
     NotFlatCase,
     ShapeMismatch,
     UnsupportedDegrees,
+    check_count,
     check_tolerance,
 )
 from .flow import FlowOptions, flow_solve
@@ -566,7 +567,7 @@ def solve_vortex(
     The solve stops once the sup residual is at most ``tol``, which must be
     finite and positive.  :class:`NewtonStall` (with the best state and the
     residual history) also ends a solve that runs out of ``max_newton``
-    steps or whose line search finds no decrease.
+    steps, a nonnegative integer, or whose line search finds no decrease.
 
     Without ``initial``, a grid finer than ``COARSE_N`` starts from the
     solution on the grid of half its size (nested iteration): that solve,
@@ -583,6 +584,7 @@ def solve_vortex(
     one level.
     """
     check_tolerance("tol", tol)
+    check_count("max_newton", max_newton)
     grid = system.grid
     verts = list(system.quiver.vertices)
     witness = _unsolvable_subset(system)

@@ -87,6 +87,32 @@ def random_two_vertex_instance(seed, max_dim=3):
     return rep, tau
 
 
+def twisted_instance(base_seed):
+    """Twisted draw of the benchmark generator (``bench/gen.py``), as (rep,
+    tau): arrow 1 -> 2 of multiplicity 2 with a random positive twist weight
+    and an optional plain back arrow."""
+    rng = np.random.default_rng(base_seed)
+    d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    arrows = [("a", "1", "2")]
+    if rng.random() < 0.5:
+        arrows.append(("b", "2", "1"))
+    q = qf.Quiver.from_lists(["1", "2"], arrows)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    weight = g @ g.conj().T + 0.5 * np.eye(2)
+    twist = qf.TwistSpec({"a": 2, **{n: 1 for n, _, _ in arrows[1:]}},
+                         {"a": weight, **{n: np.eye(1, dtype=complex) for n, _, _ in arrows[1:]}})
+    dims = {"1": d1, "2": d2}
+
+    def gaussian(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    slices = {"a": [gaussian((d2, d1)) for _ in range(2)]}
+    for name, t, h in arrows[1:]:
+        slices[name] = [gaussian((dims[h], dims[t]))]
+    t1 = float(rng.normal())
+    return qf.build_rep(q, twist, dims, slices), {"1": t1, "2": -t1 * d1 / d2}
+
+
 def random_onedim_instance(seed, integer_tau=False):
     """Random one-dimensional representation on 2-4 vertices.  With
     ``integer_tau`` every slice is nonzero and tau is integral, which makes

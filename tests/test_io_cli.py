@@ -12,6 +12,7 @@ from quiverforge import cli
 from quiverforge import io as qio
 from quiverforge.errors import NewtonStall, SchemaError
 from quiverforge.torus import PotentialState
+from conftest import random_two_vertex_instance, twisted_instance
 
 
 def write(tmp_path, name, doc):
@@ -86,6 +87,50 @@ def test_schema_errors_collected(tmp_path):
     assert "/quiver/arrows/0/head" in pointers
     assert "/quiver/arrows/1/tail" in pointers
     assert any(p.startswith("/params") for p in pointers)
+
+
+@pytest.mark.parametrize("sigma", [1.0, -1.0])
+def test_params_refuse_unknown_vertices(tmp_path, sigma):
+    # entries at a vertex the quiver lacks loaded (sigma 1.0, and check
+    # exited 0) or failed the params constructor at /params (sigma -1.0)
+    doc = _kronecker_doc()
+    doc["params"]["sigma"]["zz"] = sigma
+    doc["params"]["tau"]["zz"] = 5.0
+    path = write(tmp_path, "inst.json", doc)
+    with pytest.raises(SchemaError) as info:
+        qio.load_instance([path])
+    assert info.value.errors == [
+        ("/params/sigma/zz", "unknown vertex 'zz'"), ("/params/tau/zz", "unknown vertex 'zz'"),
+    ]
+    assert cli.main(["check", "--instance", path, "--quiet"]) == 1
+    # without a quiver no vertex is unknown
+    alone = qio.load_instance(text=json.dumps({"sigma": {"zz": 1.0}, "tau": {"zz": 5.0}})).params
+    assert alone.sigma == {"zz": 1.0}
+
+
+@pytest.mark.parametrize("twisted", [True, False], ids=["twisted", "plain"])
+def test_encoders_round_trip(twisted):
+    # the benchmark writes every cli-batch instance with these encoders
+    rep, tau = twisted_instance(6013) if twisted else random_two_vertex_instance(5018)
+    params = qf.StabilityParams({"1": 2.0, "2": 3.0}, tau)
+    doc = {
+        "quiver": qio.encode_quiver(rep.quiver, rep.twist),
+        "rep": qio.encode_rep(rep),
+        "params": qio.encode_params(params),
+    }
+    assert ("twist_weight" in doc["quiver"]["arrows"][0]) == twisted
+    bundle = qio.load_instance(text=json.dumps(doc))
+    assert bundle.quiver == rep.quiver
+    assert dict(bundle.rep.dims) == dict(rep.dims)
+    assert bundle.params == params
+    for a in rep.quiver.arrows:
+        assert bundle.twist.rank(a.name) == rep.twist.rank(a.name)
+        assert np.array_equal(bundle.twist.metric(a.name), rep.twist.metric(a.name))
+        assert len(bundle.rep.slices[a.name]) == len(rep.slices[a.name])
+        for got, want in zip(bundle.rep.slices[a.name], rep.slices[a.name]):
+            assert np.array_equal(got, want)
+    if not twisted:
+        assert qio.load_instance(text=json.dumps(qio.encode_quiver(rep.quiver))).quiver == rep.quiver
 
 
 def test_rep_without_quiver_fails(tmp_path):
@@ -678,6 +723,14 @@ def _shipped(name):
         (["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "nan"], "non_finite_data"),
         (["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "-2"], "nonpositive_scale"),
         (["flow", "--instance", _shipped("kronecker_stable.json"), "--max-iter", "-1"], "nonpositive_scale"),
+        # a negative Newton budget ran no step and ended as a stall (exit 2)
+        (["vortex", "--instance", _shipped("torus_chain.json"), "--max-newton", "-1"], "nonpositive_scale"),
+        # 2 modes + 1 frequencies must fit the N = 64 grid: 100 modes raised
+        # an IndexError, 32 folded frequency 32 onto -32, and -3 drew no
+        # field and reported the identity satisfied
+        (["ymh", "--instance", _shipped("torus_chain.json"), "--modes", "100"], "error"),
+        (["ymh", "--instance", _shipped("torus_chain.json"), "--modes", "32"], "error"),
+        (["ymh", "--instance", _shipped("torus_chain.json"), "--modes", "-3"], "error"),
     ],
 )
 def test_cli_refuses_invalid_tolerance_or_seed(argv, error_code, capsys):
@@ -693,3 +746,15 @@ def test_cli_tensor_refuses_invalid_verify_tol(tmp_path, verify_tol):
         "--verify", "--verify-tol", verify_tol, "--quiet",
     ])
     assert code == 1
+
+
+def test_cli_batch_runs_past_a_bad_ymh_entry(tmp_path):
+    # the IndexError of 100 modes ended the whole manifest; 31 modes, the
+    # most that fit the N = 64 grid, still run
+    out = tmp_path / "ymh.json"
+    entries = [
+        {"command": "ymh", "instance": _shipped("torus_chain.json"), "modes": 100, "quiet": True},
+        {"command": "ymh", "instance": _shipped("torus_chain.json"), "modes": 31, "out": str(out), "quiet": True},
+    ]
+    assert cli.main(["batch", "--manifest", write(tmp_path, "m.json", entries)]) == 1
+    assert json.loads(out.read_text())["satisfied"] is True

@@ -1,6 +1,7 @@
 import csv
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,23 @@ def test_kronecker_family_matches_closed_form(monkeypatch, tmp_path):
     assert all(r["status"] == "diverged" for r in rows if float(r["t"]) < 0)
 
 
-@pytest.mark.parametrize("args", [("--steps", "0"), ("--t-min", "0", "--t-max", "0", "--steps", "1")])
+@pytest.mark.parametrize(
+    # --steps -1 was a ValueError traceback from np.linspace
+    "args", [("--steps", "0"), ("--t-min", "0", "--t-max", "0", "--steps", "1"), ("--steps", "-1")]
+)
 def test_kronecker_family_refuses_an_empty_sweep(monkeypatch, capsys, args):
     assert _run_kronecker_family(monkeypatch, *args) == 1
     assert "empty sweep" in capsys.readouterr().err
+
+
+def test_kronecker_family_has_no_closed_form_without_an_arrow_map(monkeypatch, tmp_path):
+    # phi = 0 splits the pair, so every t != 0 diverges; the closed form
+    # t/|phi|^2 read inf, with a divide-by-zero warning
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_kronecker_family(monkeypatch, "--phi", "0", "--steps", "3", "--out", str(out)) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["diverged", "diverged"]
+    assert [r["closed_form"] for r in rows] == ["", ""]

@@ -26,6 +26,7 @@ from conftest import (
     kronecker_rep,
     random_onedim_instance,
     random_two_vertex_instance,
+    twisted_instance,
     two_arrow_kron_rep,
 )
 
@@ -238,32 +239,6 @@ def test_oracle_sigma_independent_verdicts():
 
 # ---------------------------------------------------------------------------
 # the oracle's candidate enumeration
-
-
-def twisted_instance(base_seed):
-    """Twisted draw of the benchmark generator (``bench/gen.py``), as (rep,
-    tau): arrow 1 -> 2 of multiplicity 2 with a random positive twist weight
-    and an optional plain back arrow."""
-    rng = np.random.default_rng(base_seed)
-    d1, d2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    arrows = [("a", "1", "2")]
-    if rng.random() < 0.5:
-        arrows.append(("b", "2", "1"))
-    q = qf.Quiver.from_lists(["1", "2"], arrows)
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    weight = g @ g.conj().T + 0.5 * np.eye(2)
-    twist = qf.TwistSpec({"a": 2, **{n: 1 for n, _, _ in arrows[1:]}},
-                         {"a": weight, **{n: np.eye(1, dtype=complex) for n, _, _ in arrows[1:]}})
-    dims = {"1": d1, "2": d2}
-
-    def gaussian(shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    slices = {"a": [gaussian((d2, d1)) for _ in range(2)]}
-    for name, t, h in arrows[1:]:
-        slices[name] = [gaussian((dims[h], dims[t]))]
-    t1 = float(rng.normal())
-    return qf.build_rep(q, twist, dims, slices), {"1": t1, "2": -t1 * d1 / d2}
 
 
 def twisted_draw(base_seed):
@@ -634,6 +609,26 @@ def test_degree_identity_random_solved_instance():
     assert qf.subrep_degree_identity(summed, rpt.final_metric, w, params) <= 1e-8
 
 
+def test_degree_identity_reads_one_chart(monkeypatch):
+    # m~ and psi come from one chart of the metric: its eigh at each vertex
+    # and one for the twist weight of arrow a; the two eigvalsh are the
+    # conditioning check.  Charting the metric once per term took 8 eigh
+    # and 2 solve calls here
+    rep, tau = twisted_instance(6013)
+    params = qf.StabilityParams(SIGMAS[2][0], tau)
+    report = qf.flow_solve(rep, params)
+    assert report.converged and dict(rep.dims) == {"1": 2, "2": 2}
+    summand = next(stability._endomorphism_family(rep, stability._endomorphisms(rep)))
+    calls = {"eigh": 0, "eigvalsh": 0, "solve": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert qf.subrep_degree_identity(rep, report.final_metric, summand, params) <= 1e-8
+    assert calls == {"eigh": 3, "eigvalsh": 2, "solve": 0}
+
+
 def test_degree_additive_under_direct_sum():
     r1 = two_arrow_kron_rep((1.0, 0.0))
     r2 = two_arrow_kron_rep((0.0, 2.0))
@@ -680,3 +675,47 @@ def test_slope_shift_at_three():
         _, mu = qf.degree_and_slope(rep, params)
         _, mu3 = qf.degree_and_slope(rep, shifted)
         assert mu3 == pytest.approx(mu - 3.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the flow against the oracle
+
+
+def _cross_check_calls():
+    """The baseline's oracle set with one sigma per draw: criterion-4,
+    twisted and three-vertex draws at sigma index k mod 3 (criterion 4
+    shows that their tags do not depend on sigma), and the one-dimensional
+    draws with integer tau."""
+    for k in range(100):
+        rep, tau = random_two_vertex_instance(5000 + k)
+        yield rep, qf.StabilityParams(SIGMAS[2][k % 3], tau)
+    for k in range(40):
+        rep, tau = twisted_instance(6000 + k)
+        yield rep, qf.StabilityParams(SIGMAS[2][k % 3], tau)
+    for k in range(12):
+        rep, tau = three_vertex_instance(6500 + k)
+        yield rep, qf.StabilityParams(SIGMAS[3][k % 3], tau)
+    yield from filter(None, (random_onedim_instance(seed, integer_tau=True) for seed in range(30000, 30200)))
+
+
+def test_flow_stop_agrees_with_oracle_tag():
+    # the paper's correspondence read two independent ways: a metric exists
+    # exactly for polystable objects, and each divergence proof names a
+    # subobject that the oracle must see too.  A no-complement stop does not
+    # by itself mean strictly semistable: one-dimensional draw 30050 is
+    # unstable
+    seen = set()
+    for rep, params in _cross_check_calls():
+        report = qf.flow_solve(rep, params)
+        tag = qf.stability_oracle(rep, params).tag
+        seen.add((report.stop, tag))
+        assert (report.stop == "tol") == (tag in ("stable", "polystable")), (report.stop, tag)
+        assert report.status == ("converged" if report.stop == "tol" else "diverged")
+        if report.stop == "certificate":
+            assert tag == "unstable"
+        elif report.stop == "no-complement":
+            assert tag in ("strictly-semistable", "unstable")
+    assert seen == {
+        ("tol", "stable"), ("tol", "polystable"), ("certificate", "unstable"),
+        ("no-complement", "strictly-semistable"), ("no-complement", "unstable"),
+    }

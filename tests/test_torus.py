@@ -7,6 +7,7 @@ from quiverforge.errors import (
     InadmissibleParameters,
     NewtonStall,
     NonFiniteData,
+    NonpositiveScale,
     NotFlatCase,
     ShapeMismatch,
     UnsupportedDegrees,
@@ -364,6 +365,13 @@ def test_unsolvable_data_stall_before_any_newton_step(monkeypatch):
     assert sizes == [512]
     assert info.value.history == [(0, 2.0, 1.0)]
     assert all(np.abs(f).max() == 0.0 for f in info.value.best_state.u.values())
+
+
+@pytest.mark.parametrize("max_newton", [2.5, -1, True])
+def test_solve_vortex_refuses_a_bad_newton_budget(max_newton):
+    # 2.5 raised a TypeError from range(); -1 ran no step and stalled
+    with pytest.raises(NonpositiveScale):
+        qf.solve_vortex(two_vertex_system(), max_newton=max_newton)
 
 
 # ---------------------------------------------------------------------------
