@@ -46,18 +46,34 @@ def expm_herm(a: np.ndarray) -> np.ndarray:
     return funm_herm(a, np.exp)
 
 
-def check_hpd(a: np.ndarray, cond_limit: float = 1e12) -> None:
+def check_hpd(a: np.ndarray, cond_limit: float = 1e12, w: np.ndarray | None = None) -> None:
     """Raise SingularMetric unless ``a`` is Hermitian positive definite with
-    condition number below ``cond_limit``."""
+    condition number below ``cond_limit``; ``w`` are the eigenvalues of its
+    Hermitian part when already computed."""
     if a.size == 0:
         return
     if np.abs(a - a.conj().T).max() > 1e-10 * (1.0 + np.abs(a).max()):
         raise SingularMetric("metric is not Hermitian")
-    w = np.linalg.eigvalsh(herm(a))
+    w = np.linalg.eigvalsh(herm(a)) if w is None else w
     if w.min() <= 0:
         raise SingularMetric("metric is not positive definite")
     if w.max() / w.min() > cond_limit:
         raise SingularMetric(f"metric condition number exceeds {cond_limit:g}")
+
+
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Numerical rank from descending singular values: those above the cut
+    ``tol`` * max(1, s_0)."""
+    return int(np.count_nonzero(s > tol * max(1.0, s[0])))
+
+
+def _kernel(s: np.ndarray, vh: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel basis from a full SVD.  The SVD fixes each column only up to a
+    phase; the largest entry of each is made real positive, so an exact
+    kernel vector such as -e_1 comes out as e_1."""
+    basis = vh[_rank(s, tol):].conj().T
+    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return basis * (lead.conj() / np.abs(lead))
 
 
 def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -69,9 +85,22 @@ def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((n, 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cut))
-    return u[:, :r]
+    return u[:, :_rank(s, tol)]
+
+
+def stacked_columns(stack: np.ndarray, tol: float = RANK_TOL) -> list[np.ndarray]:
+    """:func:`orthonormal_columns` of every matrix in a nonempty stack
+    (k, m, n) with m, n > 0, from one SVD call."""
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    return [uk[:, :_rank(sk, tol)] for uk, sk in zip(u, s)]
+
+
+def stacked_images_and_kernels(stack: np.ndarray, tol: float = RANK_TOL) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(:func:`orthonormal_columns`, :func:`null_space`) of every square
+    matrix in a nonempty stack (k, n, n) with n > 0, from one SVD call: for a
+    square matrix the thin and the full SVD agree."""
+    u, s, vh = np.linalg.svd(stack)
+    return [(uk[:, :_rank(sk, tol)], _kernel(sk, vk, tol)) for uk, sk, vk in zip(u, s, vh)]
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -87,18 +116,13 @@ def complement_basis(basis: np.ndarray) -> np.ndarray:
 
 def null_space(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel of ``a``, with the cut of
-    :func:`orthonormal_columns`.  The SVD fixes each column only up to a
-    phase; the largest entry of each is made real positive, so an exact
-    kernel vector such as -e_1 comes out as e_1."""
+    :func:`orthonormal_columns` and the phase rule of :func:`_kernel`."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[1]
     if a.size == 0:
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    r = int(np.count_nonzero(s > tol * max(1.0, s[0])))
-    basis = vh[r:].conj().T
-    lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
-    return basis * (lead.conj() / np.abs(lead))
+    return _kernel(s, vh, tol)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_error(exc: Exception) -> int:
-    """One JSON line on stderr; an error without a code (OSError, bad JSON) is an ``io_error``."""
+    """One JSON line on stderr; an error without a code (OSError, bad JSON,
+    a file that is not UTF-8) is an ``io_error``."""
     payload = {"error": str(exc), "error_code": getattr(exc, "code", "io_error")}
     sys.stderr.write(qio.export_report(payload, "json").decode() + "\n")
     return EXIT_ERROR
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (QuiverforgeError, OSError, json.JSONDecodeError) as exc:
+    except (QuiverforgeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _report_error(exc)
 
 

@@ -63,7 +63,6 @@ from ._linalg import (
 from .errors import (
     InadmissibleParameters,
     NoSeparation,
-    SingularMetric,
     ZeroTotalRank,
     check_count,
     check_seed,
@@ -106,12 +105,16 @@ class _Chart:
             }
 
     @classmethod
-    def of_metric(cls, metric: "MetricState", rep: TwistedRep | None = None, rotated=None) -> "_Chart":
+    def of_metric(
+        cls, metric: "MetricState", rep: TwistedRep | None = None, rotated=None, cond_limit: float = np.inf
+    ) -> "_Chart":
         """Chart of a metric: one eigendecomposition per vertex, eigenvalues
-        logged; raises :class:`SingularMetric` on an eigenvalue <= 0."""
+        logged; its eigenvalues serve :func:`check_hpd`, so raises
+        :class:`SingularMetric` unless the metric is Hermitian positive
+        definite of condition at most ``cond_limit``."""
         eig = {v: eigh_checked(h) for v, h in metric.h.items()}
-        if any(np.any(w <= 0) for w, _ in eig.values()):
-            raise SingularMetric("metric is not positive definite")
+        for v, (w, _) in eig.items():
+            check_hpd(metric.h[v], cond_limit, w)
         eig = {v: (np.log(w), u) for v, (w, u) in eig.items()}
         return cls({v: (u * w) @ u.conj().T for v, (w, u) in eig.items()}, rep, rotated, eig)
 
@@ -349,9 +352,7 @@ def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
 def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[str, np.ndarray]:
     """Per-vertex moment-map defect m_v(H) = H_v^{-1/2} m~_v H_v^{1/2}, H_v-selfadjoint;
     refuses metrics that :func:`check_hpd` rejects (condition above 1e12)."""
-    for h in metric.h.values():
-        check_hpd(h)
-    chart = _Chart.of_metric(metric, rep)
+    chart = _Chart.of_metric(metric, rep, cond_limit=1e12)
     return chart.to_background(chart.moment(params.tau)[0])
 
 

@@ -18,6 +18,7 @@ from ._linalg import (
     kron,
     orthonormal_columns,
     projector,
+    stacked_columns,
 )
 from .errors import (
     DimensionOverflow,
@@ -245,40 +246,62 @@ def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TO
     return leakage <= tol, leakage
 
 
-def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> SubrepWitness:
-    """Smallest invariant subspace containing the given per-vertex vectors.
+def invariant_closures(rep: TwistedRep, members: Sequence[Mapping[str, np.ndarray]]) -> list[SubrepWitness]:
+    """Smallest invariant subspace containing each member's per-vertex
+    vectors, one per member, in order.
 
-    Each step stacks the slice images Y of an arrow's tail basis onto its
-    head basis B and keeps the ``orthonormal_columns`` of [B, Y] when the
-    rank grows.  A step whose images already lie in range(B), with
-    ||(1 - B B^H) Y||_F <= ``RANK_TOL``, skips that SVD: by Weyl's
-    inequality sigma_{r+1}([B, Y]) <= ||(1 - B B^H) Y||_2 <= ``RANK_TOL``,
-    at most the cut ``RANK_TOL`` * max(1, s_0), so the SVD would keep rank r
-    = rank B and leave B unchanged.  This holds while s_0 < 1/``RANK_TOL``,
-    so that B's own singular values (all 1) survive the cut.
+    Every member's generators are first made orthonormal, the
+    ``orthonormal_columns`` of each, in one stacked SVD per vertex and
+    generator shape.  Then each member grows on its own: each step stacks the
+    slice images Y of an arrow's tail basis onto its head basis B and keeps
+    the ``orthonormal_columns`` of [B, Y] when the rank grows.  A step whose
+    images already lie in range(B), with ||(1 - B B^H) Y||_F <= ``RANK_TOL``,
+    skips that SVD: by Weyl's inequality sigma_{r+1}([B, Y]) <=
+    ||(1 - B B^H) Y||_2 <= ``RANK_TOL``, at most the cut ``RANK_TOL`` *
+    max(1, s_0), so the SVD would keep rank r = rank B and leave B
+    unchanged.  This holds while s_0 < 1/``RANK_TOL``, so that B's own
+    singular values (all 1) survive the cut.
     """
-    bases = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
-    for v, g in generators.items():
-        g = np.asarray(g, dtype=complex)
-        if g.ndim == 1:
-            g = g[:, None]
-        bases[v] = orthonormal_columns(np.hstack([bases[v], g]))
-    changed = True
-    while changed:
-        changed = False
-        for a in rep.quiver.arrows:
-            src = bases[a.tail]
-            if src.shape[1] == 0:
-                continue
-            head = bases[a.head]
-            images = np.hstack([s @ src for s in rep.slices[a.name]])
-            if np.linalg.norm(images - head @ (head.conj().T @ images)) <= RANK_TOL:
-                continue
-            grown = orthonormal_columns(np.hstack([head, images]))
-            if grown.shape[1] != head.shape[1]:
-                bases[a.head] = grown
-                changed = True
-    return SubrepWitness(bases)
+    empty = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
+    starts = [dict(empty) for _ in members]
+    groups: dict[tuple, list] = {}
+    for i, generators in enumerate(members):
+        for v, g in generators.items():
+            g = np.asarray(g, dtype=complex)
+            if g.ndim == 1:
+                g = g[:, None]
+            if g.shape[0] != rep.dims[v]:
+                raise ShapeMismatch(f"generators at {v!r}: ambient dimension {g.shape[0]} != {rep.dims[v]}")
+            if g.size:
+                groups.setdefault((v, g.shape), []).append((i, g))
+    for (v, _), entries in groups.items():
+        for (i, _), basis in zip(entries, stacked_columns(np.array([g for _, g in entries]))):
+            starts[i][v] = basis
+    closures = []
+    for bases in starts:
+        changed = True
+        while changed:
+            changed = False
+            for a in rep.quiver.arrows:
+                src = bases[a.tail]
+                if src.shape[1] == 0:
+                    continue
+                head = bases[a.head]
+                images = np.hstack([s @ src for s in rep.slices[a.name]])
+                if np.linalg.norm(images - head @ (head.conj().T @ images)) <= RANK_TOL:
+                    continue
+                grown = orthonormal_columns(np.hstack([head, images]))
+                if grown.shape[1] != head.shape[1]:
+                    bases[a.head] = grown
+                    changed = True
+        closures.append(SubrepWitness(bases))
+    return closures
+
+
+def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> SubrepWitness:
+    """Smallest invariant subspace containing the given per-vertex vectors:
+    :func:`invariant_closures` of the one member ``generators``."""
+    return invariant_closures(rep, [generators])[0]
 
 
 def module_map_operator(

@@ -29,13 +29,14 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ._linalg import check_hpd, null_space, orthonormal_columns
+from ._linalg import null_space, orthonormal_columns, stacked_images_and_kernels
 from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
 from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _frob, filtration_steps
 from .reps import (
     SubrepWitness,
     TwistedRep,
     invariant_closure,
+    invariant_closures,
     invariant_complement,
     module_map_operator,
 )
@@ -136,25 +137,36 @@ def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
     the sum of V_v over S and the largest invariant subobject inside it.
     On one-dimensional vertices these are the closed vertex subsets."""
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
-    for r in range(1, len(verts)):
-        for subset in combinations(verts, r):
-            yield invariant_closure(rep, {v: np.eye(rep.dims[v], dtype=complex) for v in subset})
-            yield _largest_invariant_inside(rep, subset)
+    subsets = [subset for r in range(1, len(verts)) for subset in combinations(verts, r)]
+    members = [{v: np.eye(rep.dims[v], dtype=complex) for v in subset} for subset in subsets]
+    for subset, closure in zip(subsets, invariant_closures(rep, members)):
+        yield closure
+        yield _largest_invariant_inside(rep, subset)
 
 
 def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
     """For every element f of the basis ``ends`` of End(V) and every
     eigenvalue lambda of f, the closures of ker(f - lambda) and
     im(f - lambda); both are invariant because f is a module map.  None
-    when End(V) is the scalars."""
+    when End(V) is the scalars.  Each nonzero vertex takes one stacked
+    eigenvalue call over the basis and one stacked SVD over every
+    f - lambda, which gives both its kernel and its image."""
     if len(ends) < 2:
         return
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
-    for f in ends:
-        for lam in _eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
-            shifted = {v: f[v] - lam * np.eye(rep.dims[v]) for v in verts}
-            yield invariant_closure(rep, {v: null_space(m) for v, m in shifted.items()})
-            yield invariant_closure(rep, {v: orthonormal_columns(m) for v, m in shifted.items()})
+    eigs = {v: np.linalg.eigvals(np.array([f[v] for f in ends])) for v in verts}
+    shifts = [
+        (f, lam)
+        for i, f in enumerate(ends)
+        for lam in _eigenvalue_clusters(np.concatenate([eigs[v][i] for v in verts]))
+    ]
+    split = {
+        v: stacked_images_and_kernels(np.array([f[v] - lam * np.eye(rep.dims[v]) for f, lam in shifts]))
+        for v in verts
+    }
+    # split[v][k] is (image, kernel); each shift gives its kernel first
+    members = [{v: split[v][k][j] for v in verts} for k in range(len(shifts)) for j in (1, 0)]
+    yield from invariant_closures(rep, members)
 
 
 def _random_vectors(rep: TwistedRep, options: OracleOptions) -> Iterator[tuple[str, np.ndarray]]:
@@ -311,9 +323,7 @@ def subrep_degree_identity(
     :class:`SingularMetric` on a metric of condition above 1e12 and
     :class:`NotASolution` when the metric residual exceeds ``SOLUTION_TOL``.
     """
-    for h in metric.h.values():
-        check_hpd(h)
-    chart = _Chart.of_metric(metric, rep)
+    chart = _Chart.of_metric(metric, rep, cond_limit=1e12)
     res = _frob(chart.moment(params.tau)[0])
     if res > SOLUTION_TOL:
         raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")

@@ -748,6 +748,30 @@ def test_cli_tensor_refuses_invalid_verify_tol(tmp_path, verify_tol):
     assert code == 1
 
 
+def _not_utf8(tmp_path):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(_kronecker_doc()).encode("utf-16-le"))
+    return str(p)
+
+
+def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    # a file that is not UTF-8 ended in a UnicodeDecodeError traceback
+    assert cli.main(["check", "--instance", _not_utf8(tmp_path), "--quiet"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "io_error"
+
+
+def test_cli_batch_runs_past_a_file_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "check.json"
+    entries = [
+        {"command": "check", "instance": _not_utf8(tmp_path), "quiet": True},
+        {"command": "check", "instance": write(tmp_path, "ok.json", _kronecker_doc()), "out": str(out), "quiet": True},
+    ]
+    assert cli.main(["batch", "--manifest", write(tmp_path, "m.json", entries)]) == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == "io_error"
+    assert json.loads(out.read_text())["verdict"] == "stable"
+
+
 def test_cli_batch_runs_past_a_bad_ymh_entry(tmp_path):
     # the IndexError of 100 modes ended the whole manifest; 31 modes, the
     # most that fit the N = 64 grid, still run

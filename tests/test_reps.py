@@ -227,6 +227,14 @@ def test_closure_is_invariant(seed):
     assert ok, leak
 
 
+def test_closure_refuses_generators_of_the_wrong_height():
+    # stacked generators of one shape are decomposed together, so a height
+    # that is not the vertex dimension is refused rather than closed
+    rep = qf.build_rep(kronecker_quiver(1), None, {"1": 2, "2": 1}, {"a0": [np.ones((1, 2))]})
+    with pytest.raises(ShapeMismatch):
+        invariant_closure(rep, {"1": np.ones(3)})
+
+
 def test_invariant_complement():
     q = kronecker_quiver(1)
     rep = qf.direct_sum(

@@ -12,13 +12,14 @@ from quiverforge.errors import (
     NoSeparation,
     NotASolution,
     NotDivergent,
+    SingularMetric,
     ZeroTotalRank,
 )
-from quiverforge._linalg import orthonormal_columns
+from quiverforge._linalg import null_space, orthonormal_columns
 from quiverforge.flow import FlowReport, MetricState
 from quiverforge import flow, stability
 from quiverforge.gallery import kronecker_quiver
-from quiverforge.reps import invariant_closure, module_map_operator
+from quiverforge.reps import full_witness, invariant_closure, invariant_closures, module_map_operator
 from conftest import (
     jordan_params,
     jordan_rep,
@@ -349,10 +350,45 @@ def _closure_generators(rep):
 
 
 def test_closure_matches_always_svd_reference():
+    # one at a time, and all of a draw's generators in one call, whose
+    # stacked SVDs orthonormalize every member's generators at once
     for rep in _oracle_draws():
-        for generators in _closure_generators(rep):
-            got = invariant_closure(rep, generators)
-            assert _basis_bytes(got) == _basis_bytes(_closure_reference(rep, generators))
+        members = list(_closure_generators(rep))
+        want = [_basis_bytes(_closure_reference(rep, g)) for g in members]
+        assert [_basis_bytes(invariant_closure(rep, g)) for g in members] == want
+        assert [_basis_bytes(w) for w in invariant_closures(rep, members)] == want
+
+
+def test_endomorphism_family_decomposes_in_stacked_calls(monkeypatch):
+    # twisted draw 6004 has dim End(V) = 3; each nonzero vertex takes one
+    # eigvals call over the basis and one SVD over every f - lambda, and the
+    # members and their closures equal the one-at-a-time construction
+    rep = twisted_draw(6004)
+    ends = stability._endomorphisms(rep)
+    assert len(ends) == 3
+    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
+    generators = []
+    for f in ends:
+        for lam in stability._eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
+            shifted = {v: f[v] - lam * np.eye(rep.dims[v]) for v in verts}
+            generators.append({v: null_space(m) for v, m in shifted.items()})
+            generators.append({v: orthonormal_columns(m) for v, m in shifted.items()})
+    want = [_basis_bytes(invariant_closure(rep, g)) for g in generators]
+    assert [_basis_bytes(w) for w in stability._endomorphism_family(rep, ends)] == want
+
+    members = []
+    monkeypatch.setattr(stability, "invariant_closures", lambda rep, ms: members.extend(ms) or [])
+    calls = {"eigvals": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    list(stability._endomorphism_family(rep, ends))
+    assert calls == {"eigvals": len(verts), "svd": len(verts)}
+    assert [_basis_bytes(qf.SubrepWitness(m)) for m in members] == [
+        _basis_bytes(qf.SubrepWitness(g)) for g in generators
+    ]
 
 
 def _proper(rep, family):
@@ -611,9 +647,10 @@ def test_degree_identity_random_solved_instance():
 
 def test_degree_identity_reads_one_chart(monkeypatch):
     # m~ and psi come from one chart of the metric: its eigh at each vertex
-    # and one for the twist weight of arrow a; the two eigvalsh are the
-    # conditioning check.  Charting the metric once per term took 8 eigh
-    # and 2 solve calls here
+    # and one for the twist weight of arrow a; the conditioning check reads
+    # the chart's eigenvalues.  Charting the metric once per term took 8
+    # eigh and 2 solve calls here, and a separate conditioning check 2
+    # eigvalsh
     rep, tau = twisted_instance(6013)
     params = qf.StabilityParams(SIGMAS[2][0], tau)
     report = qf.flow_solve(rep, params)
@@ -626,7 +663,25 @@ def test_degree_identity_reads_one_chart(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     assert qf.subrep_degree_identity(rep, report.final_metric, summand, params) <= 1e-8
-    assert calls == {"eigh": 3, "eigvalsh": 2, "solve": 0}
+    assert calls == {"eigh": 3, "eigvalsh": 0, "solve": 0}
+
+
+def test_metric_checks_read_the_chart():
+    # a metric of condition above 1e12 is refused by both functions that
+    # take their conditioning check from the chart; zero-dimensional
+    # vertices are accepted
+    rep = kronecker_rep(dims=(2, 1))
+    params = kronecker_params()
+    bad = MetricState({"1": np.diag([1e13, 1.0]).astype(complex), "2": np.eye(1, dtype=complex)})
+    with pytest.raises(SingularMetric, match="condition number exceeds 1e\\+12"):
+        qf.moment_map_residual(rep, bad, params)
+    with pytest.raises(SingularMetric, match="condition number exceeds 1e\\+12"):
+        qf.subrep_degree_identity(rep, bad, full_witness(rep), params)
+    empty = kronecker_rep(dims=(1, 0))
+    zero = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": 0.0, "2": 0.0})
+    metric = MetricState.identity(empty)
+    assert qf.moment_map_residual(empty, metric, zero)["2"].shape == (0, 0)
+    assert qf.subrep_degree_identity(empty, metric, full_witness(empty), zero) == 0.0
 
 
 def test_degree_additive_under_direct_sum():
