@@ -170,9 +170,9 @@ def _frob(c: HermCollection) -> float:
 class MetricState:
     """One Hermitian positive definite form per vertex.
 
-    ``validate=False`` skips the definiteness check; the flow uses it when
-    packaging endpoints that did not converge, whose condition number can
-    defeat floating point eigensolvers.
+    ``validate=False`` skips the definiteness check; the flow uses it and
+    checks converged endpoints from the eigenvalues of their chart (those
+    that did not converge can defeat floating point eigensolvers).
     """
 
     h: Mapping[str, np.ndarray]
@@ -403,6 +403,8 @@ def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> 
 GAP_THRESHOLD = 0.05
 # Gauss-Newton steps of the invariant rounding
 POLISH_STEPS = 8
+# most dimension vectors _semistability_bound enumerates
+BOUND_GRID_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -482,8 +484,11 @@ def _semistability_bound(rep: TwistedRep, params, mu: float) -> tuple[float, boo
     slope above ``mu`` + ``SLOPE_TOL`` (inf when there are none), and
     whether some proper dimension vector has slope within ``SLOPE_TOL`` of
     ``mu``.  Sizes are plain total dimensions, as the residual is the
-    unweighted norm of m~; sigma only decides which vectors destabilize."""
+    unweighted norm of m~; sigma only decides which vectors destabilize.
+    Past ``BOUND_GRID_ROWS`` vectors it is (0, True), which rules nothing out."""
     verts = rep.quiver.vertices
+    if np.prod([rep.dims[v] + 1 for v in verts], dtype=float) > BOUND_GRID_ROWS:
+        return 0.0, True
     grid = np.indices([rep.dims[v] + 1 for v in verts]).reshape(len(verts), -1).T
     size = grid.sum(axis=1)
     proper = (size > 0) & (size < rep.total_dim)
@@ -888,7 +893,10 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         proof, steps = read_proof(point, s_norm)
     stop = proof or stop
     status = "diverged" if proof else "converged" if stop == "tol" else "max-iter"
-    final = MetricState(chart.h, validate=(status == "converged"))
+    if status == "converged":
+        for v, (w, _) in chart.eig.items():
+            check_hpd(chart.h[v], np.inf, np.exp(w))
+    final = MetricState(chart.h, validate=False)
     # every exit leaves the loop on the chart it classified
     limit = _unit(chart.s, s_norm) if proof else None
     return FlowReport(

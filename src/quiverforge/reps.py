@@ -14,8 +14,8 @@ import numpy as np
 
 from ._linalg import (
     RANK_TOL,
-    complement_basis,
     kron,
+    null_space,
     orthonormal_columns,
     projector,
     stacked_columns,
@@ -260,7 +260,7 @@ def invariant_closures(rep: TwistedRep, members: Sequence[Mapping[str, np.ndarra
     ||(1 - B B^H) Y||_2 <= ``RANK_TOL``, at most the cut ``RANK_TOL`` *
     max(1, s_0), so the SVD would keep rank r = rank B and leave B
     unchanged.  This holds while s_0 < 1/``RANK_TOL``, so that B's own
-    singular values (all 1) survive the cut.
+    singular values (all 1) survive the cut.  A full B skips the test too.
     """
     empty = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
     starts = [dict(empty) for _ in members]
@@ -283,10 +283,9 @@ def invariant_closures(rep: TwistedRep, members: Sequence[Mapping[str, np.ndarra
         while changed:
             changed = False
             for a in rep.quiver.arrows:
-                src = bases[a.tail]
-                if src.shape[1] == 0:
+                src, head = bases[a.tail], bases[a.head]
+                if src.shape[1] == 0 or head.shape[1] == head.shape[0]:
                     continue
-                head = bases[a.head]
                 images = np.hstack([s @ src for s in rep.slices[a.name]])
                 if np.linalg.norm(images - head @ (head.conj().T @ images)) <= RANK_TOL:
                     continue
@@ -296,6 +295,13 @@ def invariant_closures(rep: TwistedRep, members: Sequence[Mapping[str, np.ndarra
                     changed = True
         closures.append(SubrepWitness(bases))
     return closures
+
+
+def _adjoint(rep: TwistedRep) -> TwistedRep:
+    """Arrows reversed, slices conjugate-transposed: W^perp is invariant here exactly when W is in ``rep``."""
+    arrows = tuple(Arrow(a.name, a.head, a.tail) for a in rep.quiver.arrows)
+    slices = {name: tuple(s.conj().T for s in mats) for name, mats in rep.slices.items()}
+    return TwistedRep(Quiver(rep.quiver.vertices, arrows), rep.twist, rep.dims, slices)
 
 
 def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> SubrepWitness:
@@ -370,7 +376,7 @@ def invariant_complement(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitne
     if np.linalg.norm(system @ x - target) > SUBREP_TOL * np.linalg.norm(target):
         return None
     p = equations(x)[1]
-    return SubrepWitness({v: complement_basis(orthonormal_columns(p[v].conj().T)) for v in verts})
+    return SubrepWitness({v: null_space(p[v]) for v in verts})
 
 
 # ---------------------------------------------------------------------------

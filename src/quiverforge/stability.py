@@ -7,8 +7,8 @@ stops its flow on the first exactly invariant destabilizer.
 :func:`stability_oracle` enumerates subobjects from two exact
 linear-algebra families.  The coordinate family takes, for every proper
 vertex subset S, the closure of the sum of V_v over S and the largest
-invariant subobject inside it (the Wong sequence U_tail <- U_tail ∩
-phi^{-1}(U_head) of Ivanyos-Karpinski-Qiao-Santha); on one-dimensional
+invariant subobject inside it, the orthogonal complement of the closure of
+the sum of V_v outside S in the adjoint representation; on one-dimensional
 vertices these are all the subobjects.  The End(V) family takes a basis of
 End(V), the kernel of the module-map operator, and for each element f and
 eigenvalue lambda the kernel and image of f - lambda, which are subobjects
@@ -35,6 +35,7 @@ from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _frob, filtra
 from .reps import (
     SubrepWitness,
     TwistedRep,
+    _adjoint,
     invariant_closure,
     invariant_closures,
     invariant_complement,
@@ -100,27 +101,6 @@ def _endomorphisms(rep: TwistedRep) -> list[dict[str, np.ndarray]]:
     ]
 
 
-def _largest_invariant_inside(rep: TwistedRep, subset) -> SubrepWitness:
-    """Largest invariant subobject inside the sum of V_v over ``subset``:
-    U_tail <- U_tail ∩ phi^{-1}(U_head) over every slice, to a fixed point
-    (the Wong sequence)."""
-    n = rep.dims
-    bases = {v: np.eye(n[v], n[v] if v in subset else 0, dtype=complex) for v in rep.quiver.vertices}
-    changed = True
-    while changed:
-        changed = False
-        for a in rep.quiver.arrows:
-            src, head = bases[a.tail], bases[a.head]
-            if src.shape[1] == 0:
-                continue
-            perp = np.eye(n[a.head]) - head @ head.conj().T
-            keep = null_space(np.vstack([perp @ s @ src for s in rep.slices[a.name]]))
-            if keep.shape[1] < src.shape[1]:
-                bases[a.tail] = src @ keep
-                changed = True
-    return SubrepWitness(bases)
-
-
 def _eigenvalue_clusters(vals: np.ndarray) -> list[complex]:
     """Means of the groups of eigenvalues chained within
     ``EIGEN_CLUSTER_TOL``."""
@@ -135,13 +115,18 @@ def _eigenvalue_clusters(vals: np.ndarray) -> list[complex]:
 def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
     """For every proper subset S of the nonzero vertices, the closure of
     the sum of V_v over S and the largest invariant subobject inside it.
-    On one-dimensional vertices these are the closed vertex subsets."""
+    W is invariant exactly when W^perp is invariant in the adjoint
+    representation, so the latter is the complement of the adjoint closure
+    of the sum of V_v outside S, which is all of V_v there.  On
+    one-dimensional vertices these are the closed vertex subsets."""
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
     subsets = [subset for r in range(1, len(verts)) for subset in combinations(verts, r)]
-    members = [{v: np.eye(rep.dims[v], dtype=complex) for v in subset} for subset in subsets]
-    for subset, closure in zip(subsets, invariant_closures(rep, members)):
+    closures = invariant_closures(rep, [{v: np.eye(rep.dims[v]) for v in subset} for subset in subsets])
+    outside = [{v: np.eye(rep.dims[v]) for v in verts if v not in subset} for subset in subsets]
+    for closure, dual in zip(closures, invariant_closures(_adjoint(rep), outside)):
         yield closure
-        yield _largest_invariant_inside(rep, subset)
+        perp = {v: b[:, :0] if b.shape[1] == len(b) else null_space(b.conj().T) for v, b in dual.basis.items()}
+        yield SubrepWitness(perp)
 
 
 def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
@@ -223,7 +208,7 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     """Enumeration verdict over exact subobject families.
 
     The candidates are the coordinate family (closures of coordinate
-    subobjects and the largest invariant subobjects inside them), the
+    subobjects and the largest invariant ones inside, by adjoint closure), the
     End(V) family (kernels and images of endomorphisms minus an
     eigenvalue) and closures of random vectors.  Looks for a proper
     invariant subobject of strictly larger slope (``unstable``, with

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +494,36 @@ def test_divergent_flows_stay_above_the_semistability_bound():
             delta, _ = flow._semistability_bound(rep, params, qf.degree_and_slope(rep, params)[1])
             assert min(row[2] for row in rpt.iter_log) >= delta, (seed, sigma)
     assert diverged == 186
+
+
+def test_semistability_bound_builds_no_oversized_grid(monkeypatch):
+    # 17 vertices of dimension 2 have 3^17 dimension vectors, several GiB
+    # of grid; above the row limit the bound is (0, True), which rules no
+    # proof reading out
+    indices = np.indices
+
+    def guarded(dimensions, *args, **kwargs):
+        assert math.prod(dimensions) <= flow.BOUND_GRID_ROWS, dimensions
+        return indices(dimensions, *args, **kwargs)
+
+    monkeypatch.setattr(np, "indices", guarded)
+    verts = [str(i) for i in range(17)]
+    q = qf.Quiver.from_lists(verts, [(f"a{i}", verts[i], verts[i + 1]) for i in range(16)])
+    rep = qf.build_rep(q, None, {v: 2 for v in verts})
+    params = qf.StabilityParams({v: 1.0 for v in verts}, {v: 0.0 for v in verts})
+    assert flow._semistability_bound(rep, params, 0.0) == (0.0, True)
+
+
+def test_converged_flow_decomposes_its_final_metric_once(monkeypatch):
+    # the final metric is checked against the eigenvalues of the chart it
+    # is built from, so packaging it runs no eigvalsh of its own
+    rep, params = kronecker_rep(n_arrows=3, dims=(2, 2)), kronecker_params()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    rpt = qf.flow_solve(rep, params)
+    assert rpt.status == "converged"
+    assert calls == []
 
 
 def test_converged_flows_skip_readings_below_the_bound(monkeypatch):

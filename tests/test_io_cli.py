@@ -685,15 +685,23 @@ def test_shipped_instance_cli_round_trip(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_shipped_jordan_check_report_bytes(tmp_path):
-    # the witness is ker N = span(e_1) with the basis e_1 itself: a kernel
-    # basis from an SVD is fixed only up to phase, and -e_1 would change
-    # the report
-    out = tmp_path / "jordan.json"
-    assert cli.main(["check", "--instance", str(INSTANCE_DIR / "jordan_nilpotent.json"), "--out", str(out)]) == 2
+@pytest.mark.parametrize(
+    "name, code, report",
+    [
+        # the witness is ker N = span(e_1) with the basis e_1 itself: a
+        # kernel basis from an SVD is fixed only up to phase, and -e_1 would
+        # change the report
+        ("jordan_nilpotent", 2, b'"verdict":"strictly-semistable","witness":{"v":[[[1,0]],[[0,0]]]},"witness_slope":0}'),
+        ("kronecker_stable", 0, b'"verdict":"stable"}'),
+        ("two_way_pair", 0, b'"verdict":"stable"}'),
+    ],
+    ids=["jordan_nilpotent", "kronecker_stable", "two_way_pair"],
+)
+def test_shipped_check_report_bytes(tmp_path, name, code, report):
+    out = tmp_path / "report.json"
+    assert cli.main(["check", "--instance", str(INSTANCE_DIR / f"{name}.json"), "--out", str(out)]) == code
     assert out.read_bytes() == (
-        b'{"certificate_source":"oracle-enumeration","command":"check","schema":"qf-1","slope":0,'
-        b'"verdict":"strictly-semistable","witness":{"v":[[[1,0]],[[0,0]]]},"witness_slope":0}'
+        b'{"certificate_source":"oracle-enumeration","command":"check","schema":"qf-1","slope":0,' + report
     )
 
 

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverforge as qf
+from quiverforge import reps
+from quiverforge._linalg import complement_basis, null_space, orthonormal_columns, projector
 from quiverforge.errors import (
     DimensionOverflow,
     NonFiniteData,
@@ -251,6 +253,34 @@ def test_invariant_complement():
         {"phi": [np.array([[0.0, 1.0], [0.0, 0.0]])]},
     )
     assert invariant_complement(jordan, qf.SubrepWitness({"v": np.eye(2)[:, :1]})) is None
+
+
+def test_invariant_complement_is_the_kernel_of_the_retraction(monkeypatch):
+    # ker p from one SVD of p spans what the complement of the row space of
+    # p spanned, with the same rank cut; here on a summand that splits in a
+    # general frame, so its complement is not the orthogonal one
+    rng = np.random.default_rng(9)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    q = kronecker_quiver(2)
+    first = qf.build_rep(q, None, {"1": 1, "2": 1}, {"a0": [gaussian(1, 1)], "a1": [gaussian(1, 1)]})
+    second = qf.build_rep(q, None, {"1": 2, "2": 1}, {"a0": [gaussian(1, 2)], "a1": [gaussian(1, 2)]})
+    rep = qf.direct_sum(first, second)
+    frames = {v: np.eye(n) + 0.5 * gaussian(n, n) for v, n in rep.dims.items()}
+    rep = qf.build_rep(q, None, rep.dims, {
+        a: [frames["2"] @ s @ np.linalg.inv(frames["1"]) for s in rep.slices[a]] for a in ("a0", "a1")
+    })
+    w = qf.SubrepWitness({v: orthonormal_columns(f[:, :1]) for v, f in frames.items()})
+    retractions = []
+    monkeypatch.setattr(reps, "null_space", lambda p: retractions.append(p) or null_space(p))
+    comp = invariant_complement(rep, w)
+    assert len(retractions) == 2
+    for p, v in zip(retractions, rep.quiver.vertices):
+        old = complement_basis(orthonormal_columns(p.conj().T))
+        assert np.abs(projector(comp.basis[v]) - projector(old)).max() < 1e-12
+        assert np.abs(projector(comp.basis[v]) - projector(orthonormal_columns(frames[v][:, 1:]))).max() < 1e-9
 
 
 def test_module_map_operator_matches_definition():

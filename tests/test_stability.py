@@ -15,11 +15,11 @@ from quiverforge.errors import (
     SingularMetric,
     ZeroTotalRank,
 )
-from quiverforge._linalg import null_space, orthonormal_columns
+from quiverforge._linalg import complement_basis, null_space, orthonormal_columns
 from quiverforge.flow import FlowReport, MetricState
 from quiverforge import flow, stability
 from quiverforge.gallery import kronecker_quiver
-from quiverforge.reps import full_witness, invariant_closure, invariant_closures, module_map_operator
+from quiverforge.reps import _adjoint, full_witness, invariant_closure, invariant_closures, module_map_operator
 from conftest import (
     jordan_params,
     jordan_rep,
@@ -436,6 +436,90 @@ def test_exact_families_are_invariant(rep, tau, end_dim, semistable):
         _, mu = qf.degree_and_slope(rep, params)
         slopes = [qf.degree_and_slope(w, params)[1] for w in endomorphism]
         assert slopes == pytest.approx([mu] * len(slopes), abs=1e-12)
+
+
+def _wong_largest_inside(rep, subset):
+    """Largest invariant subobject inside the sum of V_v over ``subset`` by
+    the Wong sequence U_tail <- U_tail ∩ phi^{-1}(U_head) over every slice,
+    to a fixed point (Ivanyos-Karpinski-Qiao-Santha)."""
+    n = rep.dims
+    bases = {v: np.eye(n[v], n[v] if v in subset else 0, dtype=complex) for v in rep.quiver.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for a in rep.quiver.arrows:
+            src, head = bases[a.tail], bases[a.head]
+            if src.shape[1] == 0:
+                continue
+            perp = np.eye(n[a.head]) - head @ head.conj().T
+            keep = null_space(np.vstack([perp @ s @ src for s in rep.slices[a.name]]))
+            if keep.shape[1] < src.shape[1]:
+                bases[a.tail] = src @ keep
+                changed = True
+    return qf.SubrepWitness(bases)
+
+
+def test_coordinate_family_matches_the_wong_sequence():
+    # the largest invariant subobject inside a coordinate subobject is the
+    # complement of an adjoint closure; the family equals, key for key and
+    # in order, the pairs [closure, Wong-sequence fixed point] for every
+    # vertex subset; in 135 of the 520 subsets the sequence cuts the
+    # coordinate subobject to a nonzero proper part
+    reps = (
+        [random_two_vertex_instance(5000 + k)[0] for k in range(100)]
+        + [twisted_draw(6000 + k) for k in range(40)]
+        + [three_vertex_draw(6500 + k) for k in range(40)]
+    )
+    cuts = 0
+    for rep in reps:
+        verts = [v for v in rep.quiver.vertices if rep.dims[v]]
+        reference = []
+        for subset in (s for r in range(1, len(verts)) for s in itertools.combinations(verts, r)):
+            inside = _wong_largest_inside(rep, subset)
+            cuts += 0 < inside.total_dim < sum(rep.dims[v] for v in subset)
+            reference += [invariant_closure(rep, {v: np.eye(rep.dims[v]) for v in subset}), inside]
+        family = list(stability._coordinate_family(rep))
+        assert list(map(stability._witness_key, family)) == list(map(stability._witness_key, reference))
+    assert cuts == 135
+
+
+def test_exact_families_are_invariant_in_the_adjoint():
+    # W is invariant exactly when W^perp is invariant under the adjoint
+    # maps phi^H on the reversed arrows; here with a twisted arrow of
+    # multiplicity 2, a zero-dimensional vertex and, from a direct sum in a
+    # general frame, an End(V) that is not the scalars
+    rng = np.random.default_rng(17)
+
+    def gaussian(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    q = qf.Quiver.from_lists(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "1"), ("c", "3", "1"), ("d", "2", "3")])
+    g = gaussian((2, 2))
+    twist = qf.TwistSpec(
+        {"a": 2, "b": 1, "c": 1, "d": 1},
+        {"a": g @ g.conj().T + 0.5 * np.eye(2), **{n: np.eye(1) for n in "bcd"}},
+    )
+
+    def summand(dims):
+        dims = {**dims, "3": 0}
+        slices = {a.name: [gaussian((dims[a.head], dims[a.tail])) for _ in range(twist.rank(a.name))] for a in q.arrows}
+        return qf.build_rep(q, twist, dims, slices)
+
+    rep = qf.direct_sum(summand({"1": 1, "2": 1}), summand({"1": 1, "2": 2}))
+    frames = {v: np.eye(n) + 0.3 * gaussian((n, n)) for v, n in rep.dims.items()}
+    rep = qf.build_rep(q, twist, rep.dims, {
+        a.name: [frames[a.head] @ s @ np.linalg.inv(frames[a.tail]) for s in rep.slices[a.name]]
+        for a in q.arrows
+    })
+    adjoint = _adjoint(rep)
+    assert [(a.tail, a.head) for a in adjoint.quiver.arrows] == [(a.head, a.tail) for a in q.arrows]
+    ends = stability._endomorphisms(rep)
+    members = list(stability._coordinate_family(rep)) + list(stability._endomorphism_family(rep, ends))
+    assert len(ends) == 2 and _proper(rep, members)
+    for w in members:
+        assert qf.check_subrep(rep, w)[0]
+        perp = qf.SubrepWitness({v: complement_basis(b) for v, b in w.basis.items()})
+        assert qf.check_subrep(adjoint, perp)[0]
 
 
 def _nilpotent_block(n, frame):
