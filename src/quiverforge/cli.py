@@ -3,11 +3,13 @@
 Exit codes: 0 for positive verdicts (stable/polystable, converged, solved,
 identity satisfied, relations satisfied); 2 for mathematically meaningful
 negatives (unstable, strictly semistable, undecided, diverged, Newton
-stall, max-iter, identity violated); 1 for errors, among them a tolerance
-that is not finite and positive and a negative seed.  All randomness flows
-from --seed (default 0, never time-based).
+stall, max-iter, identity violated); 1 for errors, among them arguments
+that do not parse, a tolerance that is not finite and positive and a
+negative seed.  All randomness flows from --seed (default 0, never
+time-based).
 """
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +17,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import io as qio
-from .errors import NewtonStall, NoSeparation, QuiverforgeError, SchemaError, check_seed, check_tolerance
+from .errors import (
+    NewtonStall,
+    NonpositiveScale,
+    NoSeparation,
+    QuiverforgeError,
+    SchemaError,
+    check_seed,
+    check_tolerance,
+)
 from .flow import (
     FlowOptions,
     MetricState,
@@ -231,7 +241,10 @@ def _run_manifest(args):
     """Run every manifest entry in isolation: an entry whose arguments do not
     parse, or that is not an object with a ``command``, reports an error
     (exit 1) and the remaining entries still run.  ``true`` values pass a
-    bare flag; ``false`` and ``null`` values omit the flag."""
+    bare flag; ``false`` and ``null`` values omit the flag.  Every entry goes
+    through ``main`` and so shares the process's one parser."""
+    if args.jobs < 1:
+        raise NonpositiveScale(f"jobs must be a positive integer, got {args.jobs}")
     with open(args.manifest, "r", encoding="utf-8") as fh:
         entries = json.load(fh)
     if not isinstance(entries, list):
@@ -247,10 +260,7 @@ def _run_manifest(args):
             argv.append(f"--{key.replace('_', '-')}")
             if val is not True:
                 argv.append(str(val))
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+        return main(argv)
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -325,6 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on first use, then shared by every main call of the process, batch
+# entries and their threads included: parsing reads the parser, never changes it
+_parser = functools.cache(build_parser)
+
+
 def _report_error(exc: Exception) -> int:
     """One JSON line on stderr; an error without a code (OSError, bad JSON,
     a file that is not UTF-8) is an ``io_error``."""
@@ -334,8 +349,10 @@ def _report_error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage error, or the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
     except (QuiverforgeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:

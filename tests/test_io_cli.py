@@ -1,5 +1,7 @@
+import argparse
 import copy
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -651,6 +653,87 @@ def test_cli_batch_isolates_bad_entry(tmp_path):
     out.unlink()
     assert cli.main(["batch", "--manifest", manifest, "--jobs", "2"]) == 1
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["check", "--seed", "abc"], 1), (["nope"], 1), (["--help"], 0)],
+    ids=["bad-value", "unknown-command", "help"],
+)
+def test_cli_usage_errors_exit_1(argv, code, capsys):
+    # argparse raised SystemExit(2) out of main: a usage error read as a
+    # negative verdict on the command line, and as an error only in batch
+    assert cli.main(argv) == code
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_batch_refuses_nonpositive_jobs(tmp_path, jobs, capsys):
+    # these ran the entries one at a time and exited 0
+    q, r, p = setup_instance(tmp_path)
+    out = tmp_path / "check.json"
+    entries = [{"command": "check", "quiver": q, "rep": r, "params": p, "out": str(out)}]
+    assert cli.main(["batch", "--manifest", write(tmp_path, "m.json", entries), "--jobs", jobs]) == 1
+    assert json.loads(capsys.readouterr().err)["error_code"] == "nonpositive_scale"
+    assert not out.exists()
+
+
+def test_cli_builds_one_parser_per_process(tmp_path, monkeypatch):
+    # every main call built the grammar again: 2 batches x (1 + 4 entries)
+    # x (1 top-level + 7 subcommand parsers) = 80 constructions
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    q, r, p = setup_instance(tmp_path)
+    entries = [{"command": c, "quiver": q, "rep": r, "params": p, "quiet": True} for c in ("check", "flow") * 2]
+    manifest = write(tmp_path, "m.json", entries)
+    assert cli.main(["batch", "--manifest", manifest]) == 0
+    assert cli.main(["batch", "--manifest", manifest, "--jobs", "2"]) == 0
+    # 0 when an earlier test already built the parser
+    assert len(built) <= 8
+
+
+def test_cli_batch_shared_parser_is_thread_safe(tmp_path):
+    # one parser serves every entry and thread: rejected entries must leave
+    # it as it was, and reports must not depend on --jobs
+    good = [
+        ("check", "kronecker_stable"),
+        ("check", "jordan_nilpotent"),
+        ("flow", "two_way_pair"),
+        ("flow", "jordan_nilpotent"),
+        ("ymh", "torus_chain"),
+    ]
+    outs = [tmp_path / f"{i}-{command}-{name}.json" for i, (command, name) in enumerate(good)]
+    entries = [
+        {"command": command, "instance": _shipped(f"{name}.json"), "out": str(out), "quiet": True}
+        for (command, name), out in zip(good, outs)
+    ]
+    bad = [
+        {"command": "nope"},
+        {"command": "check", "instance": _shipped("kronecker_stable.json"), "no_such_flag": 1},
+        {"command": "check", "instance": _shipped("kronecker_stable.json"), "seed": "abc"},
+    ]
+    for k, e in enumerate(bad):  # rejected entries run between and beside good ones
+        entries.insert(2 * k + 1, e)
+    manifest = write(tmp_path, "m.json", entries)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-parse included
+    try:
+        for jobs in ("1", "2", "4", "1"):
+            for out in outs:
+                out.unlink(missing_ok=True)
+            code = cli.main(["batch", "--manifest", manifest, "--jobs", jobs])
+            runs.append((code, [out.read_bytes() for out in outs]))
+    finally:
+        sys.setswitchinterval(interval)
+    # the Jordan block is strictly semistable, so the batch exits 2
+    assert runs[0][0] == 2
+    assert all(run == runs[0] for run in runs[1:])
 
 
 # ---------------------------------------------------------------------------
