@@ -5,8 +5,9 @@ identity satisfied, relations satisfied); 2 for mathematically meaningful
 negatives (unstable, strictly semistable, undecided, diverged, Newton
 stall, max-iter, identity violated); 1 for errors, among them arguments
 that do not parse, a tolerance that is not finite and positive and a
-negative seed.  All randomness flows from --seed (default 0, never
-time-based).
+negative seed; each error writes one JSON line {"error", "error_code"} on
+stderr, ``usage_error`` for arguments that do not parse.  All randomness
+flows from --seed (default 0, never time-based).
 """
 import argparse
 import functools
@@ -23,6 +24,7 @@ from .errors import (
     NoSeparation,
     QuiverforgeError,
     SchemaError,
+    UsageError,
     check_seed,
     check_tolerance,
 )
@@ -281,8 +283,17 @@ def _add_common(p):
     p.add_argument("--quiet", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as :class:`UsageError`, for the one JSON error
+    line, instead of printing the usage text; subcommand parsers inherit
+    the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quiverforge")
+    ap = _Parser(prog="quiverforge")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="stability verdict by subobject enumeration")
@@ -351,10 +362,9 @@ def _report_error(exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse printed the usage error, or the help
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse printed the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     except (QuiverforgeError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _report_error(exc)
 

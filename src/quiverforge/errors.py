@@ -120,6 +120,12 @@ class UnsupportedDegrees(QuiverforgeError):
     code = "unsupported_degrees"
 
 
+class UsageError(QuiverforgeError):
+    """Command-line arguments that do not parse."""
+
+    code = "usage_error"
+
+
 class SchemaError(QuiverforgeError):
     """Instance validation failure; ``errors`` lists every problem found,
     each as a (json_pointer, message) pair."""

@@ -187,8 +187,6 @@ def decode_quiver(doc: Mapping, errs: list, ptr: str = "/quiver"):
                 errs.append((f"{aptr}/twist_weight", f"expected {m}x{m} matrix"))
             else:
                 weight[name] = q
-        else:
-            weight[name] = np.eye(m, dtype=complex)
     if errs:
         return None, None
     pair = _build(errs, ptr, lambda: (Quiver(tuple(vertices), tuple(arrows)), TwistSpec(mult, weight)))

@@ -95,7 +95,9 @@ class Quiver:
 @dataclass(frozen=True)
 class TwistSpec:
     """Per-arrow twist data: multiplicity m_a >= 1 and a Hermitian positive
-    definite m_a x m_a weight (the fiber metric of the twisting space)."""
+    definite m_a x m_a weight (the fiber metric of the twisting space).  An
+    arrow without a weight has the identity metric, which is neither
+    checked nor inverted."""
 
     multiplicity: Mapping[str, int]
     weight: Mapping[str, np.ndarray]
@@ -107,6 +109,8 @@ class TwistSpec:
         for a, m in self.multiplicity.items():
             if m < 1:
                 raise ShapeMismatch(f"twist multiplicity for arrow {a!r} must be >= 1")
+            if a not in self.weight:
+                continue
             q = np.array(self.weight[a], dtype=complex)
             if q.shape != (m, m):
                 raise ShapeMismatch(f"twist weight for arrow {a!r} has wrong shape")
@@ -121,9 +125,7 @@ class TwistSpec:
 
     @classmethod
     def trivial(cls, quiver: Quiver) -> "TwistSpec":
-        mult = {a.name: 1 for a in quiver.arrows}
-        weight = {a.name: np.eye(1, dtype=complex) for a in quiver.arrows}
-        return cls(mult, weight)
+        return cls({a.name: 1 for a in quiver.arrows}, {})
 
     def rank(self, arrow: str) -> int:
         return int(self.multiplicity.get(arrow, 1))

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -46,6 +45,7 @@ from .errors import (
     NonFiniteData,
     NotASolution,
     NotFlatCase,
+    QuiverMismatch,
     ShapeMismatch,
     UnsupportedDegrees,
     check_count,
@@ -65,8 +65,10 @@ GAUGE_TOL = 1e-8
 class TorusGrid:
     """N x N periodic grid on the unit-volume torus (N a power of two).
 
-    Real fields go through the half-spectrum transforms ``rfft2``/``irfft2``;
-    only the complex derivatives ``dbar``/``dhol`` use the full spectrum.
+    Real fields go through the half-spectrum transforms ``rfft2``/``irfft2``.
+    The complex derivatives ``dbar``/``dhol`` share one kernel,
+    :meth:`_half_partials`, which takes d/dx and d/dy with one complex 1-D
+    transform pair along each axis.
     """
 
     n: int
@@ -81,26 +83,38 @@ class TorusGrid:
         sym = -4.0 * np.pi**2 * (k1**2 + k2**2)
         sym.flags.writeable = False
         object.__setattr__(self, "_lap_sym", sym)
+        # d/dx / 2 along one axis has symbol i pi k, the Nyquist k = -n/2 included
+        half = 1j * np.pi * np.fft.fftfreq(n, 1.0 / n)
+        half.flags.writeable = False
+        object.__setattr__(self, "_half_sym", half)
 
     def lap(self, f: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(self._lap_sym * np.fft.rfft2(f), s=(self.n, self.n))
 
-    @cached_property
-    def _dbar_sym(self) -> np.ndarray:
-        # (d/dx + i d/dy) / 2 has symbol i pi (k1 + i k2)
-        k = np.fft.fftfreq(self.n, 1.0 / self.n)
-        return 1j * np.pi * (k[:, None] + 1j * k[None, :])
-
-    @cached_property
-    def _dhol_sym(self) -> np.ndarray:
-        # (d/dx - i d/dy) / 2 has symbol i pi (k1 - i k2)
-        return -np.conj(self._dbar_sym)
+    def _half_partials(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(df/dx / 2, df/dy / 2) as complex fields: a 1-D ``fft``/``ifft``
+        pair along axis 0, then one along axis 1.  px + i py has the 2-D
+        symbol i pi (k1 + i k2) of ``dbar``, px - i py that of ``dhol``."""
+        px = np.fft.fft(f, axis=0)
+        px *= self._half_sym[:, None]
+        px = np.fft.ifft(px, axis=0)
+        py = np.fft.fft(f, axis=1)
+        py *= self._half_sym
+        return px, np.fft.ifft(py, axis=1)
 
     def dbar(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self._dbar_sym * np.fft.fft2(f))
+        """(d/dx + i d/dy) f / 2."""
+        px, py = self._half_partials(f)
+        py *= 1j
+        px += py
+        return px
 
     def dhol(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self._dhol_sym * np.fft.fft2(f))
+        """(d/dx - i d/dy) f / 2."""
+        px, py = self._half_partials(f)
+        py *= 1j
+        px -= py
+        return px
 
     def mean(self, f: np.ndarray) -> float:
         return float(np.mean(np.real(f)))
@@ -695,17 +709,48 @@ def ymh_identity(
     phi field contribute zero.  Phi fields are genuine periodic sections
     only between degree-zero vertices, hence the precondition.  ``tol``, the
     largest relative mismatch accepted, must be finite and positive.
+
+    Each phi field costs one :meth:`TorusGrid._half_partials` call, which
+    gives both dbar phi and d phi, and its arrow's d rho one ``dhol``, so
+    the identity takes no 2-D complex transform; each arrow's temporaries
+    are freed before the next.  A phi field naming no arrow of the quiver
+    raises :class:`QuiverMismatch`, one that is not N x N
+    :class:`ShapeMismatch`, and a phi field or state that makes either side
+    non-finite :class:`NonFiniteData`.
     """
     check_tolerance("tol", tol)
-    grid = system.grid
-    sig, tau = system.params.sigma, system.params.tau
-    for name in phi_fields:
-        a = system.quiver.arrow(name)
+    n = system.grid.n
+    for name, phi in phi_fields.items():
+        try:
+            a = system.quiver.arrow(name)
+        except KeyError:
+            raise QuiverMismatch(f"phi field names no arrow of the quiver: {name!r}") from None
         if system.degrees[a.tail] != 0 or system.degrees[a.head] != 0:
             raise UnsupportedDegrees(
                 f"phi field on arrow {name!r} needs degree-zero endpoints"
             )
-    u = state.u
+        if np.shape(phi) != (n, n):
+            raise ShapeMismatch(f"phi field on arrow {name!r} has shape {np.shape(phi)}, not {(n, n)}")
+    # a non-finite entry shows in the sums and is refused there, without
+    # warnings from the transforms on the way
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs, rhs = _ymh_sides(system, state.u, phi_fields)
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise NonFiniteData(
+            f"YMH energies are not finite (lhs {lhs}, rhs {rhs}): "
+            "a phi field or the state has a non-finite entry or overflows"
+        )
+    mismatch = abs(lhs - rhs) / (1.0 + abs(lhs))
+    synthetic = any(
+        spec.synthetic for spec in (system.weight_specs or {}).values()
+    )
+    return YmhReport(float(lhs), float(rhs), float(mismatch), mismatch <= tol, synthetic)
+
+
+def _ymh_sides(system: TorusSystem, u, phi_fields) -> tuple[float, float]:
+    """The two sides of :func:`ymh_identity` on checked input."""
+    grid = system.grid
+    sig, tau = system.params.sigma, system.params.tau
     f_curv = {
         v: TWO_PI * system.degrees[v] - grid.lap(u[v]) for v in system.quiver.vertices
     }
@@ -719,12 +764,22 @@ def ymh_identity(
             continue
         phi = np.asarray(phi, dtype=complex)
         rho = 2.0 * (u[a.head] - u[a.tail])
-        erho = np.exp(rho)
+        drho = grid.dhol(rho)
+        erho = np.exp(rho, out=rho)  # in rho's buffer
         w_h = np.abs(phi) ** 2 * erho
-        big_u[a.head] = big_u[a.head] + w_h
-        big_u[a.tail] = big_u[a.tail] - w_h
-        dbar_a = 2.0 * grid.mean(np.abs(grid.dbar(phi)) ** 2 * erho)
-        dhol_a = 2.0 * grid.mean(np.abs(grid.dhol(phi) + phi * grid.dhol(rho)) ** 2 * erho)
+        big_u[a.head] += w_h
+        big_u[a.tail] -= w_h
+        del w_h
+        px, py = grid._half_partials(phi)
+        py *= 1j
+        d = px + py  # dbar phi
+        dbar_a = 2.0 * grid.mean(np.abs(d) ** 2 * erho)
+        np.subtract(px, py, out=d)  # d phi
+        del px, py
+        drho *= phi
+        d += drho  # d_A phi
+        dhol_a = 2.0 * grid.mean(np.abs(d) ** 2 * erho)
+        del rho, erho, drho, d  # before the next arrow's fields
         dbar_term += dbar_a
         kinetic += dbar_a + dhol_a
     curv_term = sum(sig[v] * grid.mean(f_curv[v] ** 2) for v in system.quiver.vertices)
@@ -738,13 +793,7 @@ def ymh_identity(
     topological = 4.0 * np.pi * sum(
         tau[v] * system.degrees[v] for v in system.quiver.vertices
     )
-    lhs = curv_term + 2.0 * kinetic + mm_term
-    rhs = 4.0 * dbar_term + topological + resid_term
-    mismatch = abs(lhs - rhs) / (1.0 + abs(lhs))
-    synthetic = any(
-        spec.synthetic for spec in (system.weight_specs or {}).values()
-    )
-    return YmhReport(float(lhs), float(rhs), float(mismatch), mismatch <= tol, synthetic)
+    return curv_term + 2.0 * kinetic + mm_term, 4.0 * dbar_term + topological + resid_term
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,23 @@ def test_cli_ymh_refuses_state_of_other_grid(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cli_ymh_refuses_non_finite_state(tmp_path, bad, capsys):
+    # reported satisfied: false with NaN sums (exit 2), after numpy warnings
+    q, _, p = setup_instance(tmp_path, t=0.0)
+    s = write(tmp_path, "s.json", {"N": 16, "degrees": {"1": 0, "2": 0}, "weights": {"a0": 1.0}})
+    u = np.zeros((16, 16))
+    u[2, 5] = bad
+    state = tmp_path / "u.qvtx"
+    qio.write_potential_binary(state, PotentialState({"1": u, "2": np.zeros((16, 16))}), ["1", "2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["ymh", "--quiver", q, "--params", p, "--system", s, "--state", str(state)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error_code"] == "non_finite_data"
+
+
 def test_cli_error_exit_1(tmp_path):
     code = cli.main(["check", "--quiver", str(tmp_path / "does-not-exist.json"), "--quiet"])
     assert code == 1
@@ -657,13 +674,63 @@ def test_cli_batch_isolates_bad_entry(tmp_path):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(["check", "--seed", "abc"], 1), (["nope"], 1), (["--help"], 0)],
-    ids=["bad-value", "unknown-command", "help"],
+    [
+        (["check", "--seed", "abc"], 1),
+        (["nope"], 1),
+        (["--help"], 0),
+        (["check", "--no-such-flag", "1"], 1),
+        (["ymh", "--modes"], 1),
+        ([], 1),
+        (["check", "--help"], 0),
+    ],
+    ids=["bad-value", "unknown-command", "help", "unknown-flag", "missing-value", "no-command", "command-help"],
 )
 def test_cli_usage_errors_exit_1(argv, code, capsys):
     # argparse raised SystemExit(2) out of main: a usage error read as a
-    # negative verdict on the command line, and as an error only in batch
+    # negative verdict on the command line, and as an error only in batch;
+    # then it wrote its usage text over several plain lines
     assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error_code"] == "usage_error"
+    else:
+        assert out.startswith("usage: quiverforge") and err == ""
+
+
+def test_cli_batch_usage_errors_write_json_lines(tmp_path, capsys):
+    q, r, p = setup_instance(tmp_path)
+    entries = [
+        {"command": "nope"},
+        {"command": "check", "quiver": q, "rep": r, "params": p, "seed": "abc"},
+        {"command": "check", "quiver": q, "rep": r, "params": p, "quiet": True},
+    ]
+    assert cli.main(["batch", "--manifest", write(tmp_path, "m.json", entries)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line)["error_code"] for line in err.splitlines()] == ["usage_error"] * 2
+
+
+def test_decoding_an_untwisted_quiver_checks_no_twist_metric(monkeypatch):
+    # the decoder filled np.eye(m) for every arrow, and each was checked
+    # and inverted
+    checked = []
+    monkeypatch.setattr("quiverforge.quiver.check_hpd", checked.append)
+    doc = {
+        "vertices": ["1", "2"],
+        "arrows": [{"id": "a", "tail": "1", "head": "2"}, {"id": "b", "tail": "1", "head": "2", "twist_dim": 2}],
+    }
+    errs = []
+    quiver, twist = qio.decode_quiver(doc, errs)
+    assert errs == [] and checked == []
+    assert np.array_equal(twist.metric("b"), np.eye(2))
+    assert qio.encode_quiver(quiver, twist)["arrows"] == [
+        {"id": "a", "tail": "1", "head": "2", "twist_dim": 1},
+        {"id": "b", "tail": "1", "head": "2", "twist_dim": 2, "twist_weight": qio.encode_matrix(np.eye(2))},
+    ]
+    doc["arrows"][1]["twist_weight"] = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    qio.decode_quiver(doc, errs)
+    assert errs == [] and len(checked) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -181,6 +181,10 @@ def test_twist_inverts_each_weight_once():
     assert not twist.metric("a0").flags.writeable and not twist.metric_inv("a0").flags.writeable
     # an arrow without twist data has the rank-one identity weight
     assert np.array_equal(twist.metric_inv("other"), np.eye(1))
+    # and a multiplicity without a weight the identity of its rank (this
+    # raised KeyError)
+    bare = qf.TwistSpec({"a0": 2}, {})
+    assert np.array_equal(bare.metric("a0"), np.eye(2)) and np.array_equal(bare.metric_inv("a0"), np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from quiverforge.errors import (
     NonFiniteData,
     NonpositiveScale,
     NotFlatCase,
+    QuiverMismatch,
     ShapeMismatch,
     UnsupportedDegrees,
 )
@@ -533,6 +536,137 @@ def test_ymh_refuses_phi_on_nonzero_degrees():
     state = PotentialState({"1": np.zeros((16, 16)), "2": np.zeros((16, 16))})
     with pytest.raises(UnsupportedDegrees):
         qf.ymh_identity(system, state, {"a0": np.ones((16, 16), dtype=complex)})
+
+
+def _ymh_reference(system, state, phi_fields, tol=1e-6):
+    """(lhs, rhs, satisfied) of the identity with one 2-D complex transform
+    pair per derivative, the way ``ymh_identity`` took them before it
+    shared the 1-D derivative kernel."""
+    grid = system.grid
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    dbar_sym = 1j * np.pi * (k[:, None] + 1j * k[None, :])
+    dhol_sym = -np.conj(dbar_sym)
+
+    def dbar(f):
+        return np.fft.ifft2(dbar_sym * np.fft.fft2(f))
+
+    def dhol(f):
+        return np.fft.ifft2(dhol_sym * np.fft.fft2(f))
+
+    sig, tau, verts, u = system.params.sigma, system.params.tau, system.quiver.vertices, state.u
+    f_curv = {v: TWO_PI * system.degrees[v] - grid.lap(u[v]) for v in verts}
+    big_u = {v: np.zeros((grid.n, grid.n)) for v in verts}
+    kinetic = dbar_term = 0.0
+    for a in system.quiver.arrows:
+        phi = phi_fields.get(a.name)
+        if phi is None:
+            continue
+        phi = np.asarray(phi, dtype=complex)
+        rho = 2.0 * (u[a.head] - u[a.tail])
+        erho = np.exp(rho)
+        w_h = np.abs(phi) ** 2 * erho
+        big_u[a.head] = big_u[a.head] + w_h
+        big_u[a.tail] = big_u[a.tail] - w_h
+        dbar_a = 2.0 * grid.mean(np.abs(dbar(phi)) ** 2 * erho)
+        dhol_a = 2.0 * grid.mean(np.abs(dhol(phi) + phi * dhol(rho)) ** 2 * erho)
+        dbar_term += dbar_a
+        kinetic += dbar_a + dhol_a
+    lhs = (
+        sum(sig[v] * grid.mean(f_curv[v] ** 2) for v in verts)
+        + 2.0 * kinetic
+        + sum(grid.mean((big_u[v] - tau[v]) ** 2) / sig[v] for v in verts)
+    )
+    rhs = (
+        4.0 * dbar_term
+        + 4.0 * np.pi * sum(tau[v] * system.degrees[v] for v in verts)
+        + sum(grid.mean((sig[v] * f_curv[v] + big_u[v] - tau[v]) ** 2) / sig[v] for v in verts)
+    )
+    return lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs)) <= tol
+
+
+def _ymh_case(n, every_mode, zero_state, seed):
+    rng = np.random.default_rng(seed)
+    q = two_way_quiver()
+    params = qf.StabilityParams({"1": 1.3, "2": 0.7}, {"1": -0.6, "2": 0.6})
+    system = qf.build_torus_system(q, {"1": 0, "2": 0}, {"a": 1.0, "b": 1.0}, params, n)
+    if every_mode:  # every frequency, Nyquist included
+        phi = {a: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for a in ("a", "b")}
+        u = {v: 0.3 * rng.normal(size=(n, n)) for v in ("1", "2")}
+    else:
+        phi = {a: random_smooth_field(rng, n, modes=3, complex_valued=True) for a in ("a", "b")}
+        u = {v: random_smooth_field(rng, n, modes=3, scale=0.7) for v in ("1", "2")}
+    if zero_state:
+        u = {v: np.zeros((n, n)) for v in u}
+    return system, PotentialState(u), phi
+
+
+@pytest.mark.parametrize("zero_state", [True, False], ids=["zero-state", "state"])
+@pytest.mark.parametrize("every_mode", [False, True], ids=["smooth", "every-mode"])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_ymh_matches_the_2d_reference(n, every_mode, zero_state):
+    system, state, phi = _ymh_case(n, every_mode, zero_state, seed=n + 2 * every_mode + zero_state)
+    report = qf.ymh_identity(system, state, phi)
+    lhs, rhs, satisfied = _ymh_reference(system, state, phi)
+    assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert report.rhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    assert report.satisfied == satisfied
+
+
+def test_ymh_takes_no_2d_complex_transform(monkeypatch):
+    # dbar(phi), dhol(phi) and dhol(rho) took 6 fft2/ifft2 calls per arrow
+    calls = []
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    system, state, phi = _ymh_case(32, every_mode=False, zero_state=False, seed=3)
+    calls.clear()
+    assert qf.ymh_identity(system, state, phi).satisfied
+    assert calls == []
+
+
+def _ymh_bad_input(case):
+    system, state, phi = _ymh_case(16, every_mode=False, zero_state=False, seed=5)
+    if case == "nan-phi":
+        phi["a"] = phi["a"].copy()
+        phi["a"][3, 4] = np.nan
+    elif case == "inf-state":
+        state = PotentialState({**state.u, "1": np.full((16, 16), np.inf)})
+    elif case == "nan-state":
+        state = PotentialState({**state.u, "2": np.where(np.eye(16) > 0, np.nan, 0.0)})
+    elif case == "wrong-shape":
+        phi["b"] = np.ones((16, 8), dtype=complex)
+    elif case == "unknown-arrow":
+        phi["zz"] = phi.pop("a")
+    return system, state, phi
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("nan-phi", NonFiniteData),
+        ("inf-state", NonFiniteData),
+        ("nan-state", NonFiniteData),
+        ("wrong-shape", ShapeMismatch),
+        ("unknown-arrow", QuiverMismatch),
+    ],
+)
+def test_ymh_refuses_bad_input(case, error):
+    # returned satisfied=False with NaN sums, or raised numpy's ValueError
+    # or a KeyError
+    system, state, phi = _ymh_bad_input(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # refused without a numpy warning
+        with pytest.raises(error):
+            qf.ymh_identity(system, state, phi)
 
 
 # ---------------------------------------------------------------------------
