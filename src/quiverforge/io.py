@@ -32,7 +32,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import NonFiniteData, SchemaError
 from .quiver import Arrow, Path, Quiver, Relation, TwistSpec
 from .reps import TwistedRep, build_rep
 from .slope import StabilityParams
@@ -530,7 +530,8 @@ def read_potential_binary(path, vertex_order):
 
     Raises :class:`SchemaError` on a bad magic, a vertex count other than
     ``len(vertex_order)``, or a length other than the header's N promises
-    (a truncated file or trailing bytes).
+    (a truncated file or trailing bytes), and :class:`NonFiniteData` naming
+    the first vertex whose potential has a NaN or infinite entry.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -546,4 +547,7 @@ def read_potential_binary(path, vertex_order):
     if len(data) != want:
         raise SchemaError([("/", f"file has {len(data)} bytes, N = {n} and {count} vertices need {want}")])
     fields = np.frombuffer(data, dtype="<f8", offset=header).reshape(count, n, n)
+    for i, v in enumerate(vertex_order):
+        if not np.isfinite(fields[i]).all():
+            raise NonFiniteData(f"potential of vertex {v!r} has a non-finite entry")
     return {v: fields[i].copy() for i, v in enumerate(vertex_order)}

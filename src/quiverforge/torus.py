@@ -68,7 +68,9 @@ class TorusGrid:
     Real fields go through the half-spectrum transforms ``rfft2``/``irfft2``.
     The complex derivatives ``dbar``/``dhol`` share one kernel,
     :meth:`_half_partials`, which takes d/dx and d/dy with one complex 1-D
-    transform pair along each axis.
+    transform pair along each axis.  :meth:`_dhol_of_spectrum` gives
+    ``dhol`` of a real field from its half spectrum, so a potential
+    transformed once serves both its Laplacian and its derivative.
     """
 
     n: int
@@ -101,6 +103,32 @@ class TorusGrid:
         py = np.fft.fft(f, axis=1)
         py *= self._half_sym
         return px, np.fft.ifft(py, axis=1)
+
+    def _dhol_of_spectrum(self, spec: np.ndarray) -> np.ndarray:
+        """``dhol(f)``, to rounding, of the real field f whose half spectrum
+        ``rfft2(f)`` is ``spec``.
+
+        Two ``irfft2`` calls give the real parts of df/dx / 2 and df/dy / 2.
+        The complex kernel's Nyquist symbol i pi (-n/2) adds the imaginary
+        parts -(pi/2) (-1)^j A(.), where A is f's alternating sum along that
+        axis: a length-n ``irfft`` of the spectrum's Nyquist row or column.
+        """
+        n = self.n
+        # without the Nyquist k = -n/2; the first n/2 + 1 entries are the
+        # rfft-column symbol
+        half = self._half_sym.copy()
+        half[n // 2] = 0.0
+        px = np.fft.irfft2(half[:, None] * spec, s=(n, n))
+        py = np.fft.irfft2(half[: n // 2 + 1] * spec, s=(n, n))
+        alt = np.resize([0.5 * np.pi, -0.5 * np.pi], n)  # (pi/2) (-1)^j
+        # dhol = px - i py: its real part takes py's imaginary part, and its
+        # imaginary part px's
+        px -= np.multiply.outer(np.fft.irfft(spec[: n // 2 + 1, n // 2], n), alt)
+        py += np.multiply.outer(alt, np.fft.irfft(spec[n // 2], n))
+        d = np.empty((n, n), dtype=complex)
+        d.real = px
+        np.negative(py, out=d.imag)
+        return d
 
     def dbar(self, f: np.ndarray) -> np.ndarray:
         """(d/dx + i d/dy) f / 2."""
@@ -710,16 +738,24 @@ def ymh_identity(
     only between degree-zero vertices, hence the precondition.  ``tol``, the
     largest relative mismatch accepted, must be finite and positive.
 
-    Each phi field costs one :meth:`TorusGrid._half_partials` call, which
-    gives both dbar phi and d phi, and its arrow's d rho one ``dhol``, so
-    the identity takes no 2-D complex transform; each arrow's temporaries
-    are freed before the next.  A phi field naming no arrow of the quiver
-    raises :class:`QuiverMismatch`, one that is not N x N
-    :class:`ShapeMismatch`, and a phi field or state that makes either side
-    non-finite :class:`NonFiniteData`.
+    Each potential is transformed once by ``rfft2``; its half spectrum
+    gives the curvature and, through :meth:`TorusGrid._dhol_of_spectrum`,
+    d rho once per vertex pair joined by a phi arrow.  Each phi field costs
+    one :meth:`TorusGrid._half_partials` call, which gives both dbar phi and
+    d phi, so the identity takes no 2-D complex transform; each arrow's
+    temporaries are freed before the next.  A state without a potential
+    for some vertex, or a phi field naming no arrow of the quiver, raises
+    :class:`QuiverMismatch`; a potential or phi field that is not N x N
+    :class:`ShapeMismatch`, both before any transform; and a phi field or
+    state that makes either side non-finite :class:`NonFiniteData`.
     """
     check_tolerance("tol", tol)
     n = system.grid.n
+    for v in system.quiver.vertices:
+        if v not in state.u:
+            raise QuiverMismatch(f"state has no potential for vertex {v!r}")
+        if state.u[v].shape != (n, n):
+            raise ShapeMismatch(f"potential of vertex {v!r} has shape {state.u[v].shape}, not {(n, n)}")
     for name, phi in phi_fields.items():
         try:
             a = system.quiver.arrow(name)
@@ -749,13 +785,32 @@ def ymh_identity(
 
 def _ymh_sides(system: TorusSystem, u, phi_fields) -> tuple[float, float]:
     """The two sides of :func:`ymh_identity` on checked input."""
-    grid = system.grid
-    sig, tau = system.params.sigma, system.params.tau
+    grid, n = system.grid, system.grid.n
+    sig, tau, verts = system.params.sigma, system.params.tau, system.quiver.vertices
+    spec = {v: np.fft.rfft2(u[v]) for v in verts}
+    # grid.lap's arithmetic, on spectra that d rho reads too
     f_curv = {
-        v: TWO_PI * system.degrees[v] - grid.lap(u[v]) for v in system.quiver.vertices
+        v: TWO_PI * system.degrees[v] - np.fft.irfft2(grid._lap_sym * spec[v], s=(n, n))
+        for v in verts
     }
+    # d rho, rho = 2 (u_head - u_tail), once per vertex pair joined by a phi
+    # arrow: a parallel arrow shares it, a reversed one negates it, and a
+    # loop has rho = 0
+    drho = {}
+    for a in system.quiver.arrows:
+        pair = (a.tail, a.head)
+        if a.name in phi_fields and a.tail != a.head and pair not in drho and pair[::-1] not in drho:
+            drho[pair] = grid._dhol_of_spectrum(2.0 * (spec[a.head] - spec[a.tail]))
+    del spec
+    buf = np.empty((n, n))
+
+    def weighted(f, erho):  # |f|^2 e^rho, in buf
+        np.abs(f, out=buf)
+        np.multiply(buf, buf, out=buf)
+        return np.multiply(buf, erho, out=buf)
+
     # coupling terms from the phi magnitudes
-    big_u = {v: np.zeros((grid.n, grid.n)) for v in system.quiver.vertices}
+    big_u = {v: np.zeros((n, n)) for v in verts}
     kinetic = 0.0
     dbar_term = 0.0
     for a in system.quiver.arrows:
@@ -764,35 +819,30 @@ def _ymh_sides(system: TorusSystem, u, phi_fields) -> tuple[float, float]:
             continue
         phi = np.asarray(phi, dtype=complex)
         rho = 2.0 * (u[a.head] - u[a.tail])
-        drho = grid.dhol(rho)
         erho = np.exp(rho, out=rho)  # in rho's buffer
-        w_h = np.abs(phi) ** 2 * erho
+        w_h = weighted(phi, erho)
         big_u[a.head] += w_h
         big_u[a.tail] -= w_h
-        del w_h
         px, py = grid._half_partials(phi)
         py *= 1j
         d = px + py  # dbar phi
-        dbar_a = 2.0 * grid.mean(np.abs(d) ** 2 * erho)
+        dbar_a = 2.0 * grid.mean(weighted(d, erho))
         np.subtract(px, py, out=d)  # d phi
-        del px, py
-        drho *= phi
-        d += drho  # d_A phi
-        dhol_a = 2.0 * grid.mean(np.abs(d) ** 2 * erho)
-        del rho, erho, drho, d  # before the next arrow's fields
+        del py
+        if (a.tail, a.head) in drho:  # d_A phi = d phi + phi d rho
+            d += np.multiply(phi, drho[a.tail, a.head], out=px)
+        elif (a.head, a.tail) in drho:
+            d -= np.multiply(phi, drho[a.head, a.tail], out=px)
+        dhol_a = 2.0 * grid.mean(weighted(d, erho))
+        del rho, erho, px, d  # before the next arrow's fields
         dbar_term += dbar_a
         kinetic += dbar_a + dhol_a
-    curv_term = sum(sig[v] * grid.mean(f_curv[v] ** 2) for v in system.quiver.vertices)
-    mm_term = sum(
-        grid.mean((big_u[v] - tau[v]) ** 2) / sig[v] for v in system.quiver.vertices
-    )
+    curv_term = sum(sig[v] * grid.mean(f_curv[v] ** 2) for v in verts)
+    mm_term = sum(grid.mean((big_u[v] - tau[v]) ** 2) / sig[v] for v in verts)
     resid_term = sum(
-        grid.mean((sig[v] * f_curv[v] + big_u[v] - tau[v]) ** 2) / sig[v]
-        for v in system.quiver.vertices
+        grid.mean((sig[v] * f_curv[v] + big_u[v] - tau[v]) ** 2) / sig[v] for v in verts
     )
-    topological = 4.0 * np.pi * sum(
-        tau[v] * system.degrees[v] for v in system.quiver.vertices
-    )
+    topological = 4.0 * np.pi * sum(tau[v] * system.degrees[v] for v in verts)
     return curv_term + 2.0 * kinetic + mm_term, 4.0 * dbar_term + topological + resid_term
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import quiverforge as qf
 from quiverforge import cli
 from quiverforge import io as qio
-from quiverforge.errors import NewtonStall, SchemaError
+from quiverforge.errors import NewtonStall, NonFiniteData, SchemaError
 from quiverforge.torus import PotentialState
 from conftest import random_two_vertex_instance, twisted_instance
 
@@ -192,6 +192,17 @@ def test_potential_binary_refuses_bad_length(tmp_path):
         path.write_bytes(bad)
         with pytest.raises(SchemaError):
             qio.read_potential_binary(path, ["1", "2"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_potential_binary_refuses_non_finite_potential(tmp_path, bad):
+    # read NaN and infinite potentials back as they were
+    u = np.zeros((4, 4))
+    u[1, 2] = bad
+    path = tmp_path / "u.qvtx"
+    qio.write_potential_binary(path, PotentialState({"1": np.zeros((4, 4)), "2": u}), ["1", "2"])
+    with pytest.raises(NonFiniteData, match="vertex '2'"):
+        qio.read_potential_binary(path, ["1", "2"])
 
 
 # ---------------------------------------------------------------------------

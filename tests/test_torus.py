@@ -111,7 +111,7 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [8, 16, 64])
 def test_spectral_kernels_match_complex_fft(rng, n):
     grid = TorusGrid(n)
     real_fields = [
@@ -122,6 +122,7 @@ def test_spectral_kernels_match_complex_fft(rng, n):
     for f in real_fields:
         _assert_rel_close(grid.lap(f), _lap_reference(f))
         _assert_rel_close(grid.solve_lap(f), _solve_lap_reference(f))
+        _assert_rel_close(grid._dhol_of_spectrum(np.fft.rfft2(f)), grid.dhol(f))
     complex_fields = real_fields + [
         random_smooth_field(rng, n, modes=n // 2 - 2, complex_valued=True),
     ]
@@ -584,27 +585,52 @@ def _ymh_reference(system, state, phi_fields, tol=1e-6):
     return lhs, rhs, abs(lhs - rhs) / (1.0 + abs(lhs)) <= tol
 
 
-def _ymh_case(n, every_mode, zero_state, seed):
+_YMH_QUIVERS = {
+    "two-way": [("a", "1", "2"), ("b", "2", "1")],
+    "parallel": [("a", "1", "2"), ("b", "1", "2")],
+    "reversed-loop": [("a", "1", "2"), ("b", "2", "1"), ("l", "1", "1")],
+    "3-cycle": [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "1")],
+}
+
+
+def _ymh_case(n, every_mode, zero_state, seed, quiver="two-way"):
     rng = np.random.default_rng(seed)
-    q = two_way_quiver()
-    params = qf.StabilityParams({"1": 1.3, "2": 0.7}, {"1": -0.6, "2": 0.6})
-    system = qf.build_torus_system(q, {"1": 0, "2": 0}, {"a": 1.0, "b": 1.0}, params, n)
+    arrows = _YMH_QUIVERS[quiver]
+    verts = sorted({v for _, t, h in arrows for v in (t, h)})
+    q = qf.Quiver.from_lists(verts, arrows)
+    tau = dict(zip(verts, (-0.6, 0.6) if len(verts) == 2 else (-0.6, 0.2, 0.4)))
+    params = qf.StabilityParams(dict(zip(verts, (1.3, 0.7, 1.1))), tau)
+    system = qf.build_torus_system(q, dict.fromkeys(verts, 0), {a: 1.0 for a, _, _ in arrows}, params, n)
     if every_mode:  # every frequency, Nyquist included
-        phi = {a: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for a in ("a", "b")}
-        u = {v: 0.3 * rng.normal(size=(n, n)) for v in ("1", "2")}
+        phi = {a: rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for a, _, _ in arrows}
+        u = {v: 0.3 * rng.normal(size=(n, n)) for v in verts}
     else:
-        phi = {a: random_smooth_field(rng, n, modes=3, complex_valued=True) for a in ("a", "b")}
-        u = {v: random_smooth_field(rng, n, modes=3, scale=0.7) for v in ("1", "2")}
+        phi = {a: random_smooth_field(rng, n, modes=3, complex_valued=True) for a, _, _ in arrows}
+        u = {v: random_smooth_field(rng, n, modes=3, scale=0.7) for v in verts}
     if zero_state:
         u = {v: np.zeros((n, n)) for v in u}
     return system, PotentialState(u), phi
 
 
-@pytest.mark.parametrize("zero_state", [True, False], ids=["zero-state", "state"])
-@pytest.mark.parametrize("every_mode", [False, True], ids=["smooth", "every-mode"])
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_ymh_matches_the_2d_reference(n, every_mode, zero_state):
-    system, state, phi = _ymh_case(n, every_mode, zero_state, seed=n + 2 * every_mode + zero_state)
+_YMH_REFERENCE_CASES = [
+    pytest.param(n, every_mode, zero_state, "two-way", id=f"{n}-{mode}-{state}")
+    for n in (16, 64, 256)
+    for every_mode, mode in ((False, "smooth"), (True, "every-mode"))
+    for zero_state, state in ((True, "zero-state"), (False, "state"))
+] + [
+    # d rho once per vertex pair: shared by parallel arrows, negated for a
+    # reversed one, none for a loop
+    pytest.param(n, every_mode, False, quiver, id=f"{n}-{mode}-{quiver}")
+    for quiver in ("parallel", "reversed-loop", "3-cycle")
+    for n in (16, 64)
+    for every_mode, mode in ((False, "smooth"), (True, "every-mode"))
+]
+
+
+@pytest.mark.parametrize("n, every_mode, zero_state, quiver", _YMH_REFERENCE_CASES)
+def test_ymh_matches_the_2d_reference(n, every_mode, zero_state, quiver):
+    seed = n + 2 * every_mode + zero_state
+    system, state, phi = _ymh_case(n, every_mode, zero_state, seed, quiver)
     report = qf.ymh_identity(system, state, phi)
     lhs, rhs, satisfied = _ymh_reference(system, state, phi)
     assert report.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
@@ -613,7 +639,8 @@ def test_ymh_matches_the_2d_reference(n, every_mode, zero_state):
 
 
 def test_ymh_takes_no_2d_complex_transform(monkeypatch):
-    # dbar(phi), dhol(phi) and dhol(rho) took 6 fft2/ifft2 calls per arrow
+    # dbar(phi), dhol(phi) and dhol(rho) took 6 fft2/ifft2 calls per arrow;
+    # then d rho took 4 of the 1-D fft/ifft calls per arrow beside phi's 4
     calls = []
 
     def counted(name):
@@ -625,12 +652,18 @@ def test_ymh_takes_no_2d_complex_transform(monkeypatch):
 
         return wrapper
 
-    for name in ("fft2", "ifft2", "fftn", "ifftn"):
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "fft", "ifft", "rfft2", "irfft2"):
         monkeypatch.setattr(np.fft, name, counted(name))
-    system, state, phi = _ymh_case(32, every_mode=False, zero_state=False, seed=3)
-    calls.clear()
-    assert qf.ymh_identity(system, state, phi).satisfied
-    assert calls == []
+    for quiver in ("two-way", "reversed-loop"):  # each with one vertex pair
+        system, state, phi = _ymh_case(32, every_mode=False, zero_state=False, seed=3, quiver=quiver)
+        calls.clear()
+        assert qf.ymh_identity(system, state, phi).satisfied
+        assert not {"fft2", "ifft2", "fftn", "ifftn"} & set(calls)
+        assert calls.count("fft") + calls.count("ifft") == 4 * len(phi)
+        # one rfft2 per vertex; one irfft2 per vertex for its curvature and
+        # two for the pair's d rho
+        assert calls.count("rfft2") == len(system.quiver.vertices)
+        assert calls.count("irfft2") == len(system.quiver.vertices) + 2
 
 
 def _ymh_bad_input(case):
@@ -646,6 +679,10 @@ def _ymh_bad_input(case):
         phi["b"] = np.ones((16, 8), dtype=complex)
     elif case == "unknown-arrow":
         phi["zz"] = phi.pop("a")
+    elif case == "wrong-state-shape":
+        state = PotentialState({v: np.zeros((8, 8)) for v in state.u})
+    elif case == "missing-vertex":
+        state = PotentialState({"1": state.u["1"]})
     return system, state, phi
 
 
@@ -657,6 +694,8 @@ def _ymh_bad_input(case):
         ("nan-state", NonFiniteData),
         ("wrong-shape", ShapeMismatch),
         ("unknown-arrow", QuiverMismatch),
+        ("wrong-state-shape", ShapeMismatch),
+        ("missing-vertex", QuiverMismatch),
     ],
 )
 def test_ymh_refuses_bad_input(case, error):
@@ -665,8 +704,10 @@ def test_ymh_refuses_bad_input(case, error):
     system, state, phi = _ymh_bad_input(case)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # refused without a numpy warning
-        with pytest.raises(error):
+        with pytest.raises(error) as refused:
             qf.ymh_identity(system, state, phi)
+    if case == "missing-vertex":
+        assert "'2'" in str(refused.value)
 
 
 # ---------------------------------------------------------------------------
