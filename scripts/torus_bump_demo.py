@@ -2,8 +2,8 @@
 """Solve the two-vertex vortex system on the torus with a bump weight.
 
 Solves at a coarse and a fine resolution, prints the Newton history, the
-Newton steps of each grid the fine solve went through and the coarse/fine
-agreement, and cross-checks the flat-case shortcut on the
+Newton steps and CG iterations of each grid the fine solve went through and
+the coarse/fine agreement, and cross-checks the flat-case shortcut on the
 constant-weight version of the same system.
 
 Usage:
@@ -51,9 +51,10 @@ def main():
     )
     # a fine grid above COARSE_N starts from the solve on the grid of half its size
     levels = ", ".join(f"{n}x{n} {steps}" for n, steps in rf.levels)
+    cg = ", ".join(f"{n}x{n} {iters}" for (n, _), iters in zip(rf.levels, rf.cg_iterations))
     print(
-        f"fine {2*args.n}x{2*args.n}: {rf.iterations} steps (Newton steps per grid: {levels}); "
-        f"coarse/fine sup diff {diff:.3e}"
+        f"fine {2*args.n}x{2*args.n}: {rf.iterations} steps (Newton steps per grid: {levels}; "
+        f"CG iterations per grid: {cg}); coarse/fine sup diff {diff:.3e}"
     )
 
     flat = build(args.t, args.n, args.amplitude * np.exp(-2.0 / args.width**2) + args.floor)

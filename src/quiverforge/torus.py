@@ -91,7 +91,11 @@ class TorusGrid:
         object.__setattr__(self, "_half_sym", half)
 
     def lap(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(self._lap_sym * np.fft.rfft2(f), s=(self.n, self.n))
+        return self._lap_of_spectrum(np.fft.rfft2(f))
+
+    def _lap_of_spectrum(self, spec: np.ndarray) -> np.ndarray:
+        """``lap(f)`` of the real field f whose half spectrum is ``spec``."""
+        return np.fft.irfft2(self._lap_sym * spec, s=(self.n, self.n))
 
     def _half_partials(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(df/dx / 2, df/dy / 2) as complex fields: a 1-D ``fft``/``ifft``
@@ -278,6 +282,20 @@ class PotentialState:
         object.__setattr__(self, "u", cleaned)
 
 
+def _check_state(system: TorusSystem, state: PotentialState) -> None:
+    """Refuse a state that misses a vertex (:class:`QuiverMismatch`), or
+    whose potential is not N x N (:class:`ShapeMismatch`) or not finite
+    (:class:`NonFiniteData`)."""
+    n = system.grid.n
+    for v in system.quiver.vertices:
+        if v not in state.u:
+            raise QuiverMismatch(f"state has no potential for vertex {v!r}")
+        if state.u[v].shape != (n, n):
+            raise ShapeMismatch(f"potential of vertex {v!r} has shape {state.u[v].shape}, not {(n, n)}")
+        if not np.isfinite(state.u[v]).all():
+            raise NonFiniteData(f"potential of vertex {v!r} has a non-finite entry")
+
+
 def gauge_defect(system: TorusSystem, state: PotentialState) -> float:
     return float(
         sum(system.params.sigma[v] * system.grid.mean(state.u[v]) for v in system.quiver.vertices)
@@ -300,8 +318,10 @@ def _arrow_exponents(system: TorusSystem, u: Mapping[str, np.ndarray]) -> dict[s
 
 
 def vortex_residual(system: TorusSystem, state: PotentialState):
-    """Per-vertex residual field of the coupled system; refuses a state
-    whose trace-gauge defect exceeds ``GAUGE_TOL``."""
+    """Per-vertex residual field of the coupled system; refuses what
+    :func:`_check_state` refuses, and a state whose trace-gauge defect
+    exceeds ``GAUGE_TOL``."""
+    _check_state(system, state)
     if abs(gauge_defect(system, state)) > GAUGE_TOL:
         raise GaugeViolation(
             f"state violates the trace gauge by {gauge_defect(system, state):.3e}"
@@ -309,15 +329,18 @@ def vortex_residual(system: TorusSystem, state: PotentialState):
     return _residual_fields(system, state.u)
 
 
-def _residual_fields(system: TorusSystem, u: Mapping[str, np.ndarray], coupling=None):
+def _residual_fields(system: TorusSystem, u: Mapping[str, np.ndarray], coupling=None, lap_u=None):
     """Residual fields; ``coupling`` (the arrow terms w_a e^{2(u_head -
-    u_tail)}) is computed from ``u`` unless given."""
+    u_tail)}) and ``lap_u`` (the Laplacians of ``u``) are computed from
+    ``u`` unless given."""
     grid = system.grid
     sig, tau = system.params.sigma, system.params.tau
     if coupling is None:
         coupling = _arrow_exponents(system, u)
+    if lap_u is None:
+        lap_u = {v: grid.lap(u[v]) for v in system.quiver.vertices}
     out = {
-        v: sig[v] * (TWO_PI * system.degrees[v] - grid.lap(u[v])) - tau[v]
+        v: sig[v] * (TWO_PI * system.degrees[v] - lap_u[v]) - tau[v]
         for v in system.quiver.vertices
     }
     for a in system.quiver.arrows:
@@ -340,7 +363,8 @@ def _sup(residual: Mapping[str, np.ndarray]) -> float:
 class VortexResult:
     """A converged solve.  ``iterations``, ``history`` and ``states`` are
     the finest grid's; ``levels`` lists (grid size, Newton steps) of each
-    grid whose solution started the next, coarsest first, and the finest."""
+    grid whose solution started the next, coarsest first, and the finest,
+    and ``cg_iterations`` the CG iterations of the same levels."""
 
     state: PotentialState
     sup_residual: float
@@ -348,17 +372,7 @@ class VortexResult:
     history: list[tuple[int, float, float]] = field(repr=False, default_factory=list)
     states: list[PotentialState] | None = None
     levels: list[tuple[int, int]] = field(default_factory=list)
-
-
-def _jacobian_apply(system, coupling, delta):
-    grid = system.grid
-    sig = system.params.sigma
-    out = {v: -sig[v] * grid.lap(delta[v]) for v in system.quiver.vertices}
-    for a in system.quiver.arrows:
-        c = 2.0 * coupling[a.name] * (delta[a.head] - delta[a.tail])
-        out[a.head] = out[a.head] + c
-        out[a.tail] = out[a.tail] - c
-    return out
+    cg_iterations: list[int] = field(default_factory=list)
 
 
 def _mean_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -373,14 +387,20 @@ def _l2(grid: TorusGrid, f: Mapping[str, np.ndarray]) -> float:
 
 def _pcg(system, coupling, b, rtol, max_iter):
     """Preconditioned CG for the (positive semidefinite) Newton operator J;
-    returns the solution x and its Hessian form sum_v mean(x_v (J x)_v).
+    returns the solution x, its Hessian form sum_v mean(x_v (J x)_v) and
+    the number of iterations run.
 
     Stops once the mean-L2 residual is at most ``rtol`` times that of the
     (projected) right-hand side; at least one iteration always runs.
-    Preconditioner: per-vertex spectral inverse of -sigma lap + mean
-    diagonal coupling, applied with real half-spectrum transforms; the
-    operator's kernel (the all-ones direction) is removed from the
-    right-hand side up front and by the final gauge fix.
+    Preconditioner: per vertex, the spectral inverse of
+    M_v = -sigma_v lap + d_v, d_v the mean diagonal coupling (at least
+    1e-8), applied with one ``rfft2``/``irfft2`` pair.  The operator is
+    J = M + (coupling - d), a pointwise remainder, and M p is carried
+    beside p: M z = r, so M p <- r + beta M p (Eisenstat, SIAM J. Sci.
+    Stat. Comput. 2, 1981).  Each iteration thus takes one transform pair
+    per vertex, the preconditioner's, and no Laplacian.  The operator's
+    kernel (the all-ones direction) is removed from the right-hand side up
+    front and by the final gauge fix.
     """
     grid = system.grid
     verts = list(system.quiver.vertices)
@@ -389,9 +409,8 @@ def _pcg(system, coupling, b, rtol, max_iter):
         m = 2.0 * grid.mean(coupling[a.name])
         diag[a.head] += m
         diag[a.tail] += m
-    inv_sym = {
-        v: 1.0 / (-system.params.sigma[v] * grid._lap_sym + max(diag[v], 1e-8)) for v in verts
-    }
+    diag = {v: max(diag[v], 1e-8) for v in verts}
+    inv_sym = {v: 1.0 / (-system.params.sigma[v] * grid._lap_sym + diag[v]) for v in verts}
     shape = (grid.n, grid.n)
 
     def precond(r):
@@ -405,12 +424,16 @@ def _pcg(system, coupling, b, rtol, max_iter):
     r = dict(b)
     b_norm = _l2(grid, b)
     if b_norm == 0:
-        return x, 0.0
+        return x, 0.0, 0
     z = precond(r)
-    p = dict(z)
+    p, mp = dict(z), dict(r)
     rz = sum(_mean_product(r[v], z[v]) for v in verts)
-    for _ in range(max_iter):
-        ap = _jacobian_apply(system, coupling, p)
+    for it in range(1, max_iter + 1):
+        ap = {v: mp[v] - diag[v] * p[v] for v in verts}
+        for a in system.quiver.arrows:
+            c = 2.0 * coupling[a.name] * (p[a.head] - p[a.tail])
+            ap[a.head] += c
+            ap[a.tail] -= c
         pap = sum(_mean_product(p[v], ap[v]) for v in verts)
         if pap <= 0:
             break
@@ -424,8 +447,9 @@ def _pcg(system, coupling, b, rtol, max_iter):
         beta = rz_new / rz
         rz = rz_new
         p = {v: z[v] + beta * p[v] for v in verts}
+        mp = {v: r[v] + beta * mp[v] for v in verts}
     # r is updated by recurrence, so J x = b - r
-    return x, sum(_mean_product(x[v], b[v]) - _mean_product(x[v], r[v]) for v in verts)
+    return x, sum(_mean_product(x[v], b[v]) - _mean_product(x[v], r[v]) for v in verts), it
 
 
 # Eisenstat-Walker forcing terms, choice 2 with its safeguard ("Choosing the
@@ -556,10 +580,11 @@ def _coarse_system(system: TorusSystem) -> TorusSystem:
 
 
 def _prolong(f: np.ndarray, n: int) -> np.ndarray:
-    """Trigonometric interpolation of a periodic m x m field to the n x n
-    grid, n = 2m: the half spectrum is zero-padded, and the coarse Nyquist
-    row and column are split in half between the frequencies +-m/2.  The
-    result sampled at the coarse points is ``f`` again."""
+    """Half spectrum (``rfft2`` layout) of the trigonometric interpolation
+    of a periodic m x m field to the n x n grid, n = 2m: the coarse half
+    spectrum is zero-padded, and its Nyquist row and column are split in
+    half between the frequencies +-m/2.  Its ``irfft2`` sampled at the
+    coarse points is ``f`` again."""
     m = f.shape[0]
     h = m // 2
     coarse = np.fft.rfft2(f) * (n / m) ** 2
@@ -568,7 +593,7 @@ def _prolong(f: np.ndarray, n: int) -> np.ndarray:
     fine = np.zeros((n, n // 2 + 1), dtype=complex)
     fine[: h + 1, : h + 1] = coarse[: h + 1]
     fine[n - h :, : h + 1] = coarse[h:]
-    return np.fft.irfft2(fine, s=(n, n))
+    return fine
 
 
 def solve_vortex(
@@ -602,9 +627,10 @@ def solve_vortex(
     ``max(CG_RTOL, 0.1 tol / |r_k|)`` so the last steps still reach
     ``tol`` without over-solving; CG stops after ``CG_MAX_ITER``
     iterations in any case.  Norms |r| are mean-L2 over all
-    vertices.  The step is then damped by halving until F decreases by
-    Armijo's rule (see :func:`_energy_step`); the residual is evaluated
-    once per step, at the accepted point.
+    vertices; each CG iteration takes one ``rfft2``/``irfft2`` pair per
+    vertex (see :func:`_pcg`).  The step is then damped by halving until F
+    decreases by Armijo's rule (see :func:`_energy_step`); the residual is
+    evaluated once per step, at the accepted point.
 
     The solve stops once the sup residual is at most ``tol``, which must be
     finite and positive.  :class:`NewtonStall` (with the best state and the
@@ -617,20 +643,30 @@ def solve_vortex(
     (a budget per level) and the weight fields at the even points, and its
     solution is prolonged by trigonometric interpolation.  A coarse level
     that raises :class:`NewtonStall` (the even points can miss a weight's
-    support) leaves the start at zero.  The fine solve's stopping rule is
-    unchanged, so ``tol`` holds on the fine grid, and a smooth solution
-    often needs no fine step at all.  ``iterations``, ``history`` and
-    ``states`` are the finest level's; ``levels`` gives (grid size, Newton
-    steps) per level, coarsest first, leaving out a level that stalled.
-    Grids of at most ``COARSE_N`` points and solves given ``initial`` run
-    one level.
+    support) leaves the start at zero.  The prolongation's half spectrum
+    gives both the fine start (one ``irfft2`` per vertex) and its first
+    residual's Laplacian (one more), so a level that takes no Newton step
+    does no forward transform at its own size; every later residual is a
+    fresh transform of u.  A level that stops at its first residual is
+    thus certified on the interpolant, whose returned samples are rounded:
+    their fresh residual differs by that rounding times the Laplacian
+    symbol, about 1e-10 at N = 256.  The fine solve's stopping rule is unchanged, so
+    ``tol`` holds on the fine grid, and a smooth solution often needs no
+    fine step at all.  ``iterations``, ``history`` and ``states`` are the
+    finest level's; ``levels`` gives (grid size, Newton steps) and
+    ``cg_iterations`` the CG iterations per level, coarsest first, leaving
+    out a level that stalled.  Grids of at most ``COARSE_N`` points and
+    solves given ``initial`` run one level; ``initial`` is refused as
+    :func:`_check_state` refuses it, before any transform.
     """
     check_tolerance("tol", tol)
     check_count("max_newton", max_newton)
     grid = system.grid
     verts = list(system.quiver.vertices)
+    if initial is not None:
+        _check_state(system, initial)
     witness = _unsolvable_subset(system)
-    levels: list[tuple[int, int]] = []
+    levels, cg_levels, lap_u = [], [], None
     if initial is None:
         u = {v: np.zeros((grid.n, grid.n)) for v in verts}
         if witness is None and grid.n > COARSE_N:
@@ -639,14 +675,18 @@ def solve_vortex(
             except NewtonStall:
                 pass  # e.g. the even points miss a weight's support
             else:
-                levels = coarse.levels
-                u = gauge_fix(system, {v: _prolong(coarse.state.u[v], grid.n) for v in verts})
+                levels, cg_levels = coarse.levels, coarse.cg_iterations
+                spec = {v: _prolong(coarse.state.u[v], grid.n) for v in verts}
+                u = gauge_fix(system, {v: np.fft.irfft2(spec[v], s=(grid.n, grid.n)) for v in verts})
+                # gauge_fix moves only the mean mode, which lap's symbol zeroes
+                lap_u = {v: grid._lap_of_spectrum(spec[v]) for v in verts}
     else:
         u = gauge_fix(system, {v: np.array(initial.u[v]) for v in verts})
     history: list[tuple[int, float, float]] = []
     states: list[PotentialState] = []
+    cg_iterations = 0
     coupling = _arrow_exponents(system, u)
-    res = _residual_fields(system, u, coupling)
+    res = _residual_fields(system, u, coupling, lap_u)
     sup = _sup(res)
     r_norm = _l2(grid, res)
     eta_ew = EW_ETA_MAX
@@ -665,7 +705,8 @@ def solve_vortex(
         if sup <= tol:
             break
         eta = _forcing_term(eta_ew, r_norm, tol, CG_RTOL)
-        delta, quad = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
+        delta, quad, iters = _pcg(system, coupling, {v: -res[v] for v in verts}, eta, CG_MAX_ITER)
+        cg_iterations += iters
         # return to the gauge tangent (the CG kernel direction is free, and
         # the Hessian form does not see it)
         delta = gauge_fix(system, delta)
@@ -702,6 +743,7 @@ def solve_vortex(
         history=history,
         states=states if record_states else None,
         levels=levels + [(grid.n, len(history) - 1)],
+        cg_iterations=cg_levels + [cg_iterations],
     )
 
 
@@ -743,19 +785,17 @@ def ymh_identity(
     d rho once per vertex pair joined by a phi arrow.  Each phi field costs
     one :meth:`TorusGrid._half_partials` call, which gives both dbar phi and
     d phi, so the identity takes no 2-D complex transform; each arrow's
-    temporaries are freed before the next.  A state without a potential
-    for some vertex, or a phi field naming no arrow of the quiver, raises
-    :class:`QuiverMismatch`; a potential or phi field that is not N x N
-    :class:`ShapeMismatch`, both before any transform; and a phi field or
-    state that makes either side non-finite :class:`NonFiniteData`.
+    temporaries are freed before the next.  That is about 7 complex N x N
+    transform equivalents per call on the two-vertex, two-arrow case, the
+    floor of this formulation.  Before any transform, the state is checked
+    by :func:`_check_state`, and a phi field naming no arrow of the quiver
+    raises :class:`QuiverMismatch` and one that is not N x N
+    :class:`ShapeMismatch`; a phi field or state that makes either side
+    non-finite raises :class:`NonFiniteData`.
     """
     check_tolerance("tol", tol)
+    _check_state(system, state)
     n = system.grid.n
-    for v in system.quiver.vertices:
-        if v not in state.u:
-            raise QuiverMismatch(f"state has no potential for vertex {v!r}")
-        if state.u[v].shape != (n, n):
-            raise ShapeMismatch(f"potential of vertex {v!r} has shape {state.u[v].shape}, not {(n, n)}")
     for name, phi in phi_fields.items():
         try:
             a = system.quiver.arrow(name)
@@ -787,12 +827,9 @@ def _ymh_sides(system: TorusSystem, u, phi_fields) -> tuple[float, float]:
     """The two sides of :func:`ymh_identity` on checked input."""
     grid, n = system.grid, system.grid.n
     sig, tau, verts = system.params.sigma, system.params.tau, system.quiver.vertices
+    # spectra that d rho reads too
     spec = {v: np.fft.rfft2(u[v]) for v in verts}
-    # grid.lap's arithmetic, on spectra that d rho reads too
-    f_curv = {
-        v: TWO_PI * system.degrees[v] - np.fft.irfft2(grid._lap_sym * spec[v], s=(n, n))
-        for v in verts
-    }
+    f_curv = {v: TWO_PI * system.degrees[v] - grid._lap_of_spectrum(spec[v]) for v in verts}
     # d rho, rho = 2 (u_head - u_tail), once per vertex pair joined by a phi
     # arrow: a parallel arrow shares it, a reversed one negates it, and a
     # loop has rho = 0

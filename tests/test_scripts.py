@@ -14,7 +14,9 @@ def test_torus_bump_demo_runs(monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "torus_bump_demo.py"), run_name="__main__")
     assert info.value.code == 0
-    assert "Newton steps per grid: 64x64 " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Newton steps per grid: 64x64 " in out
+    assert "CG iterations per grid: 64x64 " in out
 
 
 def _run_kronecker_family(monkeypatch, *args):

@@ -378,13 +378,210 @@ def test_solve_vortex_refuses_a_bad_newton_budget(max_newton):
         qf.solve_vortex(two_vertex_system(), max_newton=max_newton)
 
 
+def pcg_system(kind, n=64):
+    """The Newton-system classes of the CG tests: a bump-weighted Kronecker
+    pair, a four-vertex chain of bumps, and a pair beside an uncoupled
+    vertex, whose mean diagonal coupling is the 1e-8 floor."""
+    from quiverforge.gallery import chain_quiver
+
+    if kind == "kron":
+        spec = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+        return two_vertex_system(t=1.5, n=n, weight=spec)
+    if kind == "chain4":
+        q = chain_quiver(3)
+        weights = {
+            f"a{i}": WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.2 + 0.3 * i, 0.6 - 0.2 * i), floor=0.05)
+            for i in range(3)
+        }
+        tau = dict(zip(q.vertices, (-1.5, -0.5, 0.5, 1.5)))
+    else:
+        q = qf.Quiver.from_lists(["1", "2", "3"], [("a0", "1", "2")])
+        weights = {"a0": WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)}
+        tau = {"1": -1.0, "2": 1.0, "3": 0.0}
+    params = qf.StabilityParams({v: 1.0 for v in q.vertices}, tau)
+    return qf.build_torus_system(q, {v: 0 for v in q.vertices}, weights, params, n)
+
+
+def newton_system(system, rng):
+    """Coupling and right-hand side (minus the residual) at a random smooth
+    gauge-fixed state."""
+    n = system.grid.n
+    u = gauge_fix(system, {v: random_smooth_field(rng, n, scale=0.5) for v in system.quiver.vertices})
+    coupling = torus._arrow_exponents(system, u)
+    res = _residual_fields(system, u, coupling)
+    return coupling, {v: -f for v, f in res.items()}
+
+
+def explicit_jacobian(system, coupling, x):
+    """The Newton operator with its Laplacians taken by transform."""
+    out = {v: -system.params.sigma[v] * system.grid.lap(x[v]) for v in system.quiver.vertices}
+    for a in system.quiver.arrows:
+        c = 2.0 * coupling[a.name] * (x[a.head] - x[a.tail])
+        out[a.head] = out[a.head] + c
+        out[a.tail] = out[a.tail] - c
+    return out
+
+
+def count_transforms(monkeypatch, names=("rfft2", "irfft2")):
+    calls = []
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["kron", "chain4", "uncoupled"])
+@pytest.mark.parametrize("rtol, converged", [(1e-10, True), (0.5, True), (1e-10, False)])
+def test_pcg_takes_one_transform_pair_per_vertex_per_iteration(monkeypatch, rng, kind, rtol, converged):
+    # each iteration also applied the operator through grid.lap, one more
+    # transform pair per vertex
+    system = pcg_system(kind, n=32)
+    coupling, b = newton_system(system, rng)
+    budget = torus.CG_MAX_ITER if converged else 3
+
+    def refused(self, f):
+        raise AssertionError("the CG took a Laplacian")
+
+    monkeypatch.setattr(TorusGrid, "lap", refused)
+    calls = count_transforms(monkeypatch)
+    _, _, iters = torus._pcg(system, coupling, b, rtol, budget)
+    # one preconditioner application before the loop and one after every
+    # iteration but a converged last
+    applications = iters if converged else iters + 1
+    assert converged or iters == budget
+    verts = len(system.quiver.vertices)
+    assert calls.count("rfft2") == calls.count("irfft2") == verts * applications
+
+
+@pytest.mark.parametrize("kind", ["kron", "chain4", "uncoupled"])
+@pytest.mark.parametrize("rtol", [1e-10, 1e-3, 0.5])
+def test_pcg_solves_the_explicit_newton_operator(monkeypatch, rng, kind, rtol):
+    system = pcg_system(kind)
+    grid, verts = system.grid, system.quiver.vertices
+    coupling, b = newton_system(system, rng)
+    # _l2 sees the projected right-hand side first and the final recurrence
+    # residual last
+    seen = []
+    l2 = torus._l2
+
+    def recorded(g, f):
+        seen.append(f)
+        return l2(g, f)
+
+    monkeypatch.setattr(torus, "_l2", recorded)
+    x, quad, _ = torus._pcg(system, coupling, b, rtol, torus.CG_MAX_ITER)
+    b_bar, r = seen[0], seen[-1]
+    jx = explicit_jacobian(system, coupling, x)
+    gap = l2(grid, {v: jx[v] - (b_bar[v] - r[v]) for v in verts})
+    assert gap <= 1e-10 * l2(grid, b_bar)
+    form = sum(float(np.mean(x[v] * jx[v])) for v in verts)
+    assert quad == pytest.approx(form, rel=1e-10)
+
+
+def test_prolonged_level_takes_its_first_laplacian_from_the_prolongation(monkeypatch):
+    # each prolonged level's first residual forward-transformed the
+    # prolonged potentials once more
+    spec = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+    system = two_vertex_system(t=1.5, n=256, weight=spec)
+    residual_fields = torus._residual_fields
+    given = []
+
+    def compared(system, u, coupling=None, lap_u=None):
+        out = residual_fields(system, u, coupling, lap_u)
+        if lap_u is not None:
+            fresh = residual_fields(system, u)
+            scale = max(float(np.abs(lap_u[v]).max()) for v in u)
+            given.append((system.grid.n, max(float(np.abs(out[v] - fresh[v]).max()) for v in u) / scale))
+        return out
+
+    monkeypatch.setattr(torus, "_residual_fields", compared)
+    result = torus.solve_vortex(system)
+    assert [n for n, _ in result.levels] == [64, 128, 256]
+    assert [n for n, _ in given] == [128, 256]
+    # the fresh transform's rounding, eps |u| per mode, is amplified by the
+    # Laplacian symbol (up to 8 pi^2 (n/2)^2): 3e-12 at 128 and 1.3e-11 at
+    # 256 relative to sup |lap u|, while the prolonged spectrum has no
+    # high-frequency rounding at all
+    assert all(err <= 1e-10 for _, err in given)
+
+
+def test_cg_iterations_are_counted_per_level(monkeypatch):
+    spec = WeightSpec("bump", amplitude=5.0, width=0.15, center=(0.3, 0.6), floor=0.0)
+    system = two_vertex_system(t=2.0, n=256, weight=spec)
+    pcg = torus._pcg
+    runs = []
+
+    def counted(system, *args):
+        x, quad, iters = pcg(system, *args)
+        runs.append((system.grid.n, iters))
+        return x, quad, iters
+
+    monkeypatch.setattr(torus, "_pcg", counted)
+    result = torus.solve_vortex(system)
+    sizes = [n for n, _ in result.levels]
+    assert sizes == [64, 128, 256] and all(steps > 0 for _, steps in result.levels)
+    assert result.cg_iterations == [sum(i for m, i in runs if m == n) for n in sizes]
+    # a level without a Newton step runs no CG
+    smooth = qf.solve_vortex(two_vertex_system(t=1.5, n=128, weight=WeightSpec("bump", width=0.4, floor=0.05)))
+    assert smooth.levels[-1] == (128, 0) and smooth.cg_iterations[-1] == 0
+    assert len(smooth.cg_iterations) == len(smooth.levels)
+
+
+def _bad_state(case, n=16):
+    good = np.zeros((n, n))
+    if case == "missing-vertex":
+        return PotentialState({"1": good})
+    if case == "wrong-shape":
+        return PotentialState({"1": good, "2": np.zeros((n, n // 2))})
+    if case == "nan":
+        return PotentialState({"1": good, "2": np.where(np.eye(n) > 0, np.nan, 0.0)})
+    return PotentialState({"1": np.full((n, n), np.inf), "2": good})
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("missing-vertex", QuiverMismatch),
+        ("wrong-shape", ShapeMismatch),
+        ("nan", NonFiniteData),
+        ("inf", NonFiniteData),
+    ],
+)
+@pytest.mark.parametrize("entry", ["solve_vortex", "vortex_residual"])
+def test_bad_states_are_refused_before_any_transform(monkeypatch, case, error, entry):
+    # a KeyError, numpy's broadcast ValueError, and for non-finite input a
+    # NewtonStall at a NaN residual or silently NaN residual fields
+    system = two_vertex_system(n=16)
+    state = _bad_state(case)
+    for name in ("rfft2", "irfft2"):
+        monkeypatch.setattr(np.fft, name, None)  # any transform fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as refused:
+            if entry == "solve_vortex":
+                qf.solve_vortex(system, initial=state)
+            else:
+                vortex_residual(system, state)
+    if case == "missing-vertex":
+        assert "'2'" in str(refused.value)
+
+
 # ---------------------------------------------------------------------------
 # coarse-grid start
 
 
 def test_prolong_keeps_the_coarse_samples(rng):
     f = rng.standard_normal((32, 32))
-    g = torus._prolong(f, 64)
+    g = np.fft.irfft2(torus._prolong(f, 64), s=(64, 64))  # _prolong returns the half spectrum
     assert np.abs(g[::2, ::2] - f).max() <= 1e-14
     assert abs(g.mean() - f.mean()) <= 1e-14
 
@@ -395,7 +592,7 @@ def test_prolong_reproduces_band_limited_fields(rng):
     low = (np.abs(k)[:, None] < 16) & (np.abs(k)[None, :] < 16)
     spec = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) * low
     f = np.real(np.fft.ifft2(spec))
-    assert np.abs(torus._prolong(f[::2, ::2], 64) - f).max() <= 1e-14
+    assert np.abs(np.fft.irfft2(torus._prolong(f[::2, ::2], 64), s=(64, 64)) - f).max() <= 1e-14
 
 
 def test_coarse_start_matches_zero_start():
@@ -641,19 +838,7 @@ def test_ymh_matches_the_2d_reference(n, every_mode, zero_state, quiver):
 def test_ymh_takes_no_2d_complex_transform(monkeypatch):
     # dbar(phi), dhol(phi) and dhol(rho) took 6 fft2/ifft2 calls per arrow;
     # then d rho took 4 of the 1-D fft/ifft calls per arrow beside phi's 4
-    calls = []
-
-    def counted(name):
-        transform = getattr(np.fft, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return transform(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("fft2", "ifft2", "fftn", "ifftn", "fft", "ifft", "rfft2", "irfft2"):
-        monkeypatch.setattr(np.fft, name, counted(name))
+    calls = count_transforms(monkeypatch, ("fft2", "ifft2", "fftn", "ifftn", "fft", "ifft", "rfft2", "irfft2"))
     for quiver in ("two-way", "reversed-loop"):  # each with one vertex pair
         system, state, phi = _ymh_case(32, every_mode=False, zero_state=False, seed=3, quiver=quiver)
         calls.clear()
