@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Digest of the stability oracle's verdicts on a fixed reference set.
+
+Prints one line per oracle call, ``name tag hash``, where ``hash`` is the
+first 12 hex digits of the SHA-1 of the ``check`` payload (tag, slope,
+witness and witness slope, as ``quiverforge check`` exports them), then one
+``count tag n`` line per tag.  Run it on two checkouts and diff the outputs:
+a changed line is a changed tag or witness.
+
+The reference set, in this order:
+- the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
+  three-vertex draws 6500-6539 (``bench/gen.py``), each at its family's
+  three sigma vectors;
+- both benchmark point passes (seeds 1 and 7919);
+- a sweep of 400 planted Kronecker representations from ``default_rng(11)``:
+  2-4 arrows 1 -> 2, dims 1-3, every arrow map zero on the block from
+  <e_1..e_a> to the span of f_(b+1), ... (so <e_1..e_a> + <f_1..f_b> is
+  invariant), in a random unitary frame, tau = (-t d_2/d_1, t) with t
+  normal, sigma = 1.
+
+The script imports the library and the benchmark generator from the checkout
+it lives in and writes nothing.
+
+Usage:
+    python scripts/oracle_digest.py [--limit N] > digest.txt
+"""
+import argparse
+import hashlib
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+
+import gen  # noqa: E402
+import quiverforge as qf  # noqa: E402
+from quiverforge import io as qio  # noqa: E402
+from quiverforge.gallery import kronecker_quiver  # noqa: E402
+
+PLANTED_SEED = 11
+PLANTED_DRAWS = 400
+
+
+def _family(name, base, draw, sigmas, count):
+    for k in range(count):
+        rep, tau = draw(base + k)
+        for j, sigma in enumerate(sigmas):
+            yield f"{name}-{base + k}-s{j}", rep, qf.StabilityParams(sigma, tau)
+
+
+def planted_kronecker(rng):
+    """One draw of the planted sweep, as (rep, params)."""
+    n_arrows, d1, d2 = int(rng.integers(2, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    a, b = int(rng.integers(1, d1 + 1)), int(rng.integers(0, d2))
+    slices = {}
+    for i in range(n_arrows):
+        phi = rng.normal(size=(d2, d1)) + 1j * rng.normal(size=(d2, d1))
+        phi[b:, :a] = 0
+        slices[f"a{i}"] = [phi]
+    rep = qf.build_rep(kronecker_quiver(n_arrows), None, {"1": d1, "2": d2}, slices)
+    t = float(rng.normal())
+    return gen.reframe(rep, rng), qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -t * d2 / d1, "2": t})
+
+
+def _point_pass(seed):
+    for case in gen.point_pass(seed):
+        yield f"pass{seed}-{case.name}", case.rep, case.params
+
+
+def _planted_sweep():
+    rng = np.random.default_rng(PLANTED_SEED)
+    for k in range(PLANTED_DRAWS):
+        yield f"planted-{k}", *planted_kronecker(rng)
+
+
+def reference_set(limit):
+    """(name, rep, params) of every call, at most ``limit`` per family."""
+    families = [
+        _family("criterion4", gen.CRITERION4_BASE, gen.criterion4_instance, gen.CRITERION4_SIGMAS, 100),
+        _family("twisted", gen.TWISTED_BASE, gen.twisted_instance, gen.CRITERION4_SIGMAS, 40),
+        _family("three-vertex", gen.THREE_VERTEX_BASE, gen.three_vertex_instance, gen.THREE_VERTEX_SIGMAS, 40),
+        _point_pass(1),
+        _point_pass(7919),
+        _planted_sweep(),
+    ]
+    for family in families:
+        for k, call in enumerate(family):
+            if k == limit:
+                break
+            yield call
+
+
+def check_payload(verdict) -> bytes:
+    payload = {"verdict": verdict.tag, "slope": verdict.slope}
+    if verdict.witness is not None:
+        payload["witness"] = qio.encode_witness(verdict.witness)
+        payload["witness_slope"] = verdict.witness_slope
+    return qio.export_report(payload)
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--limit", type=int, default=None, help="at most this many calls per family")
+    args = ap.parse_args()
+    if args.limit is not None and args.limit < 1:
+        print("--limit must be a positive integer", file=sys.stderr)
+        return 1
+    tags = Counter()
+    for name, rep, params in reference_set(args.limit):
+        verdict = qf.stability_oracle(rep, params, qf.OracleOptions(seed=0))
+        tags[verdict.tag] += 1
+        print(name, verdict.tag, hashlib.sha1(check_payload(verdict)).hexdigest()[:12])
+    for tag in sorted(tags):
+        print("count", tag, tags[tag])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -241,10 +241,11 @@ def _cmd_relations(args):
 
 def _run_manifest(args):
     """Run every manifest entry in isolation: an entry whose arguments do not
-    parse, or that is not an object with a ``command``, reports an error
-    (exit 1) and the remaining entries still run.  ``true`` values pass a
-    bare flag; ``false`` and ``null`` values omit the flag.  Every entry goes
-    through ``main`` and so shares the process's one parser."""
+    parse, or that is not an object with a ``command`` other than ``batch``
+    (a manifest could name itself), reports an error (exit 1) and the
+    remaining entries still run.  ``true`` values pass a bare flag;
+    ``false`` and ``null`` values omit the flag.  Every entry goes through
+    ``main`` and so shares the process's one parser."""
     if args.jobs < 1:
         raise NonpositiveScale(f"jobs must be a positive integer, got {args.jobs}")
     with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -253,8 +254,9 @@ def _run_manifest(args):
         raise SchemaError([("/", "manifest must be a list of entries")])
 
     def run(index, entry):
-        if not isinstance(entry, dict) or "command" not in entry:
-            return _report_error(SchemaError([(f"/{index}", "entry must be an object with a command")]))
+        if not isinstance(entry, dict) or "command" not in entry or entry["command"] == "batch":
+            message = "entry must be an object with a command other than batch"
+            return _report_error(SchemaError([(f"/{index}", message)]))
         argv = [str(entry["command"])]
         for key, val in entry.items():
             if key == "command" or val is False or val is None:

@@ -744,6 +744,23 @@ def test_decoding_an_untwisted_quiver_checks_no_twist_metric(monkeypatch):
     assert errs == [] and len(checked) == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_refuses_a_nested_batch(tmp_path, jobs, capsys):
+    # a manifest that runs itself recursed until a RecursionError traceback
+    q, r, p = setup_instance(tmp_path)
+    out = tmp_path / "check.json"
+    manifest = tmp_path / "m.json"
+    entries = [
+        {"command": "batch", "manifest": str(manifest)},
+        {"command": "check", "quiver": q, "rep": r, "params": p, "out": str(out)},
+    ]
+    manifest.write_text(json.dumps(entries))
+    assert cli.main(["batch", "--manifest", str(manifest), "--jobs", jobs]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error_code"] == "schema_error" and "/0" in err["error"]
+    assert json.loads(out.read_text())["verdict"] == "stable"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_batch_refuses_nonpositive_jobs(tmp_path, jobs, capsys):
     # these ran the entries one at a time and exited 0

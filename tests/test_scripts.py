@@ -60,3 +60,26 @@ def test_kronecker_family_has_no_closed_form_without_an_arrow_map(monkeypatch, t
         rows = list(csv.DictReader(fh))
     assert [r["status"] for r in rows] == ["diverged", "diverged"]
     assert [r["closed_form"] for r in rows] == ["", ""]
+
+
+def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
+    # the script puts src/ and bench/ on sys.path; restore it afterwards
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
+    assert info.value.code == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    calls = [r for r in rows if r[0] != "count"]
+    # five calls from each of six families: the criterion-4, twisted and
+    # three-vertex draws, the two point passes and the planted sweep
+    assert [name for name, _, _ in calls[:5]] == [
+        "criterion4-5000-s0", "criterion4-5000-s1", "criterion4-5000-s2", "criterion4-5001-s0", "criterion4-5001-s1"
+    ]
+    assert [name for name, _, _ in calls[15:20]] == [f"pass1-criterion4-{k}" for k in range(5)]
+    assert [name for name, _, _ in calls[20:25]] == [f"pass7919-criterion4-{k}" for k in range(5)]
+    assert [name for name, _, _ in calls[25:]] == [f"planted-{k}" for k in range(5)]
+    assert all(len(digest) == 12 for _, _, digest in calls)
+    counts = {tag: int(n) for _, tag, n in rows[len(calls):]}
+    assert counts == {tag: sum(1 for _, t, _ in calls if t == tag) for tag in counts}
+    assert sum(counts.values()) == len(calls) == 30
