@@ -5,7 +5,10 @@ Prints one line per oracle call, ``name tag hash``, where ``hash`` is the
 first 12 hex digits of the SHA-1 of the ``check`` payload (tag, slope,
 witness and witness slope, as ``quiverforge check`` exports them), then one
 ``count tag n`` line per tag.  Run it on two checkouts and diff the outputs:
-a changed line is a changed tag or witness.
+a changed line is a changed tag or witness.  Standard error gets one
+``oracle_cpu_s <seconds>`` line: the process CPU time summed over the
+``stability_oracle`` calls, which is not deterministic and so stays out of
+standard output.
 
 The reference set, in this order:
 - the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
@@ -27,6 +30,7 @@ Usage:
 import argparse
 import hashlib
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -109,12 +113,16 @@ def main():
         print("--limit must be a positive integer", file=sys.stderr)
         return 1
     tags = Counter()
+    cpu = 0.0
     for name, rep, params in reference_set(args.limit):
+        start = time.process_time()
         verdict = qf.stability_oracle(rep, params, qf.OracleOptions(seed=0))
+        cpu += time.process_time() - start
         tags[verdict.tag] += 1
         print(name, verdict.tag, hashlib.sha1(check_payload(verdict)).hexdigest()[:12])
     for tag in sorted(tags):
         print("count", tag, tags[tag])
+    print("oracle_cpu_s", f"{cpu:.3f}", file=sys.stderr)
     return 0
 
 

@@ -88,13 +88,6 @@ def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return u[:, :_rank(s, tol)]
 
 
-def stacked_columns(stack: np.ndarray, tol: float = RANK_TOL) -> list[np.ndarray]:
-    """:func:`orthonormal_columns` of every matrix in a nonempty stack
-    (k, m, n) with m, n > 0, from one SVD call."""
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    return [uk[:, :_rank(sk, tol)] for uk, sk in zip(u, s)]
-
-
 def stacked_images_and_kernels(stack: np.ndarray, tol: float = RANK_TOL) -> list[tuple[np.ndarray, np.ndarray]]:
     """(:func:`orthonormal_columns`, :func:`null_space`) of every square
     matrix in a nonempty stack (k, n, n) with n > 0, from one SVD call: for a

@@ -18,7 +18,6 @@ from ._linalg import (
     null_space,
     orthonormal_columns,
     projector,
-    stacked_columns,
 )
 from .errors import (
     DimensionOverflow,
@@ -246,39 +245,24 @@ def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TO
     return leakage <= tol, leakage
 
 
-def invariant_closures(rep: TwistedRep, members: Sequence[Mapping[str, np.ndarray]]) -> list[SubrepWitness]:
-    """Smallest invariant subspace containing each member's per-vertex
-    vectors, one per member, in order.
+def invariant_closures(rep: TwistedRep, starts: Sequence[Mapping[str, np.ndarray]]) -> list[SubrepWitness]:
+    """Smallest invariant subspace containing each start, in order.
 
-    Every member's generators are first made orthonormal, the
-    ``orthonormal_columns`` of each, in one stacked SVD per vertex and
-    generator shape.  Then each member grows on its own: each step stacks the
-    slice images Y of an arrow's tail basis onto its head basis B and keeps
-    the ``orthonormal_columns`` of [B, Y] when the rank grows.  A step whose
-    images already lie in range(B), with ||(1 - B B^H) Y||_F <= ``RANK_TOL``,
-    skips that SVD: by Weyl's inequality sigma_{r+1}([B, Y]) <=
+    A start maps vertices to orthonormal bases, taken as they are; a vertex
+    it leaves out starts empty.  Each start grows on its own: each step
+    stacks the slice images Y of an arrow's tail basis onto its head basis B
+    and keeps the ``orthonormal_columns`` of [B, Y] when the rank grows.  A
+    step whose images already lie in range(B), with ||(1 - B B^H) Y||_F <=
+    ``RANK_TOL``, skips that SVD: by Weyl's inequality sigma_{r+1}([B, Y]) <=
     ||(1 - B B^H) Y||_2 <= ``RANK_TOL``, at most the cut ``RANK_TOL`` *
     max(1, s_0), so the SVD would keep rank r = rank B and leave B
     unchanged.  This holds while s_0 < 1/``RANK_TOL``, so that B's own
     singular values (all 1) survive the cut.  A full B skips the test too.
     """
     empty = {v: np.zeros((rep.dims[v], 0), dtype=complex) for v in rep.quiver.vertices}
-    starts = [dict(empty) for _ in members]
-    groups: dict[tuple, list] = {}
-    for i, generators in enumerate(members):
-        for v, g in generators.items():
-            g = np.asarray(g, dtype=complex)
-            if g.ndim == 1:
-                g = g[:, None]
-            if g.shape[0] != rep.dims[v]:
-                raise ShapeMismatch(f"generators at {v!r}: ambient dimension {g.shape[0]} != {rep.dims[v]}")
-            if g.size:
-                groups.setdefault((v, g.shape), []).append((i, g))
-    for (v, _), entries in groups.items():
-        for (i, _), basis in zip(entries, stacked_columns(np.array([g for _, g in entries]))):
-            starts[i][v] = basis
     closures = []
-    for bases in starts:
+    for start in starts:
+        bases = {**empty, **start}
         changed = True
         while changed:
             changed = False
@@ -306,8 +290,22 @@ def _adjoint(rep: TwistedRep) -> TwistedRep:
 
 def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> SubrepWitness:
     """Smallest invariant subspace containing the given per-vertex vectors:
-    :func:`invariant_closures` of the one member ``generators``."""
-    return invariant_closures(rep, [generators])[0]
+    the :func:`invariant_closures` of their ``orthonormal_columns``.  A key
+    that is not a vertex, a shape that does not fit the vertex space and a
+    non-finite entry are refused."""
+    start = {}
+    for v, g in generators.items():
+        if v not in rep.dims:
+            raise QuiverMismatch(f"generators at {v!r}: not a vertex of the quiver")
+        g = np.asarray(g, dtype=complex)
+        if g.ndim == 1:
+            g = g[:, None]
+        if g.ndim != 2 or g.shape[0] != rep.dims[v]:
+            raise ShapeMismatch(f"generators at {v!r}: shape {g.shape} does not fit dimension {rep.dims[v]}")
+        if not np.isfinite(g).all():
+            raise NonFiniteData(f"generators at {v!r} have a non-finite entry")
+        start[v] = orthonormal_columns(g)
+    return invariant_closures(rep, [start])[0]
 
 
 def module_map_operator(

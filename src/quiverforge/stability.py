@@ -12,21 +12,22 @@ the sum of V_v outside S in the adjoint representation; on one-dimensional
 vertices these are all the subobjects.  The End(V) family takes a basis of
 End(V), the kernel of the module-map operator, and for each element f and
 eigenvalue lambda the kernel and image of f - lambda, which are subobjects
-because f is a module map, and which in a semistable object have its slope.
-The enumeration is these two families and nothing else, so it is
-deterministic.  Schur's lemma guards the verdict: an object is called
-``stable`` only when End(V) is the scalars, and ``undecided`` when no
-candidate explains a larger End(V), or beyond the exactness envelope (any
-vertex dimension above 4).  The families can still miss the one subobject
-that matters: ``tests/test_stability.py`` pins two planted Kronecker
-objects that the oracle calls ``stable`` although an invariant subobject
-of equal or larger slope exists.
+as built because f is a module map (only the coordinate family is closed),
+and which in a semistable object have its slope.  The enumeration is these
+two families and nothing else, so it is deterministic.  Schur's lemma
+guards the verdict: an object is called ``stable`` only when End(V) is the
+scalars, and ``undecided`` when no candidate explains a larger End(V), or
+beyond the exactness envelope (any vertex dimension above 4).  The
+families can still miss the one subobject that matters:
+``tests/test_stability.py`` pins two planted Kronecker objects that the
+oracle calls ``stable`` although an invariant subobject of equal or larger
+slope exists.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -125,10 +126,10 @@ def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
     representation, so the latter is the complement of the adjoint closure
     of the sum of V_v outside S, which is all of V_v there.  On
     one-dimensional vertices these are the closed vertex subsets."""
-    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
-    subsets = [subset for r in range(1, len(verts)) for subset in combinations(verts, r)]
-    closures = invariant_closures(rep, [{v: np.eye(rep.dims[v]) for v in subset} for subset in subsets])
-    outside = [{v: np.eye(rep.dims[v]) for v in verts if v not in subset} for subset in subsets]
+    eye = {v: np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices if rep.dims[v]}
+    subsets = [subset for r in range(1, len(eye)) for subset in combinations(eye, r)]
+    closures = invariant_closures(rep, [{v: eye[v] for v in subset} for subset in subsets])
+    outside = [{v: eye[v] for v in eye if v not in subset} for subset in subsets]
     for closure, dual in zip(closures, invariant_closures(_adjoint(rep), outside)):
         yield closure
         perp = {v: b[:, :0] if b.shape[1] == len(b) else null_space(b.conj().T) for v, b in dual.basis.items()}
@@ -137,11 +138,11 @@ def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
 
 def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
     """For every element f of the basis ``ends`` of End(V) and every
-    eigenvalue lambda of f, the closures of ker(f - lambda) and
-    im(f - lambda); both are invariant because f is a module map.  None
-    when End(V) is the scalars.  Each nonzero vertex takes one stacked
-    eigenvalue call over the basis and one stacked SVD over every
-    f - lambda, which gives both its kernel and its image."""
+    eigenvalue lambda of f, ker(f - lambda) and im(f - lambda), not closed:
+    both are invariant as built because f is a module map.  None when End(V)
+    is the scalars.  Each nonzero vertex takes one stacked eigenvalue call
+    over the basis and one stacked SVD over every f - lambda, which gives
+    both its kernel and its image; a zero-dimensional one gets empty bases."""
     if len(ends) < 2:
         return
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
@@ -155,9 +156,10 @@ def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> 
         v: stacked_images_and_kernels(np.array([f[v] - lam * np.eye(rep.dims[v]) for f, lam in shifts]))
         for v in verts
     }
+    empty = np.zeros((0, 0), dtype=complex)
     # split[v][k] is (image, kernel); each shift gives its kernel first
-    members = [{v: split[v][k][j] for v in verts} for k in range(len(shifts)) for j in (1, 0)]
-    yield from invariant_closures(rep, members)
+    for k, j in product(range(len(shifts)), (1, 0)):
+        yield SubrepWitness({v: split[v][k][j] if v in split else empty for v in rep.quiver.vertices})
 
 
 def _candidate_subreps(rep: TwistedRep, ends: list[dict[str, np.ndarray]] | None = None) -> list[SubrepWitness]:

@@ -229,12 +229,24 @@ def test_closure_is_invariant(seed):
     assert ok, leak
 
 
-def test_closure_refuses_generators_of_the_wrong_height():
-    # stacked generators of one shape are decomposed together, so a height
-    # that is not the vertex dimension is refused rather than closed
+@pytest.mark.parametrize(
+    "generators, error",
+    [
+        ({"zz": np.ones(1)}, QuiverMismatch),
+        ({"1": np.array([1.0, np.nan])}, NonFiniteData),
+        ({"1": np.array([[np.inf], [0.0]])}, NonFiniteData),
+        ({"1": np.ones((2, 1, 1))}, ShapeMismatch),
+        ({"1": np.ones(3)}, ShapeMismatch),
+    ],
+    ids=["unknown-vertex", "nan", "inf", "wrong-shape", "wrong-height"],
+)
+def test_closure_refuses_bad_generators(generators, error):
+    # bad generators are refused rather than closed, with the key or vertex
+    # named; none lets a numpy error escape
     rep = qf.build_rep(kronecker_quiver(1), None, {"1": 2, "2": 1}, {"a0": [np.ones((1, 2))]})
-    with pytest.raises(ShapeMismatch):
-        invariant_closure(rep, {"1": np.ones(3)})
+    (key,) = generators
+    with pytest.raises(error, match=repr(key)):
+        invariant_closure(rep, generators)
 
 
 def test_invariant_complement():

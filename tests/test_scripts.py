@@ -69,7 +69,8 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
     assert info.value.code == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    out, err = capsys.readouterr()
+    rows = [line.split() for line in out.splitlines()]
     calls = [r for r in rows if r[0] != "count"]
     # five calls from each of six families: the criterion-4, twisted and
     # three-vertex draws, the two point passes and the planted sweep
@@ -83,3 +84,6 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     counts = {tag: int(n) for _, tag, n in rows[len(calls):]}
     assert counts == {tag: sum(1 for _, t, _ in calls if t == tag) for tag in counts}
     assert sum(counts.values()) == len(calls) == 30
+    # the oracle's CPU time goes to stderr, out of the diffable digest
+    (label, seconds), = [line.split() for line in err.splitlines()]
+    assert label == "oracle_cpu_s" and float(seconds) >= 0

@@ -360,45 +360,76 @@ def _closure_generators(rep):
 
 
 def test_closure_matches_always_svd_reference():
-    # one at a time, and all of a draw's generators in one call, whose
-    # stacked SVDs orthonormalize every member's generators at once
+    # one at a time through invariant_closure, and all of a draw's members
+    # in one invariant_closures call from orthonormal starts: the coordinate
+    # spans' identity bases as they are, and the orthonormal_columns of each
+    # random vector
     for rep, _ in _oracle_draws():
         members = list(_closure_generators(rep))
         want = [_basis_bytes(_closure_reference(rep, g)) for g in members]
         assert [_basis_bytes(invariant_closure(rep, g)) for g in members] == want
-        assert [_basis_bytes(w) for w in invariant_closures(rep, members)] == want
+        starts = [{v: g if g.ndim == 2 else orthonormal_columns(g) for v, g in m.items()} for m in members]
+        assert [_basis_bytes(w) for w in invariant_closures(rep, starts)] == want
 
 
 def test_endomorphism_family_decomposes_in_stacked_calls(monkeypatch):
     # twisted draw 6004 has dim End(V) = 3; each nonzero vertex takes one
     # eigvals call over the basis and one SVD over every f - lambda, and the
-    # members and their closures equal the one-at-a-time construction
+    # members equal, byte for byte, the one-at-a-time construction
     rep = twisted_draw(6004)
     ends = stability._endomorphisms(rep)
     assert len(ends) == 3
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
-    generators = []
+    want = []
     for f in ends:
         for lam in stability._eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
             shifted = {v: f[v] - lam * np.eye(rep.dims[v]) for v in verts}
-            generators.append({v: null_space(m) for v, m in shifted.items()})
-            generators.append({v: orthonormal_columns(m) for v, m in shifted.items()})
-    want = [_basis_bytes(invariant_closure(rep, g)) for g in generators]
-    assert [_basis_bytes(w) for w in stability._endomorphism_family(rep, ends)] == want
+            want.append(_basis_bytes(qf.SubrepWitness({v: null_space(m) for v, m in shifted.items()})))
+            want.append(_basis_bytes(qf.SubrepWitness({v: orthonormal_columns(m) for v, m in shifted.items()})))
 
-    members = []
-    monkeypatch.setattr(stability, "invariant_closures", lambda rep, ms: members.extend(ms) or [])
     calls = {"eigvals": 0, "svd": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    list(stability._endomorphism_family(rep, ends))
+    members = list(stability._endomorphism_family(rep, ends))
     assert calls == {"eigvals": len(verts), "svd": len(verts)}
-    assert [_basis_bytes(qf.SubrepWitness(m)) for m in members] == [
-        _basis_bytes(qf.SubrepWitness(g)) for g in generators
-    ]
+    assert [_basis_bytes(w) for w in members] == want
+
+
+def test_endomorphism_family_is_invariant_as_built(monkeypatch):
+    # f is a module map, so ker(f - lambda) and im(f - lambda) are invariant
+    # as built: the family closes nothing, every member passes check_subrep
+    # and carries a basis at every vertex, a zero-dimensional one included
+    # (the last draw, whose End(V) is all of M_2)
+    def refuse(*args):
+        raise AssertionError("the End(V) family closed a member")
+
+    monkeypatch.setattr(stability, "invariant_closures", refuse)
+    zero_vertex = qf.build_rep(kronecker_quiver(1), None, {"1": 0, "2": 2}, {})
+    members = 0
+    for rep in [rep for rep, _ in _oracle_draws()] + [zero_vertex]:
+        for w in stability._endomorphism_family(rep, stability._endomorphisms(rep)):
+            assert list(w.basis) == list(rep.quiver.vertices)
+            assert all(b.shape[0] == rep.dims[v] for v, b in w.basis.items())
+            ok, leak = qf.check_subrep(rep, w)
+            assert ok, leak
+            members += 1
+    assert members > 0
+
+
+def test_coordinate_family_takes_identity_starts_as_they_are(monkeypatch):
+    # the identity bases of the coordinate spans are orthonormal already:
+    # with every map zero no closure grows and every complement is empty or
+    # full, so the family takes no SVD at all
+    rep = qf.build_rep(kronecker_quiver(3), None, {"1": 2, "2": 3}, {})
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    family = list(stability._coordinate_family(rep))
+    assert len(calls) == 0
+    assert [w.dims for w in family] == [{"1": 2, "2": 0}] * 2 + [{"1": 0, "2": 3}] * 2
 
 
 def _proper(rep, family):
