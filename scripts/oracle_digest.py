@@ -10,6 +10,13 @@ a changed line is a changed tag or witness.  Standard error gets one
 ``stability_oracle`` calls, which is not deterministic and so stays out of
 standard output.
 
+With ``--flow`` it runs the Kempf-Ness flow instead of the oracle and prints
+one line per call, ``name status stop iterations`` followed by one
+``dims:slope`` word per step that :func:`destabilizer_extract` reads off a
+diverged flow (dims in vertex order, comma separated; slope to 9 significant
+digits); standard error gets ``flow_cpu_s <seconds>``, the CPU time summed
+over the ``flow_solve`` and ``destabilizer_extract`` calls.
+
 The reference set, in this order:
 - the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
   three-vertex draws 6500-6539 (``bench/gen.py``), each at its family's
@@ -25,7 +32,7 @@ The script imports the library and the benchmark generator from the checkout
 it lives in and writes nothing.
 
 Usage:
-    python scripts/oracle_digest.py [--limit N] > digest.txt
+    python scripts/oracle_digest.py [--limit N] [--flow] > digest.txt
 """
 import argparse
 import hashlib
@@ -105,13 +112,35 @@ def check_payload(verdict) -> bytes:
     return qio.export_report(payload)
 
 
+def flow_line(name, rep, params) -> tuple[str, float]:
+    """The ``--flow`` line of one call and the CPU time it took."""
+    start = time.process_time()
+    report = qf.flow_solve(rep, params)
+    steps = qf.destabilizer_extract(rep, params, report) if report.status == "diverged" else []
+    cpu = time.process_time() - start
+    words = [name, report.status, report.stop, str(report.iterations)]
+    for st in steps:
+        dims = ",".join(str(st.witness.dim(v)) for v in rep.quiver.vertices)
+        words.append(f"{dims}:{st.slope:.9g}")
+    return " ".join(words), cpu
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--limit", type=int, default=None, help="at most this many calls per family")
+    ap.add_argument("--flow", action="store_true", help="digest the Kempf-Ness flow, not the oracle")
     args = ap.parse_args()
     if args.limit is not None and args.limit < 1:
         print("--limit must be a positive integer", file=sys.stderr)
         return 1
+    if args.flow:
+        cpu = 0.0
+        for call in reference_set(args.limit):
+            line, seconds = flow_line(*call)
+            cpu += seconds
+            print(line)
+        print("flow_cpu_s", f"{cpu:.3f}", file=sys.stderr)
+        return 0
     tags = Counter()
     cpu = 0.0
     for name, rep, params in reference_set(args.limit):

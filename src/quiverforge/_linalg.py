@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllConditionedSpectrum, SingularMetric
+from .errors import IllConditionedSpectrum, NonFiniteData, SingularMetric
 
 RANK_TOL = 1e-10
 
@@ -49,9 +49,13 @@ def expm_herm(a: np.ndarray) -> np.ndarray:
 def check_hpd(a: np.ndarray, cond_limit: float = 1e12, w: np.ndarray | None = None) -> None:
     """Raise SingularMetric unless ``a`` is Hermitian positive definite with
     condition number below ``cond_limit``; ``w`` are the eigenvalues of its
-    Hermitian part when already computed."""
+    Hermitian part when already computed.  A NaN or infinite entry raises
+    :class:`NonFiniteData` first: every comparison with NaN is False, so the
+    tests below would let it through."""
     if a.size == 0:
         return
+    if not np.isfinite(a).all():
+        raise NonFiniteData("metric has a non-finite entry")
     if np.abs(a - a.conj().T).max() > 1e-10 * (1.0 + np.abs(a).max()):
         raise SingularMetric("metric is not Hermitian")
     w = np.linalg.eigvalsh(herm(a)) if w is None else w

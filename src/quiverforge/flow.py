@@ -17,25 +17,31 @@ with bounded s = log H, or ||s|| blows up with monotonically decreasing
 energy and the normalized limit direction s/||s|| carries the destabilizing
 spectral data.
 
-One kernel computes both.  :class:`_Chart` turns a metric (s = log H or a
-:class:`MetricState`) into the H-frame slices psi = H_head^{1/2} phi'
-H_tail^{-1/2}, twist slices phi' rotated by (q^{-1})^{1/2}; one pass over
-psi gives m~ = H^{1/2} m H^{-1/2} = sum psi psi^dagger - sum psi^dagger psi
-- tau and the energy, with |phi|^2_H = sum |psi|^2.  The flow and every
-public moment, norm and energy function read it; :func:`adjoint` does not.
+One kernel computes both.  :class:`_Chart` holds a metric (s = log H or a
+:class:`MetricState`) as whole-representation arrays: the vertex spaces are
+consecutive coordinate blocks of C^n, n the total dimension, so s, H^{1/2}
+and the eigenvectors are block-diagonal n x n matrices (one eigendecomposition
+per vertex block), and the twist slices phi', rotated by (q^{-1})^{1/2}, form
+one (k, n, n) stack with each slice at its (head, tail) block.  The H-frame
+slices psi_k = H^{1/2} phi'_k H^{-1/2} are one broadcast product; they give
+m~ = H^{1/2} m H^{-1/2} = sum_k [psi_k, psi_k^dagger] - diag(tau) and the
+energy, with |phi|^2_H = sum |psi|^2.  The flow and every public moment, norm
+and energy function read it; :func:`adjoint` does not.
 
 The descent is a damped Riemannian Newton method: the energy along
-H^{1/2} e^{tu} H^{1/2} has first derivative sum_v tr(m~_v u_v) and second
-derivative |L u|^2, with L(u) = u_head psi - psi u_tail the module-map
-operator of :func:`reps.module_map_operator`.  The Newton direction solves
-the Hessian L^T L on Hermitian u by pseudo-inverse; its kernel is the
-selfadjoint part of End(V) in the H-frame.
+H^{1/2} e^{tu} H^{1/2} has first derivative tr(m~ u) and second derivative
+|L u|^2, with L(u) = ([u, psi_k])_k, the module-map operator of
+:func:`reps.module_map_operator` in the H-frame.  The Newton direction solves
+the Hessian L^T L on block-diagonal Hermitian u by pseudo-inverse; its
+entries come from sum psi psi^dagger, sum psi^dagger psi and one gathered
+product of the slice stack, read at the vertex-block positions only, and its
+kernel is the selfadjoint part of End(V) in the H-frame.
 
 The flow optimizes in the s-chart (H = e^s against the identity background)
-and transports each H-frame direction into that chart through the joint
-eigenbasis; this keeps every eigendecomposition applied to matrices of
-moderate norm even while H itself becomes astronomically ill-conditioned
-near divergence.
+and transports each H-frame direction into that chart through the eigenbasis
+of s, one n x n conjugation; this keeps every eigendecomposition applied to
+matrices of moderate norm even while H itself becomes astronomically
+ill-conditioned near divergence.
 
 sigma enters only the trace gauge (sum_v sigma_v tr log H_v = 0) and slope
 normalization, never the residual; at point scale the equations carry no
@@ -52,8 +58,8 @@ import numpy as np
 
 from ._linalg import (
     check_hpd,
-    complement_basis,
     eigh_checked,
+    expm_herm,
     funm_herm,
     herm,
     kron,
@@ -61,8 +67,12 @@ from ._linalg import (
     random_hermitian,
 )
 from .errors import (
+    IllConditionedSpectrum,
     InadmissibleParameters,
+    NonFiniteData,
     NoSeparation,
+    QuiverMismatch,
+    ShapeMismatch,
     ZeroTotalRank,
     check_count,
     check_seed,
@@ -74,7 +84,6 @@ from .reps import (
     check_subrep,
     invariant_closure,
     invariant_complement,
-    module_map_operator,
 )
 from .slope import SLOPE_TOL, admissibility, degree_and_slope
 
@@ -85,85 +94,159 @@ HermCollection = Mapping[str, np.ndarray]
 # the chart kernel: H-frame slices, the moment map and the energy
 
 
-class _Chart:
-    """The one source of H-frame data: eigen-data of s = log H (identity
-    background), built from s or by :meth:`of_metric`; factors e^s and
-    (e^{s/2}, e^{-s/2}) on first use; given ``rep``, the H-frame slices
-    psi = H_head^{1/2} phi' H_tail^{-1/2} of its :func:`_rotated_slices`
-    (``rotated``, computed when not given), read by :meth:`moment`."""
+class _Layout:
+    """A representation's vertex spaces as consecutive coordinate blocks of
+    C^n, n the total dimension, in quiver vertex order (``index``).  A
+    per-vertex collection becomes one block-diagonal n x n matrix
+    (:meth:`pack`) and is read back through block views (:meth:`blocks`);
+    the rotated slices phi' become one (k, n, n) stack (``rotated``)."""
 
-    def __init__(self, s: HermCollection, rep: TwistedRep | None = None, rotated=None, eig=None):
-        self.s = {v: herm(sv) for v, sv in s.items()}
-        self.eig = {v: eigh_checked(sv) for v, sv in self.s.items()} if eig is None else eig
+    def __init__(self, rep: TwistedRep):
         self.rep = rep
-        self.psi = None
-        if rep is not None:
-            rotated = _rotated_slices(rep) if rotated is None else rotated
-            self.psi = {
-                a.name: tuple(self.half[a.head][0] @ p @ self.half[a.tail][1] for p in rotated[a.name])
-                for a in rep.quiver.arrows
-            }
+        self.n = rep.total_dim
+        self.sizes = [rep.dims[v] for v in rep.quiver.vertices]
+        ends = np.cumsum(self.sizes, dtype=int)
+        self.index = {v: slice(e - d, e) for v, d, e in zip(rep.quiver.vertices, self.sizes, ends)}
+
+    def pack(self, c: HermCollection, name: str) -> np.ndarray:
+        """Block-diagonal matrix of a collection with one block per vertex;
+        refuses an unknown or missing vertex (:class:`QuiverMismatch`), a
+        block that does not fit its vertex (:class:`ShapeMismatch`) and a
+        non-finite entry (:class:`NonFiniteData`), naming the vertex."""
+        for v in c:
+            if v not in self.index:
+                raise QuiverMismatch(f"{name} at {v!r}: not a vertex of the quiver")
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for v, b in self.index.items():
+            if v not in c:
+                raise QuiverMismatch(f"{name} has no block at vertex {v!r}")
+            x = np.asarray(c[v], dtype=complex)
+            if x.shape != (b.stop - b.start,) * 2:
+                raise ShapeMismatch(f"{name} at {v!r}: shape {x.shape} does not fit dimension {b.stop - b.start}")
+            if not np.isfinite(x).all():
+                raise NonFiniteData(f"{name} at {v!r} has a non-finite entry")
+            out[b, b] = x
+        return out
+
+    def eigh(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`eigh_checked` of each vertex block of a block-diagonal
+        matrix: all eigenvalues, block by block, and the block-diagonal
+        matrix of eigenvectors."""
+        w, q = np.zeros(self.n), np.zeros((self.n, self.n), dtype=complex)
+        for b in self.index.values():
+            w[b], q[b, b] = eigh_checked(x[b, b])
+        return w, q
+
+    def blocks(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-vertex views of the diagonal blocks of an n x n matrix."""
+        return {v: x[b, b] for v, b in self.index.items()}
+
+    def diagonal(self, values: Mapping[str, float]) -> np.ndarray:
+        """Per-vertex scalars repeated over each vertex block."""
+        return np.repeat(np.array([values[v] for v in self.index], dtype=float), self.sizes)
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """True on the vertex blocks."""
+        out = np.zeros((self.n, self.n), dtype=bool)
+        for b in self.index.values():
+            out[b, b] = True
+        return out
+
+    @cached_property
+    def rotated(self) -> np.ndarray:
+        """Slices phi'_j = sum_k c_kj phi_k with c = (q^{-1})^{1/2}, which turn
+        the twist pairing sum_kl (q^{-1})_kl tr(phi_k x phi_l^dagger y) into
+        sum_j tr(phi'_j x phi'_j^dagger y): one layer per j and arrow, in
+        quiver arrow order, with phi'_j at the arrow's (head, tail) block."""
+        layers = []
+        for a in self.rep.quiver.arrows:
+            c = funm_herm(self.rep.twist.metric_inv(a.name), np.sqrt)
+            sl = self.rep.slices[a.name]
+            for j in range(len(sl)):
+                layer = np.zeros((self.n, self.n), dtype=complex)
+                layer[self.index[a.head], self.index[a.tail]] = sum(c[k, j] * sl[k] for k in range(len(sl)))
+                layers.append(layer)
+        return np.array(layers, dtype=complex).reshape(len(layers), self.n, self.n)
+
+
+class _Chart:
+    """The one source of H-frame data, as whole-representation arrays of a
+    :class:`_Layout`: s = log H (identity background) as one block-diagonal
+    n x n matrix, its eigenvalues ``w`` (length n) and eigenvectors ``q``
+    (block diagonal) from one :func:`eigh_checked` per vertex block, built
+    from s or by :meth:`of_metric`; the factors e^s and (e^{s/2}, e^{-s/2})
+    on first use, and the H-frame slice stack psi_k = H^{1/2} phi'_k
+    H^{-1/2} of the layout's ``rotated`` stack, read by :meth:`moment`."""
+
+    def __init__(self, layout: _Layout, s: np.ndarray, eig=None):
+        self.layout = layout
+        self.s = s
+        self.w, self.q = layout.eigh(s) if eig is None else eig
 
     @classmethod
-    def of_metric(
-        cls, metric: "MetricState", rep: TwistedRep | None = None, rotated=None, cond_limit: float = np.inf
-    ) -> "_Chart":
+    def of_log(cls, s: HermCollection, layout: _Layout) -> "_Chart":
+        return cls(layout, herm(layout.pack(s, "log metric")))
+
+    @classmethod
+    def of_metric(cls, metric: "MetricState", layout: _Layout, cond_limit: float = np.inf) -> "_Chart":
         """Chart of a metric: one eigendecomposition per vertex, eigenvalues
         logged; its eigenvalues serve :func:`check_hpd`, so raises
         :class:`SingularMetric` unless the metric is Hermitian positive
         definite of condition at most ``cond_limit``."""
-        eig = {v: eigh_checked(h) for v, h in metric.h.items()}
-        for v, (w, _) in eig.items():
-            check_hpd(metric.h[v], cond_limit, w)
-        eig = {v: (np.log(w), u) for v, (w, u) in eig.items()}
-        return cls({v: (u * w) @ u.conj().T for v, (w, u) in eig.items()}, rep, rotated, eig)
+        h = layout.pack(metric.h, "metric")
+        w, q = layout.eigh(h)
+        for b in layout.index.values():
+            check_hpd(h[b, b], cond_limit, w[b])
+        w = np.log(w)
+        return cls(layout, herm((q * w) @ q.conj().T), (w, q))
 
-    def _factor(self, power: float) -> dict[str, np.ndarray]:
-        return {v: (u * np.exp(power * w)) @ u.conj().T for v, (w, u) in self.eig.items()}
-
-    @cached_property
-    def h(self) -> dict[str, np.ndarray]:
-        return {v: herm(x) for v, x in self._factor(1.0).items()}
+    def _factor(self, power: float) -> np.ndarray:
+        return (self.q * np.exp(power * self.w)) @ self.q.conj().T
 
     @cached_property
-    def half(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        hs, his = self._factor(0.5), self._factor(-0.5)
-        return {v: (hs[v], his[v]) for v in self.eig}
+    def h(self) -> np.ndarray:
+        return herm(self._factor(1.0))
 
-    def moment(self, tau: Mapping[str, float], c: float = 0.0) -> tuple[dict[str, np.ndarray], float]:
-        """m~ = sum psi psi^dagger - sum psi^dagger psi - tau and the energy
-        c + sum |psi|^2 - sum_v tau_v tr s_v, in one pass over psi."""
-        verts = self.rep.quiver.vertices
-        m = {v: -tau[v] * np.eye(self.rep.dims[v], dtype=complex) for v in verts}
-        energy = c
-        for a in self.rep.quiver.arrows:
-            for p in self.psi[a.name]:
-                m[a.head] = m[a.head] + p @ p.conj().T
-                m[a.tail] = m[a.tail] - p.conj().T @ p
-                energy += float(np.linalg.norm(p)) ** 2
-        energy -= sum(tau[v] * float(np.real(np.trace(self.s[v]))) for v in verts)
-        return m, energy
+    @cached_property
+    def half(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._factor(0.5), self._factor(-0.5)
 
-    def to_background(self, m: HermCollection) -> dict[str, np.ndarray]:
-        """H^{-1/2} m~ H^{1/2}: an H-frame collection in the background frame."""
-        return {v: self.half[v][1] @ mv @ self.half[v][0] for v, mv in m.items()}
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self.half[0] @ self.layout.rotated @ self.half[1]
 
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """sum_k psi_k psi_k^dagger and sum_k psi_k^dagger psi_k, one product
+        each of the stack laid side by side and on top."""
+        psi, n = self.psi, self.layout.n
+        side = psi.transpose(1, 0, 2).reshape(n, -1)
+        top = psi.reshape(-1, n)
+        return side @ side.conj().T, top.conj().T @ top
 
-def _rotated_slices(rep: TwistedRep) -> dict[str, tuple]:
-    """Slices phi'_j = sum_k c_kj phi_k with c = (q^{-1})^{1/2}, which turn
-    the twist pairing sum_kl (q^{-1})_kl tr(phi_k x phi_l^dagger y) into
-    sum_j tr(phi'_j x phi'_j^dagger y)."""
-    out = {}
-    for a in rep.quiver.arrows:
-        c = funm_herm(rep.twist.metric_inv(a.name), np.sqrt)
-        sl = rep.slices[a.name]
-        out[a.name] = tuple(sum(c[k, j] * sl[k] for k in range(len(sl))) for j in range(len(sl)))
-    return out
+    def moment(self, tau: np.ndarray, c: float = 0.0) -> tuple[np.ndarray, float]:
+        """m~ = sum_k [psi_k, psi_k^dagger] - diag(tau) and the energy
+        c + sum |psi|^2 - sum_v tau_v tr s_v, for ``tau`` repeated over the
+        vertex blocks (:meth:`_Layout.diagonal`)."""
+        heads, tails = self.squares
+        energy = c + float(np.vdot(self.psi, self.psi).real) - float(tau @ self.s.diagonal().real)
+        return heads - tails - np.diag(tau), energy
 
+    def to_background(self, m: np.ndarray) -> np.ndarray:
+        """H^{-1/2} m~ H^{1/2}: an H-frame matrix in the background frame."""
+        return self.half[1] @ m @ self.half[0]
 
-def _frob(c: HermCollection) -> float:
-    """Frobenius norm of a per-vertex collection."""
-    return float(np.sqrt(sum(np.linalg.norm(x) ** 2 for x in c.values())))
+    def velocity(self, u: np.ndarray) -> np.ndarray:
+        """s-chart velocity of the metric path H^{1/2} e^{tu} H^{1/2} at t = 0
+        for an H-frame direction u: the background direction H^{-1/2} u
+        H^{1/2} under the inverse derivative of exp, both read in the
+        eigenbasis of s, in one n x n conjugation by ``q`` with the
+        dexp^{-1}(d) e^{d/2} table masked to the vertex blocks."""
+        d = self.w[None, :] - self.w[:, None]
+        coeff = np.where(self.layout.mask, _dexp_inverse(d) * np.exp(0.5 * d), 0.0)
+        q = self.q
+        return herm(q @ (coeff * (q.conj().T @ u @ q)) @ q.conj().T)
 
 
 @dataclass(frozen=True)
@@ -194,7 +277,7 @@ class MetricState:
 
     @classmethod
     def from_log(cls, s: HermCollection, validate: bool = True) -> "MetricState":
-        return cls(_Chart(s).h, validate)
+        return cls({v: herm(expm_herm(sv)) for v, sv in s.items()}, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +435,23 @@ def adjoint(rep: TwistedRep, metric: MetricState) -> dict[str, tuple]:
 def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[str, np.ndarray]:
     """Per-vertex moment-map defect m_v(H) = H_v^{-1/2} m~_v H_v^{1/2}, H_v-selfadjoint;
     refuses metrics that :func:`check_hpd` rejects (condition above 1e12)."""
-    chart = _Chart.of_metric(metric, rep, cond_limit=1e12)
-    return chart.to_background(chart.moment(params.tau)[0])
+    layout = _Layout(rep)
+    chart = _Chart.of_metric(metric, layout, cond_limit=1e12)
+    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau))[0]))
 
 
 def phi_norm_sq(rep: TwistedRep, metric: MetricState) -> float:
     """|phi|^2 in the metric pairing: sum |psi|^2 over the H-frame slices."""
-    return _Chart.of_metric(metric, rep).moment(dict.fromkeys(rep.quiver.vertices, 0.0))[1]
+    layout = _Layout(rep)
+    return _Chart.of_metric(metric, layout).moment(np.zeros(layout.n))[1]
 
 
 def kempf_ness(rep: TwistedRep, s: HermCollection, params) -> float:
     """Energy |phi|^2_H - |phi|^2 - sum_v tau_v tr(s_v) at H = e^s (identity
-    background): the chart kernel at s minus the kernel at 0."""
-    e0 = _Chart({v: np.zeros_like(sv) for v, sv in s.items()}, rep).moment(params.tau)[1]
-    return _Chart(s, rep).moment(params.tau, -e0)[1]
+    background): the chart kernel at s minus its value |phi'|^2 at 0."""
+    layout = _Layout(rep)
+    phi0 = float(np.vdot(layout.rotated, layout.rotated).real)
+    return _Chart.of_log(s, layout).moment(layout.diagonal(params.tau), -phi0)[1]
 
 
 def kempf_ness_metric(
@@ -377,22 +463,26 @@ def kempf_ness_metric(
     Equals :func:`kempf_ness` at metric = e^s and satisfies the exact cocycle
     M(K, H) + M(H, J) = M(K, J) because the trace term only sees log dets.
     """
-    e0 = _Chart.of_metric(background or MetricState.identity(rep), rep).moment(params.tau)[1]
-    return _Chart.of_metric(metric, rep).moment(params.tau, -e0)[1]
+    layout = _Layout(rep)
+    tau = layout.diagonal(params.tau)
+    e0 = _Chart.of_metric(background or MetricState.identity(rep), layout).moment(tau)[1]
+    return _Chart.of_metric(metric, layout).moment(tau, -e0)[1]
 
 
 def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str, np.ndarray]:
     """Moment-map defect at H = e^s: the first Lie derivative of the energy
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
-    chart = _Chart(s, rep)
-    return chart.to_background(chart.moment(params.tau)[0])
+    layout = _Layout(rep)
+    chart = _Chart.of_log(s, layout)
+    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau))[0]))
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
     """H-Frobenius norm sqrt(sum_v |H_v^{1/2} m_v H_v^{-1/2}|^2) of an
     H-selfadjoint collection."""
-    half = _Chart.of_metric(metric).half
-    return float(np.sqrt(sum(np.linalg.norm(herm(half[v][0] @ mv @ half[v][1])) ** 2 for v, mv in m.items())))
+    layout = _Layout(rep)
+    half = _Chart.of_metric(metric, layout).half
+    return float(np.linalg.norm(herm(half[0] @ layout.pack(m, "collection") @ half[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -414,51 +504,57 @@ class FiltrationStep:
     boundary: float  # eigenvalue cut defining the step
 
 
-def _polish_invariant(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness:
+def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, perp: Mapping[str, np.ndarray]) -> SubrepWitness:
     """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
 
     Gauss-Newton on graph coordinates: the subspace at v is the span of
-    U_v = B_v + B_v^perp X_v, with B_v the witness basis and B_v^perp its
-    complement, and it is invariant exactly when every slice phi has
-    (B_head^perp^H - X_head B_head^H) phi U_tail = 0.  The residual is
-    bilinear in X, so minimum-norm least squares on its analytic Jacobian
+    U_v = B_v + P_v X_v, with B_v the witness basis and P_v = ``perp[v]`` an
+    orthonormal basis of its complement, and it is invariant exactly when
+    every slice phi has
+
+        (P_head^H - X_head B_head^H) phi U_tail
+            = P^H phi B + P^H phi P X_tail - X_head (B^H phi B + B^H phi P X_tail) = 0,
+
+    where B^H and P^H are the head's and B and P the tail's; these four
+    products of each slice are formed once per polish.  The residual is
+    bilinear in X, so minimum-norm least squares on its analytic Jacobian,
+    one thin SVD per step with the 1e-15 relative cut of ``np.linalg.pinv``,
     converges quadratically from a nearly invariant start.
     """
     verts = rep.quiver.vertices
     b = {v: np.asarray(witness.basis[v]) for v in verts}
-    perp = {v: complement_basis(b[v]) for v in verts}
     x = {v: np.zeros((perp[v].shape[1], b[v].shape[1]), dtype=complex) for v in verts}
     offsets = dict(zip(verts, np.cumsum([0] + [x[v].size for v in verts])))
     unknowns = sum(x[v].size for v in verts)
+    products = []
+    for a in rep.quiver.arrows:
+        h, t = a.head, a.tail
+        if x[h].shape[0] * b[t].shape[1] == 0:  # no residual rows
+            continue
+        for sl in rep.slices[a.name]:
+            p_sl, b_sl = perp[h].conj().T @ sl, b[h].conj().T @ sl
+            products.append((h, t, p_sl @ b[t], p_sl @ perp[t], b_sl @ b[t], b_sl @ perp[t]))
     best, best_norm = x, np.inf
     for _ in range(POLISH_STEPS):
-        u = {v: b[v] + perp[v] @ x[v] for v in verts}
-        left = {v: perp[v].conj().T - x[v] @ b[v].conj().T for v in verts}
         jac, res = [], []
-        for a in rep.quiver.arrows:
-            h, t = a.head, a.tail
-            for sl in rep.slices[a.name]:
-                image = sl @ u[t]
-                r = left[h] @ image
-                if r.size == 0:
-                    continue
-                rows = np.zeros((r.size, unknowns), dtype=complex)
-                rows[:, offsets[t]: offsets[t] + x[t].size] += kron(
-                    left[h] @ sl @ perp[t], np.eye(x[t].shape[1])
-                )
-                rows[:, offsets[h]: offsets[h] + x[h].size] -= kron(
-                    np.eye(x[h].shape[0]), (b[h].conj().T @ image).T
-                )
-                jac.append(rows)
-                res.append(r.ravel())
-        norm = float(np.linalg.norm(np.concatenate(res))) if res else 0.0
+        for h, t, pb, pp, bb, bp in products:
+            image = bb + bp @ x[t]
+            r = pb + pp @ x[t] - x[h] @ image
+            rows = np.zeros((r.size, unknowns), dtype=complex)
+            rows[:, offsets[t]: offsets[t] + x[t].size] += kron(pp - x[h] @ bp, np.eye(x[t].shape[1]))
+            rows[:, offsets[h]: offsets[h] + x[h].size] -= kron(np.eye(x[h].shape[0]), image.T)
+            jac.append(rows)
+            res.append(r.ravel())
+        res = np.concatenate(res) if res else np.zeros(0)
+        norm = float(np.linalg.norm(res))
         if norm >= best_norm:
             break
         best, best_norm = x, norm
         if norm == 0.0:
             break
-        # least squares through the SVD, the factorization the flow already loads
-        step = np.linalg.pinv(np.vstack(jac)) @ -np.concatenate(res)
+        u, sv, vh = np.linalg.svd(np.vstack(jac), full_matrices=False)
+        keep = sv > 1e-15 * sv.max(initial=0.0)
+        step = vh[keep].conj().T @ ((u[:, keep].conj().T @ -res) / sv[keep])
         x = {v: x[v] + step[offsets[v]: offsets[v] + x[v].size].reshape(x[v].shape) for v in verts}
     return SubrepWitness({v: orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts})
 
@@ -514,10 +610,12 @@ def filtration_steps(
     eigenvectors below it, kept when it passes :func:`check_subrep` and
     otherwise rounded to the nearest invariant subspace (Gauss-Newton
     polish at fixed dimensions, kept when it passes :func:`check_subrep`,
-    with closure under the arrow slices as the fallback).  Cuts whose span
-    has slope <= ``min_slope`` or > ``max_slope`` are skipped before the
-    rounding, which is most of the cost; only the closure changes the
-    dimension vector.  The flow passes ``min_slope`` = the total slope
+    with closure under the arrow slices as the fallback).  The eigenvector
+    columns below the cut are the candidate's basis and those above it the
+    basis of its complement that the polish moves in, both orthonormal as
+    ``eigh`` returns them.  Cuts whose span has slope <= ``min_slope`` or
+    > ``max_slope`` are skipped before the rounding, which is most of the
+    cost; only the closure changes the dimension vector.  The flow passes ``min_slope`` = the total slope
     minus ``SLOPE_TOL``; :func:`destabilizer_extract` adds the cuts below
     that to the flow's steps.  The flow also passes its current
     ``residual``: a non-invariant cut whose dimension vector has a
@@ -542,11 +640,7 @@ def filtration_steps(
         )
     steps: list[FiltrationStep] = []
     for cut in cuts:
-        gens = {}
-        for v in rep.quiver.vertices:
-            w, vecs = eig[v]
-            sel = vecs[:, w <= cut]
-            gens[v] = orthonormal_columns(sel)
+        gens = {v: vecs[:, w <= cut] for v, (w, vecs) in eig.items()}
         candidate = SubrepWitness(gens)
         deg, slope = degree_and_slope(candidate, params)
         if not min_slope < slope <= max_slope:
@@ -557,7 +651,7 @@ def filtration_steps(
         if not check_subrep(rep, candidate)[0]:
             witness = None
             if _weight_bound(deg, candidate.total_dim, rep.total_dim) <= residual:
-                witness = _polish_invariant(rep, candidate)
+                witness = _polish_invariant(rep, candidate, {v: vecs[:, w > cut] for v, (w, vecs) in eig.items()})
             if witness is None or not check_subrep(rep, witness)[0]:
                 witness = invariant_closure(rep, gens)
         _, slope = degree_and_slope(witness, params)
@@ -654,52 +748,64 @@ class FlowReport:
         return self.status == "converged"
 
 
-def _unit(s: HermCollection, s_norm: float) -> dict[str, np.ndarray]:
-    return {v: sv / s_norm for v, sv in s.items()}
+def gauge_project(u: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """H-orthogonal projection of a block-diagonal u onto the sigma-trace-free
+    subspace, ``sigma`` repeated over the vertex blocks (subtracts the right
+    multiple of diag(sigma); idempotent)."""
+    return u - ((sigma @ u.diagonal().real) / (sigma @ sigma)) * np.diag(sigma)
 
 
-def gauge_project(rep: TwistedRep, params, u: HermCollection) -> dict[str, np.ndarray]:
-    """H-orthogonal projection onto the sigma-trace-free subspace (subtracts
-    the right multiple of sigma * id; idempotent)."""
-    num = sum(params.sigma[v] * float(np.real(np.trace(u[v]))) for v in rep.quiver.vertices)
-    den = sum(params.sigma[v] ** 2 * rep.dims[v] for v in rep.quiver.vertices)
-    return {
-        v: u[v] - (num / den) * params.sigma[v] * np.eye(rep.dims[v], dtype=complex)
-        for v in rep.quiver.vertices
-    }
-
-
-def _hermitian_basis(sizes) -> np.ndarray:
-    """Columns: the row-major entries of an orthonormal basis, for the real
-    pairing Re tr(x y), of the Hermitian matrices of each size, block by
-    block (the column layout of :func:`reps.module_map_operator`)."""
-    total = sum(n * n for n in sizes)
-    out = np.zeros((total, total), dtype=complex)
-    col = start = 0
+def _hermitian_basis(layout: _Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An orthonormal basis, for the real pairing Re tr(x y), of the
+    block-diagonal Hermitian n x n matrices: the positions (``rows``,
+    ``cols``) of the r = sum_v n_v^2 entries inside the vertex blocks, and
+    the unitary r x r matrix whose column j holds element j's entries there,
+    vertex block by vertex block."""
+    rows, cols = np.nonzero(layout.mask)
+    at = {(i, j): p for p, (i, j) in enumerate(zip(rows, cols))}
+    coeff = np.zeros((len(rows), len(rows)), dtype=complex)
+    k = 0
     root = np.sqrt(0.5)
-    for n in sizes:
-        for i in range(n):
-            out[start + i * n + i, col] = 1.0
-            col += 1
-            for j in range(i + 1, n):
-                out[start + i * n + j, col] = out[start + j * n + i, col] = root
-                out[start + i * n + j, col + 1] = 1j * root
-                out[start + j * n + i, col + 1] = -1j * root
-                col += 2
-        start += n * n
-    return out
+    for b in layout.index.values():
+        for i in range(b.start, b.stop):
+            coeff[at[i, i], k] = 1.0
+            k += 1
+            for j in range(i + 1, b.stop):
+                coeff[at[i, j], k] = coeff[at[j, i], k] = root
+                coeff[at[i, j], k + 1], coeff[at[j, i], k + 1] = 1j * root, -1j * root
+                k += 2
+    return rows, cols, coeff
 
 
-def _to_chart(chart: _Chart, u: HermCollection) -> dict[str, np.ndarray]:
-    """s-chart velocity of the metric path H^{1/2} e^{tu} H^{1/2} at t = 0
-    for an H-frame direction u: the background direction H^{-1/2} u H^{1/2}
-    under the inverse derivative of exp, both read in the eigenbasis of s."""
-    xi = {}
-    for v, (w, q) in chart.eig.items():
-        d = w[None, :] - w[:, None]
-        coeff = _dexp_inverse(d) * np.exp(0.5 * d)
-        xi[v] = herm(q @ (coeff * (q.conj().T @ u[v] @ q)) @ q.conj().T)
-    return xi
+def _newton_direction(chart: _Chart, m: np.ndarray, basis, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """H-frame Newton direction u = -(L^T L)^+ m~ at a chart with H-frame
+    moment map ``m``, shifted along the identity, which L annihilates, onto
+    the gauge sum_i sigma_i u_ii = 0 (``sigma`` repeated over the vertex
+    blocks); and the energy's derivative along it.
+
+    For L u = ([u, psi_k])_k and matrix units E_ab, E_cd,
+    sum_k <[E_ab, psi_k], [E_cd, psi_k]> = d_ac S_db + T_ac d_bd
+    - sum_k (psi_k[a, c] conj psi_k[b, d] + conj psi_k[c, a] psi_k[d, b])
+    with (S, T) the chart's ``squares``; the Hessian is read at the block
+    positions of ``basis`` (:func:`_hermitian_basis`) and turned into that
+    basis by its unitary.  The pseudo-inverse keeps the Hessian eigenvalues
+    above ``PINV_RTOL`` times the largest."""
+    rows, cols, coeff = basis
+    psi, (heads, tails) = chart.psi, chart.squares
+    cross = np.einsum("kpq,kpq->pq", psi[:, rows[:, None], rows], psi[:, cols[:, None], cols].conj())
+    hess = (
+        (rows[:, None] == rows) * heads[cols[None, :], cols[:, None]]
+        + tails[rows[:, None], rows] * (cols[:, None] == cols)
+        - cross
+        - cross.conj().T
+    )
+    grad = (coeff.conj().T @ m[rows, cols]).real
+    w, q = eigh_checked((coeff.conj().T @ hess @ coeff).real)
+    keep = w > PINV_RTOL * w[-1]
+    u = np.zeros_like(m)
+    u[rows, cols] = coeff @ -(q[:, keep] @ ((q[:, keep].conj().T @ grad) / w[keep])).real
+    u = u - (sigma @ u.diagonal().real / sigma.sum()) * np.eye(len(u))
+    return u, float(np.vdot(m, u).real)
 
 
 @dataclass
@@ -708,7 +814,7 @@ class _Point:
 
     chart: _Chart
     energy: float
-    moment: dict[str, np.ndarray]
+    moment: np.ndarray
     residual: float
 
 
@@ -721,7 +827,8 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     tolerance (finite and positive), the iteration budget (a nonnegative
     integer) and an optional random start (``seed``, a nonnegative integer,
     and ``init_scale``, finite and nonnegative); the step rules are the
-    module constants.
+    module constants.  A random start with ||s||_F above ``EIG_CAP``, the
+    bound every trial step obeys, raises :class:`IllConditionedSpectrum`.
 
     At iterations 1, 2, 4, 8, ... (skipped while the residual halves between
     checkpoints), and once more at any other exit, the flow reads the cuts
@@ -772,50 +879,36 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             f"trace constraint fails: sum tau_v dim_v = {defect:.3e}"
         )
 
-    verts = rep.quiver.vertices
+    layout = _Layout(rep)
+    tau, sigma = layout.diagonal(params.tau), layout.diagonal(params.sigma)
     if opts.init_scale > 0:
         rng = np.random.default_rng(0 if opts.seed is None else opts.seed)
-        s = gauge_project(
-            rep,
-            params,
-            {v: random_hermitian(rng, rep.dims[v], opts.init_scale) for v in verts},
-        )
+        start = {v: random_hermitian(rng, rep.dims[v], opts.init_scale) for v in rep.quiver.vertices}
+        s = gauge_project(layout.pack(start, "random start"), sigma)
+        s_norm = float(np.linalg.norm(s))
+        if s_norm > EIG_CAP:
+            raise IllConditionedSpectrum(
+                f"random start has ||s||_F = {s_norm:.4g} above the chart's cap EIG_CAP = {EIG_CAP:g}"
+            )
     else:
-        s = {v: np.zeros((rep.dims[v], rep.dims[v]), dtype=complex) for v in verts}
+        s = np.zeros((layout.n, layout.n), dtype=complex)
 
-    rotated = _rotated_slices(rep)
-    phi0 = sum(float(np.linalg.norm(p)) ** 2 for ps in rotated.values() for p in ps)
-    basis = _hermitian_basis([rep.dims[v] for v in verts])
-    blocks = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
-    gauge_den = sum(params.sigma[v] * rep.dims[v] for v in verts)
+    phi0 = float(np.vdot(layout.rotated, layout.rotated).real)
+    basis = _hermitian_basis(layout)
 
-    def evaluate(s_new: HermCollection) -> _Point:
-        chart = _Chart(s_new, rep, rotated)
-        m, energy = chart.moment(params.tau, -phi0)
-        return _Point(chart, energy, m, _frob(m))
+    def evaluate(s_new: np.ndarray) -> _Point:
+        chart = _Chart(layout, s_new)
+        m, energy = chart.moment(tau, -phi0)
+        return _Point(chart, energy, m, float(np.linalg.norm(m)))
 
-    def newton_direction(point: _Point) -> tuple[dict[str, np.ndarray], float]:
-        """H-frame Newton direction in the gauge, and the energy's
-        derivative along it."""
-        op = module_map_operator(rep, point.chart.psi) @ basis
-        grad = (basis.conj().T @ np.concatenate([point.moment[v].ravel() for v in verts])).real
-        w, q = eigh_checked((op.conj().T @ op).real)
-        keep = w > PINV_RTOL * w[-1]
-        x = basis @ -(q[:, keep] @ ((q[:, keep].conj().T @ grad) / w[keep])).real
-        u = {v: x[lo:hi].reshape(rep.dims[v], rep.dims[v]) for v, lo, hi in zip(verts, blocks, blocks[1:])}
-        # shift along the identity, which L annihilates, onto the gauge
-        c = sum(params.sigma[v] * float(np.real(np.trace(u[v]))) for v in verts) / gauge_den
-        u = {v: u[v] - c * np.eye(rep.dims[v]) for v in verts}
-        return u, sum(float(np.real(np.vdot(point.moment[v], u[v]))) for v in verts)
-
-    def line_search(point: _Point, u: HermCollection, slope: float, trial_step: float, min_step: float):
+    def line_search(point: _Point, u: np.ndarray, slope: float, trial_step: float, min_step: float):
         """First accepted (step, point) backtracking from ``trial_step`` to
         ``min_step`` along the H-frame direction u of derivative ``slope``."""
-        xi = _to_chart(point.chart, u)
+        xi = point.chart.velocity(u)
         energy_floor = 16.0 * np.finfo(float).eps * (1.0 + abs(point.energy))
         while trial_step >= min_step:
-            cand = {v: point.chart.s[v] + trial_step * xi[v] for v in verts}
-            if _frob(cand) <= EIG_CAP:
+            cand = point.chart.s + trial_step * xi
+            if np.linalg.norm(cand) <= EIG_CAP:
                 trial = evaluate(cand)
                 need = -ARMIJO_C * trial_step * slope
                 if need > energy_floor:
@@ -840,7 +933,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         # no dimension vector of slope mu no no-complement proof either
         if point.residual < delta and not tied:
             return None, None
-        return _certifies_instability(rep, params, _unit(point.chart.s, s_norm), mu, point.residual)
+        return _certifies_instability(rep, params, layout.blocks(point.chart.s / s_norm), mu, point.residual)
 
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,
@@ -851,7 +944,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
 
     for it in range(opts.max_iter + 1):
         res = point.residual
-        s_norm = _frob(point.chart.s)
+        s_norm = float(np.linalg.norm(point.chart.s))
         iter_log.append((it, point.energy, res, taken, s_norm))
 
         if res <= opts.tol:
@@ -869,12 +962,12 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
             break
 
         found = None
-        u, slope = newton_direction(point)
+        u, slope = _newton_direction(point.chart, point.moment, basis, sigma)
         if slope < 0:
             found = line_search(point, u, slope, 1.0, NEWTON_STEP_MIN)
         if found is None:
-            direction = gauge_project(rep, params, {v: -mv for v, mv in point.moment.items()})
-            grad_sq = _frob(direction) ** 2
+            direction = gauge_project(-point.moment, sigma)
+            grad_sq = float(np.vdot(direction, direction).real)
             if grad_sq > 0:
                 found = line_search(point, direction, -grad_sq, min(step * STEP_GROWTH, STEP_MAX), STEP_MIN)
                 if found is not None:
@@ -894,11 +987,11 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     stop = proof or stop
     status = "diverged" if proof else "converged" if stop == "tol" else "max-iter"
     if status == "converged":
-        for v, (w, _) in chart.eig.items():
-            check_hpd(chart.h[v], np.inf, np.exp(w))
-    final = MetricState(chart.h, validate=False)
+        for b in layout.index.values():
+            check_hpd(chart.h[b, b], np.inf, np.exp(chart.w[b]))
+    final = MetricState(layout.blocks(chart.h), validate=False)
     # every exit leaves the loop on the chart it classified
-    limit = _unit(chart.s, s_norm) if proof else None
+    limit = layout.blocks(chart.s / s_norm) if proof else None
     return FlowReport(
         status=status,
         final_metric=final,

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._linalg import null_space, orthonormal_columns, stacked_images_and_kernels
 from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
-from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _frob, filtration_steps
+from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _Layout, filtration_steps
 from .reps import (
     SubrepWitness,
     TwistedRep,
@@ -280,20 +280,19 @@ def subrep_degree_identity(
     chart of the metric gives both terms: the residual is the Frobenius
     norm of m~, and in the H-frame the H-orthogonal projection onto W is the
     orthogonal projection pi onto H^{1/2} W, so the leakage is the sum of
-    |pi_head psi (1 - pi_tail)|^2 over the H-frame slices psi.  Raises
-    :class:`SingularMetric` on a metric of condition above 1e12 and
-    :class:`NotASolution` when the metric residual exceeds ``SOLUTION_TOL``.
+    |pi psi_k (1 - pi)|^2 over the chart's H-frame slice stack, with pi
+    block diagonal.  Raises :class:`SingularMetric` on a metric of condition
+    above 1e12 and :class:`NotASolution` when the metric residual exceeds
+    ``SOLUTION_TOL``.
     """
-    chart = _Chart.of_metric(metric, rep, cond_limit=1e12)
-    res = _frob(chart.moment(params.tau)[0])
+    layout = _Layout(rep)
+    chart = _Chart.of_metric(metric, layout, cond_limit=1e12)
+    res = float(np.linalg.norm(chart.moment(layout.diagonal(params.tau))[0]))
     if res > SOLUTION_TOL:
         raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")
-    frames = {v: orthonormal_columns(chart.half[v][0] @ b) for v, b in witness.basis.items()}
-    pi = {v: q @ q.conj().T for v, q in frames.items()}
+    half = layout.blocks(chart.half[0])
+    frames = {v: orthonormal_columns(half[v] @ b) for v, b in witness.basis.items()}
+    pi = layout.pack({v: q @ q.conj().T for v, q in frames.items()}, "witness projector")
     deg_w, _ = degree_and_slope(witness, params)
-    leakage = sum(
-        float(np.linalg.norm(pi[a.head] @ p @ (np.eye(p.shape[1]) - pi[a.tail]))) ** 2
-        for a in rep.quiver.arrows
-        for p in chart.psi[a.name]
-    )
+    leakage = float(np.linalg.norm(pi @ chart.psi @ (np.eye(layout.n) - pi))) ** 2
     return float(abs(deg_w + leakage))

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverforge as qf
-from quiverforge._linalg import eigh_checked, herm, random_hermitian, random_unitary
+from quiverforge._linalg import eigh_checked, funm_herm, herm, random_hermitian, random_unitary
 from quiverforge.errors import (
     IllConditionedSpectrum,
     InadmissibleParameters,
     NonFiniteData,
     NonpositiveScale,
+    QuiverMismatch,
+    ShapeMismatch,
     SingularMetric,
     ZeroTotalRank,
 )
@@ -27,6 +29,7 @@ from quiverforge.flow import (
     gauge_project,
 )
 from quiverforge.gallery import kronecker_quiver
+from quiverforge import _linalg, reps
 from quiverforge.reps import module_map_operator
 from conftest import (
     geodesic_energy,
@@ -639,6 +642,14 @@ def test_flow_refuses_invalid_options(opts, error):
         qf.flow_solve(kronecker_rep(), kronecker_params(), qf.FlowOptions(**opts))
 
 
+def test_flow_refuses_a_random_start_beyond_the_chart_cap():
+    # every trial step keeps ||s||_F <= EIG_CAP; a start above it raised
+    # numpy's LinAlgError after overflowing exp(s)
+    rep = kronecker_rep(n_arrows=2, dims=(2, 2))
+    with pytest.raises(IllConditionedSpectrum, match="EIG_CAP = 175"):
+        qf.flow_solve(rep, kronecker_params(), qf.FlowOptions(init_scale=1000, seed=1))
+
+
 def test_flow_refuses_what_admissibility_refuses():
     # a trace defect of 1e-10: no solution can exist, so the flow must agree
     # with admissibility and refuse rather than report convergence
@@ -669,12 +680,14 @@ def test_flow_energy_monotone_along_iterates():
 def test_gauge_projection_idempotent(rng):
     rep, tau = random_two_vertex_instance(33)
     params = qf.StabilityParams({"1": 2.0, "2": 3.0}, tau)
-    u = {v: random_hermitian(rng, rep.dims[v]) for v in rep.quiver.vertices}
-    once = gauge_project(rep, params, u)
-    twice = gauge_project(rep, params, once)
-    for v in u:
-        assert np.abs(once[v] - twice[v]).max() < 1e-13
-    tr = sum(params.sigma[v] * np.trace(once[v]).real for v in u)
+    layout = flow._Layout(rep)
+    sigma = layout.diagonal(params.sigma)
+    u = layout.pack({v: random_hermitian(rng, rep.dims[v]) for v in rep.quiver.vertices}, "u")
+    once = gauge_project(u, sigma)
+    twice = gauge_project(once, sigma)
+    assert np.abs(once - twice).max() < 1e-13
+    assert not once[~layout.mask].any()
+    tr = sum(params.sigma[v] * np.trace(b).real for v, b in layout.blocks(once).items())
     assert abs(tr) < 1e-12
 
 
@@ -844,3 +857,203 @@ def test_non_positive_metrics_are_refused():
         qf.kempf_ness_metric(rep, metric, kronecker_params())
     with pytest.raises(SingularMetric):
         qf.residual_norm_h(rep, metric, {"1": np.eye(1), "2": np.eye(1)})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [0.0, 1.0]])],
+    ids=["nan", "inf-diagonal", "nan-off-diagonal"],
+)
+def test_non_finite_metrics_are_refused(bad):
+    # every comparison with NaN is False, so check_hpd let these through
+    rep = kronecker_rep(dims=(2, 2))
+    with pytest.raises(NonFiniteData):
+        MetricState({"1": bad, "2": np.eye(2)})
+    with pytest.raises(NonFiniteData):
+        qf.moment_map_residual(rep, MetricState({"1": bad, "2": np.eye(2)}, validate=False), kronecker_params())
+
+
+def _chart_entry_points():
+    rep, params = kronecker_rep(dims=(2, 2)), kronecker_params()
+    return {
+        "kempf_ness": lambda c: qf.kempf_ness(rep, c, params),
+        "kempf_ness_gradient": lambda c: qf.kempf_ness_gradient(rep, c, params),
+        "kempf_ness_metric": lambda c: qf.kempf_ness_metric(rep, MetricState(c, validate=False), params),
+        "moment_map_residual": lambda c: qf.moment_map_residual(rep, MetricState(c, validate=False), params),
+        "phi_norm_sq": lambda c: qf.phi_norm_sq(rep, MetricState(c, validate=False)),
+        "residual_norm_h": lambda c: qf.residual_norm_h(rep, MetricState(c, validate=False), c),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_chart_entry_points()))
+@pytest.mark.parametrize(
+    "collection, error, named",
+    [
+        ({"1": np.eye(2)}, QuiverMismatch, "'2'"),
+        ({"1": np.eye(2), "2": np.eye(2), "3": np.eye(1)}, QuiverMismatch, "'3'"),
+        ({"1": np.eye(3), "2": np.eye(2)}, ShapeMismatch, "'1'"),
+    ],
+    ids=["missing-vertex", "unknown-vertex", "wrong-shape"],
+)
+def test_chart_entry_points_refuse_a_collection_that_does_not_fit(entry, collection, error, named):
+    # a raw KeyError or numpy's matmul ValueError escaped before the chart
+    # was packed in one step
+    with pytest.raises(error, match=named):
+        _chart_entry_points()[entry](collection)
+
+
+# ---------------------------------------------------------------------------
+# the packed chart against the per-vertex arithmetic it replaced
+
+
+def _reference_chart(rep, s):
+    """Per-vertex eigen-data of s and H-frame slices, arrow by arrow."""
+    eig = {v: eigh_checked(herm(sv)) for v, sv in s.items()}
+    half = {v: ((u * np.exp(0.5 * w)) @ u.conj().T, (u * np.exp(-0.5 * w)) @ u.conj().T) for v, (w, u) in eig.items()}
+    psi = {}
+    for a in rep.quiver.arrows:
+        c = funm_herm(rep.twist.metric_inv(a.name), np.sqrt)
+        sl = rep.slices[a.name]
+        rotated = [sum(c[k, j] * sl[k] for k in range(len(sl))) for j in range(len(sl))]
+        psi[a.name] = [half[a.head][0] @ p @ half[a.tail][1] for p in rotated]
+    return eig, psi
+
+
+def _reference_moment(rep, s, psi, tau, c):
+    m = {v: -tau[v] * np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices}
+    energy = c
+    for a in rep.quiver.arrows:
+        for p in psi[a.name]:
+            m[a.head] = m[a.head] + p @ p.conj().T
+            m[a.tail] = m[a.tail] - p.conj().T @ p
+            energy += float(np.linalg.norm(p)) ** 2
+    energy -= sum(tau[v] * float(np.real(np.trace(s[v]))) for v in rep.quiver.vertices)
+    return m, energy
+
+
+def _reference_hermitian_basis(sizes):
+    """Columns: the row-major entries of an orthonormal basis of the
+    Hermitian matrices of each size, block by block (the column layout of
+    module_map_operator)."""
+    total = sum(n * n for n in sizes)
+    out = np.zeros((total, total), dtype=complex)
+    col = start = 0
+    root = np.sqrt(0.5)
+    for n in sizes:
+        for i in range(n):
+            out[start + i * n + i, col] = 1.0
+            col += 1
+            for j in range(i + 1, n):
+                out[start + i * n + j, col] = out[start + j * n + i, col] = root
+                out[start + i * n + j, col + 1] = 1j * root
+                out[start + j * n + i, col + 1] = -1j * root
+                col += 2
+        start += n * n
+    return out
+
+
+def _reference_newton(rep, params, psi, m):
+    verts = rep.quiver.vertices
+    basis = _reference_hermitian_basis([rep.dims[v] for v in verts])
+    op = module_map_operator(rep, psi) @ basis
+    grad = (basis.conj().T @ np.concatenate([m[v].ravel() for v in verts])).real
+    w, q = eigh_checked((op.conj().T @ op).real)
+    keep = w > flow.PINV_RTOL * w[-1]
+    x = basis @ -(q[:, keep] @ ((q[:, keep].conj().T @ grad) / w[keep])).real
+    ends = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
+    u = {v: x[lo:hi].reshape(rep.dims[v], rep.dims[v]) for v, lo, hi in zip(verts, ends, ends[1:])}
+    c = sum(params.sigma[v] * float(np.real(np.trace(u[v]))) for v in verts) / sum(
+        params.sigma[v] * rep.dims[v] for v in verts
+    )
+    u = {v: u[v] - c * np.eye(rep.dims[v]) for v in verts}
+    return u, sum(float(np.real(np.vdot(m[v], u[v]))) for v in verts)
+
+
+def _reference_to_chart(eig, u):
+    xi = {}
+    for v, (w, q) in eig.items():
+        d = w[None, :] - w[:, None]
+        coeff = flow._dexp_inverse(d) * np.exp(0.5 * d)
+        xi[v] = herm(q @ (coeff * (q.conj().T @ u[v] @ q)) @ q.conj().T)
+    return xi
+
+
+def _packed_kernel_rep(kind, rng):
+    """Random representations covering the packed layout: a rank-2 twist with
+    a non-diagonal weight, a loop, two parallel arrows, three vertices, and
+    a zero-dimensional vertex."""
+    g = lambda m, n: rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    qmat = np.array([[1.5, 0.2j], [-0.2j, 0.9]])
+    if kind == "three-vertex":
+        dims = {"1": 2, "2": 1, "3": 3}
+        arrows = [("a", "1", "2"), ("b", "3", "3"), ("c", "1", "3"), ("d", "1", "3"), ("e", "3", "2")]
+    else:
+        dims = {"1": 2, "2": 0, "3": 2}
+        arrows = [("a", "1", "3"), ("b", "1", "1"), ("c", "2", "3"), ("d", "3", "2"), ("e", "3", "1")]
+    q = qf.Quiver.from_lists(list(dims), arrows)
+    twist = qf.TwistSpec({"a": 2, "b": 1, "c": 1, "d": 1, "e": 1}, {"a": qmat})
+    slices = {
+        name: [g(dims[head], dims[tail]) for _ in range(twist.rank(name))] for name, tail, head in arrows
+    }
+    rep = qf.build_rep(q, twist, dims, slices)
+    params = qf.StabilityParams({"1": 1.0, "2": 2.0, "3": 0.5}, {v: float(rng.normal()) for v in dims})
+    return rep, params
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["three-vertex", "zero-vertex"])
+def test_packed_chart_matches_the_per_vertex_arithmetic(kind, seed):
+    rng = np.random.default_rng(seed)
+    rep, params = _packed_kernel_rep(kind, rng)
+    s = {v: random_hermitian(rng, rep.dims[v], 0.5) for v in rep.quiver.vertices}
+
+    def close(got, want):
+        for v in want:
+            scale = max(np.abs(x).max(initial=0.0) for x in want.values())
+            assert np.abs(got[v] - want[v]).max(initial=0.0) <= 1e-12 * scale, v
+
+    eig, psi = _reference_chart(rep, s)
+    m_ref, energy_ref = _reference_moment(rep, s, psi, params.tau, -3.0)
+    u_ref, slope_ref = _reference_newton(rep, params, psi, m_ref)
+    xi_ref = _reference_to_chart(eig, u_ref)
+
+    layout = flow._Layout(rep)
+    chart = flow._Chart.of_log(s, layout)
+    layers = iter(chart.psi)
+    for a in rep.quiver.arrows:
+        for p in psi[a.name]:
+            layer = next(layers).copy()
+            assert np.abs(layer[layout.index[a.head], layout.index[a.tail]] - p).max(initial=0.0) <= 1e-12 * np.abs(p).max(initial=1.0)
+            layer[layout.index[a.head], layout.index[a.tail]] = 0.0
+            assert not layer.any()
+    m, energy = chart.moment(layout.diagonal(params.tau), -3.0)
+    close(layout.blocks(m), m_ref)
+    assert not m[~layout.mask].any()
+    assert energy == pytest.approx(energy_ref, rel=1e-12)
+    u, slope = flow._newton_direction(chart, m, flow._hermitian_basis(layout), layout.diagonal(params.sigma))
+    close(layout.blocks(u), u_ref)
+    assert slope == pytest.approx(slope_ref, rel=1e-12)
+    close(layout.blocks(chart.velocity(u)), xi_ref)
+
+
+def test_flow_builds_no_module_map_operator_and_no_complement(monkeypatch):
+    # the Newton step applies L to the Hermitian block basis in one
+    # broadcast product, and each cut takes its complement from the
+    # eigenvector columns above it
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for owner in (flow, reps):
+        monkeypatch.setattr(owner, "module_map_operator", refuse, raising=False)
+    for owner in (flow, _linalg):
+        monkeypatch.setattr(owner, "complement_basis", refuse, raising=False)
+    sigma = {"1": 1.0, "2": 1.0}
+    diverged = 0
+    for seed in range(5000, 5020):
+        rep, tau = random_two_vertex_instance(seed)
+        params = qf.StabilityParams(sigma, tau)
+        rpt = qf.flow_solve(rep, params)
+        if rpt.status == "diverged":
+            diverged += 1
+            assert qf.destabilizer_extract(rep, params, rpt)
+    assert diverged > 0

@@ -924,6 +924,18 @@ def test_cli_refuses_invalid_tolerance_or_seed(argv, error_code, capsys):
     assert json.loads(capsys.readouterr().err)["error_code"] == error_code
 
 
+def test_cli_flow_refuses_a_random_start_beyond_the_chart_cap(capsys):
+    # --init-scale 1000 overflowed exp(s) with RuntimeWarnings and wrote
+    # "residual_norm": inf with exit code 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["flow", "--instance", _shipped("kronecker_stable.json"), "--init-scale", "1000", "--quiet"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error_code"] == "ill_conditioned_spectrum" and "EIG_CAP" in report["error"]
+
+
 @pytest.mark.parametrize("verify_tol", ["nan", "inf", "0"])
 def test_cli_tensor_refuses_invalid_verify_tol(tmp_path, verify_tol):
     q, r, p = setup_instance(tmp_path)

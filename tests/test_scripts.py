@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -87,3 +88,25 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     # the oracle's CPU time goes to stderr, out of the diffable digest
     (label, seconds), = [line.split() for line in err.splitlines()]
     assert label == "oracle_cpu_s" and float(seconds) >= 0
+
+    # --flow: one "name status stop iterations dims:slope..." line per call
+    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5", "--flow"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    rows = [line.split() for line in out.splitlines()]
+    assert [r[0] for r in rows] == [name for name, _, _ in calls]
+    for name, status, stop, iterations, *steps in rows:
+        assert (status, stop) in {
+            ("converged", "tol"), ("diverged", "certificate"), ("diverged", "no-complement"),
+            ("max-iter", "max-iter"), ("max-iter", "line-search"),
+        }
+        assert int(iterations) >= 0
+        # a diverged flow always yields its proof among the extracted steps
+        assert bool(steps) == (status == "diverged")
+        for step in steps:
+            dims, slope = step.split(":")
+            assert all(d.isdigit() for d in dims.split(",")) and np.isfinite(float(slope))
+    (label, seconds), = [line.split() for line in err.splitlines()]
+    assert label == "flow_cpu_s" and float(seconds) >= 0
