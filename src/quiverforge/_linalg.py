@@ -71,13 +71,23 @@ def _rank(s: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(s > tol * max(1.0, s[0])))
 
 
-def _kernel(s: np.ndarray, vh: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel basis from a full SVD.  The SVD fixes each column only up to a
-    phase; the largest entry of each is made real positive, so an exact
-    kernel vector such as -e_1 comes out as e_1."""
-    basis = vh[_rank(s, tol):].conj().T
+def unit_phases(basis: np.ndarray) -> np.ndarray:
+    """``basis`` with each column multiplied by the phase that makes its
+    largest-magnitude entry real positive (the first such entry on a tie).
+    An SVD or eigensolver fixes a column only up to a phase; after this an
+    exact vector such as -e_1 comes out as e_1.  + 0.0 turns the -0.0 parts
+    the multiplication leaves into 0.0, so a report prints e_1 one way.
+    The columns must be nonzero; a basis with no entries is returned as it
+    is."""
+    if basis.size == 0:
+        return basis
     lead = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
-    return basis * (lead.conj() / np.abs(lead))
+    return basis * (lead.conj() / np.abs(lead)) + 0.0
+
+
+def _kernel(s: np.ndarray, vh: np.ndarray, tol: float) -> np.ndarray:
+    """Kernel basis from a full SVD, with :func:`unit_phases`."""
+    return unit_phases(vh[_rank(s, tol):].conj().T)
 
 
 def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
@@ -113,7 +123,7 @@ def complement_basis(basis: np.ndarray) -> np.ndarray:
 
 def null_space(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the kernel of ``a``, with the cut of
-    :func:`orthonormal_columns` and the phase rule of :func:`_kernel`."""
+    :func:`orthonormal_columns` and the phase rule of :func:`unit_phases`."""
     a = np.asarray(a, dtype=complex)
     n = a.shape[1]
     if a.size == 0:

@@ -65,6 +65,7 @@ from ._linalg import (
     kron,
     orthonormal_columns,
     random_hermitian,
+    unit_phases,
 )
 from .errors import (
     IllConditionedSpectrum,
@@ -85,7 +86,7 @@ from .reps import (
     invariant_closure,
     invariant_complement,
 )
-from .slope import SLOPE_TOL, admissibility, degree_and_slope
+from .slope import BOUND_GRID_ROWS, SLOPE_TOL, admissibility, degree_and_slope, dimension_grid
 
 HermCollection = Mapping[str, np.ndarray]
 
@@ -493,8 +494,6 @@ def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> 
 GAP_THRESHOLD = 0.05
 # Gauss-Newton steps of the invariant rounding
 POLISH_STEPS = 8
-# most dimension vectors _semistability_bound enumerates
-BOUND_GRID_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -579,19 +578,16 @@ def _semistability_bound(rep: TwistedRep, params, mu: float) -> tuple[float, boo
     """The least :func:`_weight_bound` over the proper dimension vectors of
     slope above ``mu`` + ``SLOPE_TOL`` (inf when there are none), and
     whether some proper dimension vector has slope within ``SLOPE_TOL`` of
-    ``mu``.  Sizes are plain total dimensions, as the residual is the
-    unweighted norm of m~; sigma only decides which vectors destabilize.
-    Past ``BOUND_GRID_ROWS`` vectors it is (0, True), which rules nothing out."""
-    verts = rep.quiver.vertices
-    if np.prod([rep.dims[v] + 1 for v in verts], dtype=float) > BOUND_GRID_ROWS:
+    ``mu``; it reads the degrees and slopes of :func:`slope.dimension_grid`.
+    Sizes are plain total dimensions, as the residual is the unweighted norm
+    of m~; sigma only decides which vectors destabilize.  Past
+    ``BOUND_GRID_ROWS`` vectors the grid is None and the bound is (0, True),
+    which rules nothing out."""
+    grid = dimension_grid(rep, params)
+    if grid is None:
         return 0.0, True
-    grid = np.indices([rep.dims[v] + 1 for v in verts]).reshape(len(verts), -1).T
-    size = grid.sum(axis=1)
-    proper = (size > 0) & (size < rep.total_dim)
-    grid, size = grid[proper], size[proper]
-    deg = -grid @ np.array([params.tau[v] for v in verts])
-    slope = deg / (grid @ np.array([params.sigma[v] for v in verts]))
-    delta = _weight_bound(deg, size, rep.total_dim)[slope > mu + SLOPE_TOL].min(initial=np.inf)
+    dims, deg, slope = grid
+    delta = _weight_bound(deg, dims.sum(axis=1), rep.total_dim)[slope > mu + SLOPE_TOL].min(initial=np.inf)
     return float(delta), bool(np.any(np.abs(slope - mu) <= SLOPE_TOL))
 
 
@@ -622,6 +618,9 @@ def filtration_steps(
     :func:`_weight_bound` above it spans no invariant subspace of those
     dimensions, so it goes straight to the closure without the rounding.
     Other callers leave ``residual`` at inf and round every such cut.
+    Every returned basis, eigen-cut, polished or closure, has the phase rule
+    of :func:`_linalg.unit_phases`, so a witness does not carry the sign
+    that LAPACK happens to give an eigenvector.
 
     Raises :class:`NoSeparation` when the spectrum has no usable gap.
     """
@@ -655,6 +654,7 @@ def filtration_steps(
             if witness is None or not check_subrep(rep, witness)[0]:
                 witness = invariant_closure(rep, gens)
         _, slope = degree_and_slope(witness, params)
+        witness = SubrepWitness({v: unit_phases(b) for v, b in witness.basis.items()})
         steps.append(FiltrationStep(witness, slope, cut))
     return steps
 

@@ -6,7 +6,10 @@ sum_v sigma_v rk_v.  At point scale every degree is zero, so admissibility
 reduces to sum_v tau_v dim_v = 0 and verdict signs are independent of sigma.
 
 This module sits below both the flow and the stability verdicts: the flow
-reads slopes off its own limit direction to certify divergence.
+reads slopes off its own limit direction to certify divergence, and both
+read :func:`dimension_grid`, the degree and slope of every proper dimension
+vector.  :func:`degree_and_slope`, :func:`admissibility` and
+:func:`dimension_grid` refuse parameters that miss a vertex.
 """
 from __future__ import annotations
 
@@ -16,10 +19,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InadmissibleParameters, NonpositiveScale, ShapeMismatch, ZeroTotalRank
+from .errors import InadmissibleParameters, NonpositiveScale, QuiverMismatch, ShapeMismatch, ZeroTotalRank
 from .reps import SubrepWitness, TwistedRep
 
 SLOPE_TOL = 1e-9
+# most dimension vectors dimension_grid enumerates
+BOUND_GRID_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,19 @@ def _as_degree_data(data) -> DegreeData:
     raise ShapeMismatch(f"cannot read degree data from {type(data).__name__}")
 
 
+def _check_vertices(vertices, params: StabilityParams) -> None:
+    """Raise :class:`QuiverMismatch` naming the first vertex that sigma or
+    tau has no value for."""
+    for name, values in (("sigma", params.sigma), ("tau", params.tau)):
+        for v in vertices:
+            if v not in values:
+                raise QuiverMismatch(f"vertex {v!r} is missing from {name}")
+
+
 def degree_and_slope(data, params: StabilityParams) -> tuple[float, float]:
     """Weighted degree and slope of a representation or degree table."""
     dd = _as_degree_data(data)
+    _check_vertices(dd.rank, params)
     deg = sum(
         params.sigma[v] * dd.degree[v] - params.tau[v] * dd.rank[v] for v in dd.rank
     )
@@ -81,6 +96,7 @@ def degree_and_slope(data, params: StabilityParams) -> tuple[float, float]:
 def admissibility(data, params: StabilityParams, tol: float = 1e-12) -> bool:
     """Whether the weighted degree vanishes (necessary for any solution)."""
     dd = _as_degree_data(data)
+    _check_vertices(dd.rank, params)
     deg = sum(
         params.sigma[v] * dd.degree[v] - params.tau[v] * dd.rank[v] for v in dd.rank
     )
@@ -89,6 +105,31 @@ def admissibility(data, params: StabilityParams, tol: float = 1e-12) -> bool:
         for v in dd.rank
     )
     return abs(deg) <= tol * scale
+
+
+def dimension_grid(rep: TwistedRep, params: StabilityParams) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Every proper dimension vector of ``rep`` (one row per vector, columns
+    in quiver vertex order; neither zero nor ``rep.dims``) with its point-scale
+    degree and slope, or None when there are more than ``BOUND_GRID_ROWS``
+    vectors.
+
+    Degree and slope are accumulated vertex by vertex in quiver order with
+    the float operations of :func:`degree_and_slope` (sigma_v * 0.0 - tau_v
+    d_v and sigma_v d_v, summed left to right), so a subobject's slope equals
+    the entry of its dimension vector bit for bit, and no subobject's slope
+    exceeds the largest entry."""
+    verts = rep.quiver.vertices
+    _check_vertices(verts, params)
+    if math.prod(rep.dims[v] + 1 for v in verts) > BOUND_GRID_ROWS:
+        return None
+    grid = np.indices([rep.dims[v] + 1 for v in verts]).reshape(len(verts), -1).T
+    size = grid.sum(axis=1)
+    grid = grid[(size > 0) & (size < rep.total_dim)]
+    deg, denom = np.zeros(len(grid)), np.zeros(len(grid))
+    for v, d in zip(verts, grid.T):
+        deg = deg + (params.sigma[v] * 0.0 - params.tau[v] * d)
+        denom = denom + params.sigma[v] * d
+    return grid, deg, deg / denom
 
 
 def reparameterize(params: StabilityParams, c: float, d: float) -> tuple[StabilityParams, float]:

@@ -14,7 +14,12 @@ End(V), the kernel of the module-map operator, and for each element f and
 eigenvalue lambda the kernel and image of f - lambda, which are subobjects
 as built because f is a module map (only the coordinate family is closed),
 and which in a semistable object have its slope.  The enumeration is these
-two families and nothing else, so it is deterministic.  Schur's lemma
+two families and nothing else, so it is deterministic.  Members are built
+and read one at a time, coordinate family first, and the reading stops
+once the best candidate's slope exceeds the total slope and equals the
+largest slope of a proper dimension vector (:func:`slope.dimension_grid`),
+which no subobject can exceed; End(V) is computed only when the End(V)
+family or the Schur guard first needs it.  Schur's lemma
 guards the verdict: an object is called ``stable`` only when End(V) is the
 scalars, and ``undecided`` when no candidate explains a larger End(V), or
 beyond the exactness envelope (any vertex dimension above 4).  The
@@ -25,8 +30,9 @@ slope exists.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -42,7 +48,7 @@ from .reps import (
     invariant_complement,
     module_map_operator,
 )
-from .slope import SLOPE_TOL, StabilityParams, degree_and_slope
+from .slope import SLOPE_TOL, StabilityParams, degree_and_slope, dimension_grid
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +131,16 @@ def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
     W is invariant exactly when W^perp is invariant in the adjoint
     representation, so the latter is the complement of the adjoint closure
     of the sum of V_v outside S, which is all of V_v there.  On
-    one-dimensional vertices these are the closed vertex subsets."""
+    one-dimensional vertices these are the closed vertex subsets.  Each
+    member is built when it is asked for, and the adjoint representation
+    on the first largest-inside member."""
     eye = {v: np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices if rep.dims[v]}
-    subsets = [subset for r in range(1, len(eye)) for subset in combinations(eye, r)]
-    closures = invariant_closures(rep, [{v: eye[v] for v in subset} for subset in subsets])
-    outside = [{v: eye[v] for v in eye if v not in subset} for subset in subsets]
-    for closure, dual in zip(closures, invariant_closures(_adjoint(rep), outside)):
-        yield closure
+    adjoint = None
+    for subset in chain.from_iterable(combinations(eye, r) for r in range(1, len(eye))):
+        yield invariant_closures(rep, [{v: eye[v] for v in subset}])[0]
+        if adjoint is None:
+            adjoint = _adjoint(rep)
+        dual = invariant_closures(adjoint, [{v: eye[v] for v in eye if v not in subset}])[0]
         perp = {v: b[:, :0] if b.shape[1] == len(b) else null_space(b.conj().T) for v, b in dual.basis.items()}
         yield SubrepWitness(perp)
 
@@ -162,24 +171,33 @@ def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> 
         yield SubrepWitness({v: split[v][k][j] if v in split else empty for v in rep.quiver.vertices})
 
 
-def _candidate_subreps(rep: TwistedRep, ends: list[dict[str, np.ndarray]] | None = None) -> list[SubrepWitness]:
+def _candidate_subreps(
+    rep: TwistedRep, ends: Callable[[], list[dict[str, np.ndarray]]] | None = None
+) -> Iterator[SubrepWitness]:
     """Distinct subobjects of the coordinate family, then of the End(V)
-    family (``ends`` is a basis of End(V), computed when not given), at most
-    ``PER_DIMS_CAP`` per dimension vector, in that order."""
-    seen: dict[tuple, SubrepWitness] = {}
+    family, at most ``PER_DIMS_CAP`` per dimension vector, in that order,
+    each yielded when admitted and built only when asked for.  ``ends``
+    returns a basis of End(V); it is called, and the End(V) family started,
+    only once the coordinate family is exhausted (by default it is a
+    memoized :func:`_endomorphisms`)."""
+    seen: set[tuple] = set()
     dims_count: dict[tuple, int] = {}
+    ends = ends or cache(partial(_endomorphisms, rep))
 
-    ends = _endomorphisms(rep) if ends is None else ends
-    for w in chain(_coordinate_family(rep), _endomorphism_family(rep, ends)):
+    def members() -> Iterator[SubrepWitness]:
+        yield from _coordinate_family(rep)
+        yield from _endomorphism_family(rep, ends())
+
+    for w in members():
         dims_key = tuple(sorted(w.dims.items()))
         if dims_count.get(dims_key, 0) >= PER_DIMS_CAP:
             continue
         key = _witness_key(w)
         if key in seen:
             continue
-        seen[key] = w
+        seen.add(key)
         dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
-    return list(seen.values())
+        yield w
 
 
 def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOptions | None = None) -> Verdict:
@@ -190,15 +208,23 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     and the End(V) family (kernels and images of endomorphisms minus an
     eigenvalue); nothing is drawn at random, so the verdict is
     deterministic.  Looks for a proper invariant subobject of strictly
-    larger slope (``unstable``, with witness).  Failing that, beyond the
-    exactness envelope (any vertex dimension above ``EXACT_DIM_CAP``) the
-    verdict is ``undecided``.
+    larger slope (``unstable``, with witness: the first candidate of the
+    largest slope).  The candidates are read one at a time, and the reading
+    stops once that slope exceeds the total slope by more than
+    ``SLOPE_TOL`` and equals the largest slope of a proper dimension vector
+    (:func:`slope.dimension_grid`; a candidate's slope equals its grid
+    entry bit for bit), since no later candidate can then replace the
+    witness.  Above ``BOUND_GRID_ROWS`` vectors there is no grid and every
+    candidate is read.  Failing that, beyond the exactness envelope (any
+    vertex dimension above ``EXACT_DIM_CAP``) the verdict is ``undecided``.
     Inside it, ``polystable`` when every equal-slope candidate has an
     invariant complement (polystable means semisimple among semistable
     objects of one slope), ``strictly-semistable`` with a witness that has
     none.  With no equal-slope candidate, the Schur guard: the object is
     ``stable`` only when End(V) is the scalars (the dimension of the basis
-    the End(V) family uses), and ``undecided`` otherwise.
+    the End(V) family uses), and ``undecided`` otherwise.  End(V) is
+    computed once, when the End(V) family or the Schur guard first needs
+    it, so a reading that stops inside the coordinate family builds none.
 
     ``options`` is checked when it is built and changes nothing here (see
     :class:`OracleOptions`).  The enumeration limits are the module
@@ -207,15 +233,23 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     if rep.total_dim == 0:
         raise ZeroTotalRank("empty representation")
     _, mu = degree_and_slope(rep, params)
-    ends = _endomorphisms(rep)
-    candidates = [w for w in _candidate_subreps(rep, ends) if 0 < w.total_dim < rep.total_dim]
+    grid = dimension_grid(rep, params)
+    # no candidate's slope exceeds the largest grid slope; without a grid
+    # there is no bound and every candidate is read
+    top = np.inf if grid is None else grid[2].max(initial=-np.inf)
+    ends = cache(partial(_endomorphisms, rep))
     best: SubrepWitness | None = None
     best_slope = -np.inf
     equal: list[SubrepWitness] = []
-    for w in candidates:
+    for w in _candidate_subreps(rep, ends):
+        if not 0 < w.total_dim < rep.total_dim:
+            continue
         _, mu_w = degree_and_slope(w, params)
         if mu_w > best_slope:
             best, best_slope = w, mu_w
+            # only a strictly larger slope replaces the witness
+            if best_slope == top and best_slope > mu + SLOPE_TOL:
+                break
         if abs(mu_w - mu) <= SLOPE_TOL:
             equal.append(w)
     if best is not None and best_slope > mu + SLOPE_TOL:
@@ -227,7 +261,7 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
             return Verdict("strictly-semistable", mu, w, mu)
     if equal:
         return Verdict("polystable", mu)
-    return Verdict("stable", mu) if len(ends) == 1 else Verdict("undecided", mu)
+    return Verdict("stable", mu) if len(ends()) == 1 else Verdict("undecided", mu)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,13 @@ class TorusGrid:
     def _half_partials(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(df/dx / 2, df/dy / 2) as complex fields: a 1-D ``fft``/``ifft``
         pair along axis 0, then one along axis 1.  px + i py has the 2-D
-        symbol i pi (k1 + i k2) of ``dbar``, px - i py that of ``dhol``."""
-        px = np.fft.fft(f, axis=0)
-        px *= self._half_sym[:, None]
-        px = np.fft.ifft(px, axis=0)
+        symbol i pi (k1 + i k2) of ``dbar``, px - i py that of ``dhol``.
+        The axis-0 pair runs along the rows of a contiguous transpose, which
+        gives the same values bit for bit: numpy's strided axis-0 pass costs
+        more than the two transpose copies."""
+        px = np.fft.fft(np.ascontiguousarray(f.T), axis=1)
+        px *= self._half_sym
+        px = np.ascontiguousarray(np.fft.ifft(px, axis=1).T)
         py = np.fft.fft(f, axis=1)
         py *= self._half_sym
         return px, np.fft.ifft(py, axis=1)

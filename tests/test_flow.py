@@ -17,7 +17,7 @@ from quiverforge.errors import (
     SingularMetric,
     ZeroTotalRank,
 )
-from quiverforge import flow
+from quiverforge import flow, slope
 from quiverforge.flow import (
     PSI_EXP,
     PSI_REMAINDER,
@@ -501,8 +501,8 @@ def test_divergent_flows_stay_above_the_semistability_bound():
 
 def test_semistability_bound_builds_no_oversized_grid(monkeypatch):
     # 17 vertices of dimension 2 have 3^17 dimension vectors, several GiB
-    # of grid; above the row limit the bound is (0, True), which rules no
-    # proof reading out
+    # of grid; above the row limit the shared kernel gives no grid and the
+    # bound is (0, True), which rules no proof reading out
     indices = np.indices
 
     def guarded(dimensions, *args, **kwargs):
@@ -514,6 +514,7 @@ def test_semistability_bound_builds_no_oversized_grid(monkeypatch):
     q = qf.Quiver.from_lists(verts, [(f"a{i}", verts[i], verts[i + 1]) for i in range(16)])
     rep = qf.build_rep(q, None, {v: 2 for v in verts})
     params = qf.StabilityParams({v: 1.0 for v in verts}, {v: 0.0 for v in verts})
+    assert slope.dimension_grid(rep, params) is None
     assert flow._semistability_bound(rep, params, 0.0) == (0.0, True)
 
 

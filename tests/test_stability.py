@@ -12,12 +12,13 @@ from quiverforge.errors import (
     NoSeparation,
     NotASolution,
     NotDivergent,
+    QuiverMismatch,
     SingularMetric,
     ZeroTotalRank,
 )
 from quiverforge._linalg import complement_basis, null_space, orthonormal_columns
 from quiverforge.flow import FlowReport, MetricState
-from quiverforge import flow, stability
+from quiverforge import flow, slope, stability
 from quiverforge import io as qio
 from quiverforge.gallery import kronecker_quiver
 from quiverforge.reps import _adjoint, full_witness, invariant_closure, invariant_closures, module_map_operator
@@ -104,6 +105,54 @@ def test_admissibility_torus_degrees_telescope():
         dd = qf.DegreeData({"1": 0.0, "2": 0.0}, {"1": 1, "2": 1})
         params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -t, "2": t})
         assert qf.admissibility(dd, params)
+
+
+def test_dimension_grid_slopes_equal_degree_and_slope_bit_for_bit():
+    # the oracle stops on equality with the grid's largest slope, so every
+    # grid entry must be the slope degree_and_slope gives a subobject of
+    # that dimension vector, to the last bit
+    rng = np.random.default_rng(4)
+    checked = 0
+    for trial in range(40):
+        n_verts = 3 if trial % 2 else 2
+        verts = [str(i + 1) for i in range(n_verts)]
+        # every fourth draw may leave vertex 1 zero-dimensional
+        dims = {v: int(rng.integers(0 if k == 0 and trial % 4 == 1 else 1, 4)) for k, v in enumerate(verts)}
+        q = qf.Quiver.from_lists(verts, [("a", verts[0], verts[1])])
+        rep = qf.build_rep(q, None, dims)
+        params = qf.StabilityParams(
+            {v: float(rng.uniform(0.1, 5.0)) for v in verts}, {v: float(rng.normal()) for v in verts}
+        )
+        rows, deg, slopes = slope.dimension_grid(rep, params)
+        assert len(rows) == np.prod([d + 1 for d in dims.values()]) - 2
+        for row, d, mu in zip(rows, deg, slopes):
+            w = qf.SubrepWitness({v: np.eye(dims[v], k, dtype=complex) for v, k in zip(verts, row)})
+            assert qf.degree_and_slope(w, params) == (d, mu)
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, missing",
+    [({"1": 1.0}, {"1": 0.0, "2": 0.0}, "sigma"), ({"1": 1.0, "2": 1.0}, {"1": 0.0}, "tau")],
+    ids=["sigma", "tau"],
+)
+def test_parameters_that_miss_a_vertex_are_refused(sigma, tau, missing):
+    # a missing vertex raised a bare KeyError deep inside the solvers
+    rep = kronecker_rep(phi=1.0)
+    params = qf.StabilityParams(sigma, tau)
+    good = kronecker_params(t=-1.0)
+    report = qf.flow_solve(rep, good)
+    assert report.status == "diverged"
+    calls = [
+        lambda: qf.stability_oracle(rep, params),
+        lambda: qf.flow_solve(rep, params),
+        lambda: qf.destabilizer_extract(rep, params, report),
+        lambda: slope.dimension_grid(rep, params),
+    ]
+    for call in calls:
+        with pytest.raises(QuiverMismatch, match=f"vertex '2' is missing from {missing}"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +723,49 @@ def test_oracle_does_not_call_a_planted_miss_stable():
     assert "stable" not in tags
 
 
+def test_oracle_stop_at_the_largest_grid_slope_is_invisible(monkeypatch):
+    # with no grid there is no largest slope, so the same code reads every
+    # candidate; stopping at the top slope must change no tag and no byte of
+    # the check payload, and it must actually skip End(V) somewhere
+    calls = list(_oracle_draws())
+    for _, (rep, tau), _ in CORRECTED_DRAWS:
+        calls += [(rep, qf.StabilityParams(sigma, tau)) for sigma in SIGMAS[len(rep.quiver.vertices)]]
+    calls += [instance for instance, _, _ in PLANTED_MISSES]
+    builds = []
+    real = stability._endomorphisms
+    monkeypatch.setattr(stability, "_endomorphisms", lambda rep: builds.append(rep) or real(rep))
+    stopped = [qf.stability_oracle(rep, params) for rep, params in calls]
+    stopped_builds = len(builds)
+    monkeypatch.setattr(stability, "dimension_grid", lambda rep, params: None)
+    full = [qf.stability_oracle(rep, params) for rep, params in calls]
+    assert [v.tag for v in stopped] == [v.tag for v in full]
+    assert [_check_payload(v) for v in stopped] == [_check_payload(v) for v in full]
+    assert len(builds) - stopped_builds == len(calls)
+    assert stopped_builds < len(calls)
+
+
+def test_oracle_builds_no_end_once_a_coordinate_member_reaches_the_top_slope(monkeypatch):
+    # on criterion-4 draw 5012 at sigma = 1 the coordinate member V_2 has the
+    # largest slope of any proper dimension vector, so the oracle neither
+    # computes End(V) nor starts its family, and reports what the full
+    # enumeration reports
+    rep, tau = random_two_vertex_instance(5012)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
+    with monkeypatch.context() as m:
+        m.setattr(stability, "dimension_grid", lambda rep, params: None)
+        full = qf.stability_oracle(rep, params)
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached End(V)")
+
+    monkeypatch.setattr(stability, "_endomorphisms", refuse)
+    monkeypatch.setattr(stability, "_endomorphism_family", refuse)
+    verdict = qf.stability_oracle(rep, params)
+    assert verdict.tag == "unstable"
+    assert verdict.witness.dims == {"1": 0, "2": 3}
+    assert _check_payload(verdict) == _check_payload(full)
+
+
 # ---------------------------------------------------------------------------
 # destabilizer extraction
 
@@ -689,6 +781,26 @@ def test_extract_jordan_span_e1():
     assert steps[0].slope == pytest.approx(0.0, abs=1e-12)
     ok, _ = qf.check_subrep(rep, w, tol=1e-6)
     assert ok
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_extracted_witnesses_have_a_real_positive_largest_entry(k):
+    # the Jordan block of the cli-batch manifests carries a phase on its
+    # arrow; the flow's kernel e_1 came out as -e_1 where LAPACK's
+    # eigenvector sign said so (cli-batch seeds 2 and 7919)
+    phases = [1.0, 0.8895389068513451 - 0.456859423890669j, 0.9910372652906421 + 0.13358569835594525j]
+    phase = phases[k] if k < len(phases) else np.exp(2j * np.pi * k / 8)
+    rep = qf.build_rep(
+        qf.Quiver.from_lists(["v"], [("phi", "v", "v")]), None, {"v": 2},
+        {"phi": [np.array([[0.0, phase], [0.0, 0.0]])]},
+    )
+    params = jordan_params()
+    steps = qf.destabilizer_extract(rep, params, qf.flow_solve(rep, params))
+    assert [st.witness.dims for st in steps] == [{"v": 1}]
+    for st in steps:
+        for b in st.witness.basis.values():
+            lead = b[np.abs(b).argmax(axis=0), np.arange(b.shape[1])]
+            assert np.all(lead.imag == 0) and np.all(lead.real > 0), lead
 
 
 def test_extract_kronecker_negative_t():
