@@ -11,11 +11,15 @@ a changed line is a changed tag or witness.  Standard error gets one
 standard output.
 
 With ``--flow`` it runs the Kempf-Ness flow instead of the oracle and prints
-one line per call, ``name status stop iterations`` followed by one
+one line per call, ``name status stop iterations hash`` followed by one
 ``dims:slope`` word per step that :func:`destabilizer_extract` reads off a
 diverged flow (dims in vertex order, comma separated; slope to 9 significant
-digits); standard error gets ``flow_cpu_s <seconds>``, the CPU time summed
-over the ``flow_solve`` and ``destabilizer_extract`` calls.
+digits).  ``hash`` is the first 12 hex digits of the SHA-1 of the ``flow``
+payload (status, residual norm, iterations, monotone, metric and filtration,
+as ``quiverforge flow`` exports them), so a change in the last bit of the
+final metric changes the line.  Standard error gets ``flow_cpu_s
+<seconds>``, the CPU time summed over the ``flow_solve`` and
+``destabilizer_extract`` calls.
 
 The reference set, in this order:
 - the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
@@ -112,13 +116,29 @@ def check_payload(verdict) -> bytes:
     return qio.export_report(payload)
 
 
+def flow_payload(report, steps) -> bytes:
+    payload = {
+        "status": report.status,
+        "residual_norm": report.residual_norm,
+        "iterations": report.iterations,
+        "monotone": report.monotone,
+        "metric": qio.encode_metric(report.final_metric),
+    }
+    if report.status == "diverged":
+        payload["filtration"] = [
+            {"witness": qio.encode_witness(st.witness), "slope": st.slope, "boundary": st.boundary} for st in steps
+        ]
+    return qio.export_report(payload)
+
+
 def flow_line(name, rep, params) -> tuple[str, float]:
     """The ``--flow`` line of one call and the CPU time it took."""
     start = time.process_time()
     report = qf.flow_solve(rep, params)
     steps = qf.destabilizer_extract(rep, params, report) if report.status == "diverged" else []
     cpu = time.process_time() - start
-    words = [name, report.status, report.stop, str(report.iterations)]
+    digest = hashlib.sha1(flow_payload(report, steps)).hexdigest()[:12]
+    words = [name, report.status, report.stop, str(report.iterations), digest]
     for st in steps:
         dims = ",".join(str(st.witness.dim(v)) for v in rep.quiver.vertices)
         words.append(f"{dims}:{st.slope:.9g}")

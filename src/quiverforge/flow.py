@@ -26,7 +26,11 @@ one (k, n, n) stack with each slice at its (head, tail) block.  The H-frame
 slices psi_k = H^{1/2} phi'_k H^{-1/2} are one broadcast product; they give
 m~ = H^{1/2} m H^{-1/2} = sum_k [psi_k, psi_k^dagger] - diag(tau) and the
 energy, with |phi|^2_H = sum |psi|^2.  The flow and every public moment, norm
-and energy function read it; :func:`adjoint` does not.
+and energy function read it; :func:`adjoint` does not.  The chart also holds
+the one Hermitian functional calculus in the eigenbasis of s: f(s) for a
+unary f, q (F o q^dagger x q) q^dagger with F_ij = f(w_i, w_j) for a
+bivariate one; the metric factors, the flow's velocity and the public
+:func:`eigen_calculus` call it.
 
 The descent is a damped Riemannian Newton method: the energy along
 H^{1/2} e^{tu} H^{1/2} has first derivative tr(m~ u) and second derivative
@@ -96,18 +100,20 @@ HermCollection = Mapping[str, np.ndarray]
 
 
 class _Layout:
-    """A representation's vertex spaces as consecutive coordinate blocks of
-    C^n, n the total dimension, in quiver vertex order (``index``).  A
-    per-vertex collection becomes one block-diagonal n x n matrix
-    (:meth:`pack`) and is read back through block views (:meth:`blocks`);
-    the rotated slices phi' become one (k, n, n) stack (``rotated``)."""
+    """The vertex spaces of a representation, in quiver vertex order, or of a
+    dims mapping, in its order, as consecutive coordinate blocks of C^n, n
+    the total dimension (``index``).  A per-vertex collection becomes one
+    block-diagonal n x n matrix (:meth:`pack`) and is read back through
+    block views (:meth:`blocks`); a representation's rotated slices phi'
+    become one (k, n, n) stack (``rotated``)."""
 
-    def __init__(self, rep: TwistedRep):
+    def __init__(self, rep: TwistedRep | Mapping[str, int]):
         self.rep = rep
-        self.n = rep.total_dim
-        self.sizes = [rep.dims[v] for v in rep.quiver.vertices]
+        verts, dims = (rep.quiver.vertices, rep.dims) if isinstance(rep, TwistedRep) else (list(rep), rep)
+        self.sizes = [dims[v] for v in verts]
+        self.n = sum(self.sizes)
         ends = np.cumsum(self.sizes, dtype=int)
-        self.index = {v: slice(e - d, e) for v, d, e in zip(rep.quiver.vertices, self.sizes, ends)}
+        self.index = {v: slice(e - d, e) for v, d, e in zip(verts, self.sizes, ends)}
 
     def pack(self, c: HermCollection, name: str) -> np.ndarray:
         """Block-diagonal matrix of a collection with one block per vertex;
@@ -142,8 +148,12 @@ class _Layout:
         """Per-vertex views of the diagonal blocks of an n x n matrix."""
         return {v: x[b, b] for v, b in self.index.items()}
 
-    def diagonal(self, values: Mapping[str, float]) -> np.ndarray:
-        """Per-vertex scalars repeated over each vertex block."""
+    def diagonal(self, values: Mapping[str, float], name: str) -> np.ndarray:
+        """Per-vertex scalars repeated over each vertex block; refuses a
+        missing vertex (:class:`QuiverMismatch`), naming it."""
+        for v in self.index:
+            if v not in values:
+                raise QuiverMismatch(f"vertex {v!r} is missing from {name}")
         return np.repeat(np.array([values[v] for v in self.index], dtype=float), self.sizes)
 
     @cached_property
@@ -176,9 +186,10 @@ class _Chart:
     :class:`_Layout`: s = log H (identity background) as one block-diagonal
     n x n matrix, its eigenvalues ``w`` (length n) and eigenvectors ``q``
     (block diagonal) from one :func:`eigh_checked` per vertex block, built
-    from s or by :meth:`of_metric`; the factors e^s and (e^{s/2}, e^{-s/2})
-    on first use, and the H-frame slice stack psi_k = H^{1/2} phi'_k
-    H^{-1/2} of the layout's ``rotated`` stack, read by :meth:`moment`."""
+    from s or by :meth:`of_metric`; the calculus :meth:`apply` in that
+    eigenbasis, which gives the factors e^s and (e^{s/2}, e^{-s/2}) on first
+    use; and the H-frame slice stack psi_k = H^{1/2} phi'_k H^{-1/2} of the
+    layout's ``rotated`` stack, read by :meth:`moment`."""
 
     def __init__(self, layout: _Layout, s: np.ndarray, eig=None):
         self.layout = layout
@@ -202,16 +213,27 @@ class _Chart:
         w = np.log(w)
         return cls(layout, herm((q * w) @ q.conj().T), (w, q))
 
-    def _factor(self, power: float) -> np.ndarray:
-        return (self.q * np.exp(power * self.w)) @ self.q.conj().T
+    def apply(self, f: Callable, x: np.ndarray | None = None, mask: np.ndarray | None = None) -> np.ndarray:
+        """The Hermitian calculus in the eigenbasis of s.  With no ``x``,
+        f(s) = q diag(f(w)) q^dagger for a unary f.  With an n x n matrix or
+        a (k, n, n) stack ``x``, q (F o q^dagger x q) q^dagger for a
+        bivariate f, F_ij = f(w_i, w_j), set to zero outside ``mask`` when
+        one is given: between blocks that x does not couple, f may overflow."""
+        q, qh = self.q, self.q.conj().T
+        if x is None:
+            return (q * f(self.w)) @ qh
+        coeff = f(self.w[:, None], self.w[None, :])
+        if mask is not None:
+            coeff = np.where(mask, coeff, 0.0)
+        return q @ (coeff * (qh @ x @ q)) @ qh
 
     @cached_property
     def h(self) -> np.ndarray:
-        return herm(self._factor(1.0))
+        return herm(self.apply(np.exp))
 
     @cached_property
     def half(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._factor(0.5), self._factor(-0.5)
+        return self.apply(lambda w: np.exp(0.5 * w)), self.apply(lambda w: np.exp(-0.5 * w))
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -242,12 +264,9 @@ class _Chart:
         """s-chart velocity of the metric path H^{1/2} e^{tu} H^{1/2} at t = 0
         for an H-frame direction u: the background direction H^{-1/2} u
         H^{1/2} under the inverse derivative of exp, both read in the
-        eigenbasis of s, in one n x n conjugation by ``q`` with the
-        dexp^{-1}(d) e^{d/2} table masked to the vertex blocks."""
-        d = self.w[None, :] - self.w[:, None]
-        coeff = np.where(self.layout.mask, _dexp_inverse(d) * np.exp(0.5 * d), 0.0)
-        q = self.q
-        return herm(q @ (coeff * (q.conj().T @ u @ q)) @ q.conj().T)
+        eigenbasis of s, as the bivariate :meth:`apply` of the
+        dexp^{-1}(y - x) e^{(y - x)/2} table masked to the vertex blocks."""
+        return herm(self.apply(lambda x, y: _dexp_inverse(y - x) * np.exp(0.5 * (y - x)), u, self.layout.mask))
 
 
 @dataclass(frozen=True)
@@ -336,79 +355,55 @@ def difference_quotient(f: Callable, fprime: Callable) -> ScalarFunctionTable:
     """Table for (f(y) - f(x))/(y - x) extended by f'(x) on the diagonal."""
 
     def biv(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        d = y - x
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (f(y) - f(x)) / d
-        diag = np.abs(d) < 1e-12
-        if np.any(diag):
-            out = np.where(diag, fprime(x), out)
-        return out
+            return np.where(np.abs(y - x) < 1e-12, fprime(x), (f(y) - f(x)) / (y - x))
 
     return ScalarFunctionTable("difference_quotient", bivariate=biv)
 
 
 def _clustered(w: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Replace near-degenerate eigenvalues by cluster means so bivariate
-    tables see a basis-independent spectrum."""
+    """Ascending eigenvalues with each run of near-degenerate ones (gaps at
+    most ``rtol`` (1 + spread)) replaced by its mean, so bivariate tables see
+    a basis-independent spectrum."""
     if w.size < 2:
         return w
-    spread = float(w[-1] - w[0])
-    if spread <= 0:
-        return np.full_like(w, w.mean() if w.size else 0.0)
-    out = w.astype(float).copy()
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > rtol * (1.0 + spread):
-            out[start:i] = out[start:i].mean()
-            start = i
-    return out
-
-
-def apply_bivariate_endo(s: HermCollection, table: ScalarFunctionTable, f: HermCollection):
-    """Scale an endomorphism collection entrywise in each vertex eigenbasis."""
-    out = {}
-    for v, sv in s.items():
-        w, u = eigh_checked(sv)
-        lam = _clustered(w)
-        coeff = table.bivariate(lam[:, None], lam[None, :])
-        out[v] = u @ (coeff * (u.conj().T @ f[v] @ u)) @ u.conj().T
-    return out
-
-
-def apply_bivariate_rep(s: HermCollection, table: ScalarFunctionTable, rep: TwistedRep):
-    """Scale arrow slices by F(head eigenvalue, tail eigenvalue); the twist
-    index is untouched."""
-    eig = {v: eigh_checked(sv) for v, sv in s.items()}
-    out = {}
-    for a in rep.quiver.arrows:
-        wh, uh = eig[a.head]
-        wt, ut = eig[a.tail]
-        coeff = table.bivariate(_clustered(wh)[:, None], _clustered(wt)[None, :])
-        out[a.name] = tuple(
-            uh @ (coeff * (uh.conj().T @ sl @ ut)) @ ut.conj().T
-            for sl in rep.slices[a.name]
-        )
-    return out
+    runs = np.split(w, np.flatnonzero(np.diff(w) > rtol * (1.0 + float(w[-1] - w[0]))) + 1)
+    return np.concatenate([np.full(len(r), r.mean()) for r in runs])
 
 
 def eigen_calculus(s: HermCollection, table: ScalarFunctionTable, target=None):
-    """Dispatching front end for the Hermitian functional calculus.
+    """The Hermitian functional calculus, :meth:`_Chart.apply` on the chart
+    of ``s`` with its eigenvalues :func:`_clustered` block by block.
 
     ``target=None`` applies the unary function to ``s`` itself; a
-    representation target transforms its arrow slices; a per-vertex
-    collection is treated as an endomorphism target.
+    representation target transforms its arrow slices by F(head, tail
+    eigenvalue), the twist index untouched; a per-vertex collection is an
+    endomorphism target.  :class:`_Layout` packs ``s`` and the target on the
+    representation's vertices, else on those of ``s``, with its refusals.
     """
+    kind = "unary" if target is None else "bivariate"
+    f = getattr(table, kind)
+    if f is None:
+        raise ValueError(f"table {table.name!r} has no {kind} function")
+    rep = target if isinstance(target, TwistedRep) else None
+    layout = _Layout(rep or {v: (np.shape(sv) or (0,))[0] for v, sv in s.items()})
+    chart = _Chart.of_log(s, layout)
+    for b in layout.index.values():
+        chart.w[b] = _clustered(chart.w[b])
     if target is None:
-        if table.unary is None:
-            raise ValueError(f"table {table.name!r} has no unary function")
-        return {v: funm_herm(sv, table.unary) for v, sv in s.items()}
-    if table.bivariate is None:
-        raise ValueError(f"table {table.name!r} has no bivariate function")
-    if isinstance(target, TwistedRep):
-        return apply_bivariate_rep(s, table, target)
-    return apply_bivariate_endo(s, table, target)
+        return layout.blocks(chart.apply(f))
+    if rep is None:
+        return layout.blocks(chart.apply(f, layout.pack(target, "target"), layout.mask))
+    out = {}
+    for a in rep.quiver.arrows:
+        h, t = layout.index[a.head], layout.index[a.tail]
+        stack = np.zeros((len(rep.slices[a.name]), layout.n, layout.n), dtype=complex)
+        stack[:, h, t] = rep.slices[a.name]
+        mask = np.zeros((layout.n, layout.n), dtype=bool)
+        mask[h, t] = True
+        out[a.name] = tuple(chart.apply(f, stack, mask)[:, h, t])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +433,7 @@ def moment_map_residual(rep: TwistedRep, metric: MetricState, params) -> dict[st
     refuses metrics that :func:`check_hpd` rejects (condition above 1e12)."""
     layout = _Layout(rep)
     chart = _Chart.of_metric(metric, layout, cond_limit=1e12)
-    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau))[0]))
+    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau, "tau"))[0]))
 
 
 def phi_norm_sq(rep: TwistedRep, metric: MetricState) -> float:
@@ -452,7 +447,7 @@ def kempf_ness(rep: TwistedRep, s: HermCollection, params) -> float:
     background): the chart kernel at s minus its value |phi'|^2 at 0."""
     layout = _Layout(rep)
     phi0 = float(np.vdot(layout.rotated, layout.rotated).real)
-    return _Chart.of_log(s, layout).moment(layout.diagonal(params.tau), -phi0)[1]
+    return _Chart.of_log(s, layout).moment(layout.diagonal(params.tau, "tau"), -phi0)[1]
 
 
 def kempf_ness_metric(
@@ -465,7 +460,7 @@ def kempf_ness_metric(
     M(K, H) + M(H, J) = M(K, J) because the trace term only sees log dets.
     """
     layout = _Layout(rep)
-    tau = layout.diagonal(params.tau)
+    tau = layout.diagonal(params.tau, "tau")
     e0 = _Chart.of_metric(background or MetricState.identity(rep), layout).moment(tau)[1]
     return _Chart.of_metric(metric, layout).moment(tau, -e0)[1]
 
@@ -475,7 +470,7 @@ def kempf_ness_gradient(rep: TwistedRep, s: HermCollection, params) -> dict[str,
     along metric geodesics, d/de M(H e^{e u})|0 = (m(H), u)_H."""
     layout = _Layout(rep)
     chart = _Chart.of_log(s, layout)
-    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau))[0]))
+    return layout.blocks(chart.to_background(chart.moment(layout.diagonal(params.tau, "tau"))[0]))
 
 
 def residual_norm_h(rep: TwistedRep, metric: MetricState, m: HermCollection) -> float:
@@ -880,7 +875,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         )
 
     layout = _Layout(rep)
-    tau, sigma = layout.diagonal(params.tau), layout.diagonal(params.sigma)
+    tau, sigma = layout.diagonal(params.tau, "tau"), layout.diagonal(params.sigma, "sigma")
     if opts.init_scale > 0:
         rng = np.random.default_rng(0 if opts.seed is None else opts.seed)
         start = {v: random_hermitian(rng, rep.dims[v], opts.init_scale) for v in rep.quiver.vertices}

@@ -9,7 +9,8 @@ This module sits below both the flow and the stability verdicts: the flow
 reads slopes off its own limit direction to certify divergence, and both
 read :func:`dimension_grid`, the degree and slope of every proper dimension
 vector.  :func:`degree_and_slope`, :func:`admissibility` and
-:func:`dimension_grid` refuse parameters that miss a vertex.
+:func:`dimension_grid` refuse parameters that miss a vertex, and
+:func:`reparameterize` sigma and tau that differ in one.
 """
 from __future__ import annotations
 
@@ -137,10 +138,12 @@ def reparameterize(params: StabilityParams, c: float, d: float) -> tuple[Stabili
 
     Returns the new parameters together with the section rescale factor
     sqrt(c) the caller must apply to the arrow maps for the equations to
-    transform covariantly.  Slopes shift by exactly -d.
+    transform covariantly.  Slopes shift by exactly -d.  Refuses sigma and
+    tau with different vertices (:class:`QuiverMismatch`).
     """
     if c <= 0:
         raise NonpositiveScale(f"scale must be positive, got {c}")
+    _check_vertices({**params.sigma, **params.tau}, params)
     sigma = {v: c * s for v, s in params.sigma.items()}
     tau = {v: c * (params.tau[v] + d * params.sigma[v]) for v in params.sigma}
     return StabilityParams(sigma, tau), float(np.sqrt(c))

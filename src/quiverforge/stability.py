@@ -321,7 +321,7 @@ def subrep_degree_identity(
     """
     layout = _Layout(rep)
     chart = _Chart.of_metric(metric, layout, cond_limit=1e12)
-    res = float(np.linalg.norm(chart.moment(layout.diagonal(params.tau))[0]))
+    res = float(np.linalg.norm(chart.moment(layout.diagonal(params.tau, "tau"))[0]))
     if res > SOLUTION_TOL:
         raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")
     half = layout.blocks(chart.half[0])

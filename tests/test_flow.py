@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverforge as qf
-from quiverforge._linalg import eigh_checked, funm_herm, herm, random_hermitian, random_unitary
+from quiverforge._linalg import eigh_checked, expm_herm, funm_herm, herm, random_hermitian, random_unitary
 from quiverforge.errors import (
     IllConditionedSpectrum,
     InadmissibleParameters,
@@ -22,7 +22,6 @@ from quiverforge.flow import (
     PSI_EXP,
     PSI_REMAINDER,
     MetricState,
-    apply_bivariate_rep,
     difference_quotient,
     eigen_calculus,
     filtration_steps,
@@ -208,9 +207,7 @@ def test_eigen_calculus_product_form(rng):
     # F(x,y) = e^x e^{-y} acting on slices equals exp(s_head) phi exp(-s_tail)
     rep, _ = random_two_vertex_instance(3)
     s = {v: random_hermitian(rng, rep.dims[v], 0.7) for v in rep.quiver.vertices}
-    out = apply_bivariate_rep(s, PSI_EXP, rep)
-    from quiverforge._linalg import expm_herm
-
+    out = eigen_calculus(s, PSI_EXP, rep)
     for a in rep.quiver.arrows:
         eh = expm_herm(s[a.head])
         et = expm_herm(-s[a.tail])
@@ -218,12 +215,74 @@ def test_eigen_calculus_product_form(rng):
             assert np.abs(got - eh @ sl @ et).max() < 1e-12 * (1 + np.abs(got).max())
 
 
+def test_eigen_calculus_endomorphism_conjugation(rng):
+    # F(x, y) = e^{x - y} on an endomorphism target is e^{s_v} f_v e^{-s_v}
+    s = {"1": random_hermitian(rng, 3, 0.8), "2": random_hermitian(rng, 2, 0.8)}
+    f = {v: rng.normal(size=sv.shape) + 1j * rng.normal(size=sv.shape) for v, sv in s.items()}
+    out = eigen_calculus(s, PSI_EXP, f)
+    assert list(out) == ["1", "2"]
+    for v in s:
+        want = expm_herm(s[v]) @ f[v] @ expm_herm(-s[v])
+        assert np.abs(out[v] - want).max() < 1e-12 * (1 + np.abs(want).max())
+
+
+@pytest.mark.parametrize("repeated", [False, True])
+def test_difference_quotient_is_the_derivative_of_exp(rng, repeated):
+    # the divided differences of exp give the Frechet derivative of expm;
+    # a repeated eigenvalue comes out of eigh split by rounding, and the
+    # clustered spectrum reads it as one, where the table takes f' = exp
+    u = random_unitary(rng, 3)
+    w = np.array([0.3, 0.3, -0.9]) if repeated else np.array([0.3, 0.7, -0.9])
+    s = {"v": herm((u * w) @ u.conj().T)}
+    f = {"v": random_hermitian(rng, 3)}
+    got = eigen_calculus(s, difference_quotient(np.exp, np.exp), f)["v"]
+    h = 1e-5
+    want = (expm_herm(s["v"] + h * f["v"]) - expm_herm(s["v"] - h * f["v"])) / (2 * h)
+    assert np.abs(got - want).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "s_at_1, target, error",
+    [
+        (None, {"1": np.eye(2)}, QuiverMismatch),
+        (None, {"1": np.eye(2), "2": np.eye(1), "3": np.eye(1)}, QuiverMismatch),
+        (None, {"1": np.eye(3), "2": np.eye(1)}, ShapeMismatch),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), {"1": np.eye(2), "2": np.eye(1)}, NonFiniteData),
+        (None, {"1": np.array([[1.0, np.inf], [0.0, 1.0]]), "2": np.eye(1)}, NonFiniteData),
+    ],
+    ids=["missing-vertex", "extra-vertex", "block-shape", "non-finite-s", "non-finite-target"],
+)
+def test_eigen_calculus_refuses_a_bad_endomorphism_target(rng, s_at_1, target, error):
+    s = {"1": random_hermitian(rng, 2) if s_at_1 is None else s_at_1, "2": np.eye(1)}
+    with pytest.raises(error):
+        eigen_calculus(s, PSI_EXP, target)
+
+
+def test_clustered_matches_the_run_loop(rng):
+    # reference: the loop that walked the sorted eigenvalues run by run
+    def loop(w, rtol=1e-12):
+        out, start, spread = w.copy(), 0, float(w[-1] - w[0])
+        for i in range(1, w.size + 1):
+            if i == w.size or w[i] - w[i - 1] > rtol * (1.0 + spread):
+                out[start:i] = out[start:i].mean()
+                start = i
+        return out
+
+    for _ in range(50):
+        base = np.sort(rng.normal(size=int(rng.integers(2, 8))))
+        w = np.sort(np.repeat(base, rng.integers(1, 4, size=base.size)) + rng.normal(size=1) * 1e-15)
+        w = np.sort(w + np.where(rng.random(w.size) < 0.5, 1e-14, 0.0))
+        assert np.array_equal(flow._clustered(w), loop(w))
+    assert np.array_equal(flow._clustered(np.full(3, 0.7)), loop(np.full(3, 0.7)))
+    assert flow._clustered(np.zeros(0)).size == 0
+
+
 def test_psi_remainder_scalar_multiple():
     # s = lambda * id scales every coefficient by 1/2
     rep = kronecker_rep(phi=3.0)
     lam = 0.8
     s = {"1": lam * np.eye(1), "2": lam * np.eye(1)}
-    out = apply_bivariate_rep(s, PSI_REMAINDER, rep)
+    out = eigen_calculus(s, PSI_REMAINDER, rep)
     assert out["a0"][0][0, 0] == pytest.approx(1.5)
 
 
@@ -682,7 +741,7 @@ def test_gauge_projection_idempotent(rng):
     rep, tau = random_two_vertex_instance(33)
     params = qf.StabilityParams({"1": 2.0, "2": 3.0}, tau)
     layout = flow._Layout(rep)
-    sigma = layout.diagonal(params.sigma)
+    sigma = layout.diagonal(params.sigma, "sigma")
     u = layout.pack({v: random_hermitian(rng, rep.dims[v]) for v in rep.quiver.vertices}, "u")
     once = gauge_project(u, sigma)
     twice = gauge_project(once, sigma)
@@ -820,7 +879,8 @@ def _pairing(rep, x, adj):
 @pytest.mark.parametrize("seed", range(6))
 def test_chart_kernel_matches_adjoint_formulas(seed):
     # the moment map, |phi|^2_H and both energies all come from the chart
-    # kernel; these references do not: the public adjoint and the psi calculus
+    # kernel; these references do not: the public adjoint and per-vertex
+    # matrix exponentials
     rng = np.random.default_rng(seed)
     rep, params = _twisted_pair(rng)
     s = {v: random_hermitian(rng, 2, 1.0) for v in ("1", "2")}
@@ -837,8 +897,12 @@ def test_chart_kernel_matches_adjoint_formulas(seed):
             assert np.abs(got[v] - want[v]).max() <= 1e-12 * scale
     assert qf.phi_norm_sq(rep, metric) == pytest.approx(_pairing(rep, rep.slices, adj), rel=1e-12)
     eye = qf.adjoint(rep, MetricState.identity(rep))
+    conjugated = {
+        a.name: [expm_herm(s[a.head]) @ sl @ expm_herm(-s[a.tail]) for sl in rep.slices[a.name]]
+        for a in rep.quiver.arrows
+    }
     psi_form = (
-        _pairing(rep, apply_bivariate_rep(s, PSI_EXP, rep), eye)
+        _pairing(rep, conjugated, eye)
         - _pairing(rep, rep.slices, eye)
         - sum(params.tau[v] * float(np.real(np.trace(s[v]))) for v in s)
     )
@@ -1027,11 +1091,11 @@ def test_packed_chart_matches_the_per_vertex_arithmetic(kind, seed):
             assert np.abs(layer[layout.index[a.head], layout.index[a.tail]] - p).max(initial=0.0) <= 1e-12 * np.abs(p).max(initial=1.0)
             layer[layout.index[a.head], layout.index[a.tail]] = 0.0
             assert not layer.any()
-    m, energy = chart.moment(layout.diagonal(params.tau), -3.0)
+    m, energy = chart.moment(layout.diagonal(params.tau, "tau"), -3.0)
     close(layout.blocks(m), m_ref)
     assert not m[~layout.mask].any()
     assert energy == pytest.approx(energy_ref, rel=1e-12)
-    u, slope = flow._newton_direction(chart, m, flow._hermitian_basis(layout), layout.diagonal(params.sigma))
+    u, slope = flow._newton_direction(chart, m, flow._hermitian_basis(layout), layout.diagonal(params.sigma, "sigma"))
     close(layout.blocks(u), u_ref)
     assert slope == pytest.approx(slope_ref, rel=1e-12)
     close(layout.blocks(chart.velocity(u)), xi_ref)

@@ -89,7 +89,7 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     (label, seconds), = [line.split() for line in err.splitlines()]
     assert label == "oracle_cpu_s" and float(seconds) >= 0
 
-    # --flow: one "name status stop iterations dims:slope..." line per call
+    # --flow: one "name status stop iterations hash dims:slope..." line per call
     monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5", "--flow"])
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
@@ -97,12 +97,13 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     out, err = capsys.readouterr()
     rows = [line.split() for line in out.splitlines()]
     assert [r[0] for r in rows] == [name for name, _, _ in calls]
-    for name, status, stop, iterations, *steps in rows:
+    for name, status, stop, iterations, digest, *steps in rows:
         assert (status, stop) in {
             ("converged", "tol"), ("diverged", "certificate"), ("diverged", "no-complement"),
             ("max-iter", "max-iter"), ("max-iter", "line-search"),
         }
         assert int(iterations) >= 0
+        assert len(digest) == 12 and int(digest, 16) >= 0
         # a diverged flow always yields its proof among the extracted steps
         assert bool(steps) == (status == "diverged")
         for step in steps:

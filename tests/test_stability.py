@@ -155,6 +155,25 @@ def test_parameters_that_miss_a_vertex_are_refused(sigma, tau, missing):
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep, metric, params: qf.moment_map_residual(rep, metric, params),
+        lambda rep, metric, params: qf.kempf_ness(rep, {"1": np.zeros((1, 1)), "2": np.zeros((1, 1))}, params),
+        lambda rep, metric, params: qf.kempf_ness_metric(rep, metric, params),
+        lambda rep, metric, params: qf.kempf_ness_gradient(rep, {"1": np.zeros((1, 1)), "2": np.zeros((1, 1))}, params),
+        lambda rep, metric, params: qf.subrep_degree_identity(rep, metric, full_witness(rep), params),
+    ],
+    ids=["moment_map_residual", "kempf_ness", "kempf_ness_metric", "kempf_ness_gradient", "subrep_degree_identity"],
+)
+def test_kernel_refuses_tau_that_misses_a_vertex(call):
+    # the chart kernel's per-vertex tau raised a bare KeyError
+    rep = kronecker_rep(phi=1.0)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": 1.0})
+    with pytest.raises(QuiverMismatch, match="vertex '2' is missing from tau"):
+        call(rep, MetricState.identity(rep), params)
+
+
 # ---------------------------------------------------------------------------
 # reparameterization
 
@@ -184,6 +203,17 @@ def test_reparameterize_rejects_nonpositive_scale():
     with pytest.raises(NonpositiveScale):
         qf.reparameterize(kronecker_params(), -1.0, 0.0)
 
+
+
+@pytest.mark.parametrize(
+    "sigma, tau, missing",
+    [({"1": 1.0, "2": 1.0}, {"1": 0.0}, "tau"), ({"1": 1.0}, {"1": 0.0, "2": 3.0}, "sigma")],
+    ids=["tau-misses-a-vertex", "tau-has-an-extra-vertex"],
+)
+def test_reparameterize_refuses_sigma_and_tau_on_different_vertices(sigma, tau, missing):
+    # the first raised a bare KeyError, the second dropped the extra vertex
+    with pytest.raises(QuiverMismatch, match=f"vertex '2' is missing from {missing}"):
+        qf.reparameterize(qf.StabilityParams(sigma, tau), 2.0, 0.5)
 
 @pytest.mark.parametrize(
     "options",
