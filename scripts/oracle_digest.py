@@ -19,7 +19,10 @@ payload (status, residual norm, iterations, monotone, metric and filtration,
 as ``quiverforge flow`` exports them), so a change in the last bit of the
 final metric changes the line.  Standard error gets ``flow_cpu_s
 <seconds>``, the CPU time summed over the ``flow_solve`` and
-``destabilizer_extract`` calls.
+``destabilizer_extract`` calls, and ``read_cpu_s <seconds>``, the part of
+it spent reading cuts in ``filtration_steps`` (called by both, under the
+names ``quiverforge.flow.filtration_steps`` and
+``quiverforge.stability.filtration_steps``, which are both wrapped).
 
 The reference set, in this order:
 - the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
@@ -52,6 +55,7 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 import quiverforge as qf  # noqa: E402
+from quiverforge import flow, stability  # noqa: E402
 from quiverforge import io as qio  # noqa: E402
 from quiverforge.gallery import kronecker_quiver  # noqa: E402
 
@@ -145,6 +149,22 @@ def flow_line(name, rep, params) -> tuple[str, float]:
     return " ".join(words), cpu
 
 
+def timed_reading(cpu: list[float]) -> None:
+    """Wrap ``filtration_steps`` under both names it is called by, adding
+    each call's CPU time to ``cpu[0]``."""
+    for owner in (flow, stability):
+        read = owner.filtration_steps
+
+        def wrapper(*args, read=read, **kwargs):
+            start = time.process_time()
+            try:
+                return read(*args, **kwargs)
+            finally:
+                cpu[0] += time.process_time() - start
+
+        owner.filtration_steps = wrapper
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--limit", type=int, default=None, help="at most this many calls per family")
@@ -154,12 +174,14 @@ def main():
         print("--limit must be a positive integer", file=sys.stderr)
         return 1
     if args.flow:
-        cpu = 0.0
+        cpu, read = 0.0, [0.0]
+        timed_reading(read)
         for call in reference_set(args.limit):
             line, seconds = flow_line(*call)
             cpu += seconds
             print(line)
         print("flow_cpu_s", f"{cpu:.3f}", file=sys.stderr)
+        print("read_cpu_s", f"{read[0]:.3f}", file=sys.stderr)
         return 0
     tags = Counter()
     cpu = 0.0

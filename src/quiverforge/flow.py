@@ -47,6 +47,15 @@ of s, one n x n conjugation; this keeps every eigendecomposition applied to
 matrices of moderate norm even while H itself becomes astronomically
 ill-conditioned near divergence.
 
+The cuts of a direction are read on the same layout (:func:`filtration_steps`):
+the direction's eigenvectors form one block-diagonal matrix, a cut splits
+its columns into a candidate's basis and the basis of its complement, and
+:func:`reps.check_subrep` is the one invariance test.  A cut that leaks is
+rounded by a Gauss-Newton polish over the layout's unrotated slice stack
+(:func:`_polish_invariant`), every slice at once, and closed from its
+eigenvectors when the rounding does not make it invariant.  The flow hands
+its own layout to every reading, so the stack is built once per flow.
+
 sigma enters only the trace gauge (sum_v sigma_v tr log H_v = 0) and slope
 normalization, never the residual; at point scale the equations carry no
 curvature term.  Do not reuse this residual for grid-scale systems, where
@@ -66,7 +75,6 @@ from ._linalg import (
     expm_herm,
     funm_herm,
     herm,
-    kron,
     orthonormal_columns,
     random_hermitian,
     unit_phases,
@@ -87,7 +95,7 @@ from .reps import (
     SubrepWitness,
     TwistedRep,
     check_subrep,
-    invariant_closure,
+    invariant_closures,
     invariant_complement,
 )
 from .slope import BOUND_GRID_ROWS, SLOPE_TOL, admissibility, degree_and_slope, dimension_grid
@@ -102,10 +110,12 @@ HermCollection = Mapping[str, np.ndarray]
 class _Layout:
     """The vertex spaces of a representation, in quiver vertex order, or of a
     dims mapping, in its order, as consecutive coordinate blocks of C^n, n
-    the total dimension (``index``).  A per-vertex collection becomes one
-    block-diagonal n x n matrix (:meth:`pack`) and is read back through
-    block views (:meth:`blocks`); a representation's rotated slices phi'
-    become one (k, n, n) stack (``rotated``)."""
+    the total dimension (``index``; ``owner`` gives each coordinate's
+    vertex).  A per-vertex collection becomes one block-diagonal n x n
+    matrix (:meth:`pack`) and is read back through block views
+    (:meth:`blocks`); a representation's rotated slices phi' become one
+    (k, n, n) stack (``rotated``), which the chart reads, and its slices
+    themselves another (``stack``), which the cut reading reads."""
 
     def __init__(self, rep: TwistedRep | Mapping[str, int]):
         self.rep = rep
@@ -150,10 +160,14 @@ class _Layout:
 
     def diagonal(self, values: Mapping[str, float], name: str) -> np.ndarray:
         """Per-vertex scalars repeated over each vertex block; refuses a
-        missing vertex (:class:`QuiverMismatch`), naming it."""
+        missing vertex and one that is not a vertex of the quiver
+        (:class:`QuiverMismatch`), naming it."""
         for v in self.index:
             if v not in values:
                 raise QuiverMismatch(f"vertex {v!r} is missing from {name}")
+        for v in values:
+            if v not in self.index:
+                raise QuiverMismatch(f"{name} at {v!r}: not a vertex of the quiver")
         return np.repeat(np.array([values[v] for v in self.index], dtype=float), self.sizes)
 
     @cached_property
@@ -163,6 +177,26 @@ class _Layout:
         for b in self.index.values():
             out[b, b] = True
         return out
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The position of each coordinate's vertex in the layout."""
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
+
+    @cached_property
+    def stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slices phi themselves, unrotated, as one (k, n, n) stack in
+        the layer order of ``rotated``, each at its arrow's (head, tail)
+        block; and the positions of each layer's head and tail vertex.
+        The polish of a cut (:func:`_polish_invariant`) reads this stack."""
+        place = {v: k for k, v in enumerate(self.index)}
+        layers = [(a, sl) for a in self.rep.quiver.arrows for sl in self.rep.slices[a.name]]
+        out = np.zeros((len(layers), self.n, self.n), dtype=complex)
+        for layer, (a, sl) in zip(out, layers):
+            layer[self.index[a.head], self.index[a.tail]] = sl
+        heads = np.array([place[a.head] for a, _ in layers], dtype=int)
+        tails = np.array([place[a.tail] for a, _ in layers], dtype=int)
+        return out, heads, tails
 
     @cached_property
     def rotated(self) -> np.ndarray:
@@ -496,61 +530,71 @@ class FiltrationStep:
     witness: SubrepWitness
     slope: float
     boundary: float  # eigenvalue cut defining the step
+    # the reading saw this witness pass check_subrep (an eigen-cut or a
+    # polished cut); False for a closure and for steps made elsewhere
+    _invariant: bool = field(default=False, repr=False, compare=False)
 
 
-def _polish_invariant(rep: TwistedRep, witness: SubrepWitness, perp: Mapping[str, np.ndarray]) -> SubrepWitness:
-    """Nearest-invariant-subspace rounding at fixed per-vertex dimensions.
+def _polish_invariant(layout: _Layout, q: np.ndarray, below: np.ndarray) -> SubrepWitness:
+    """Nearest-invariant-subspace rounding at fixed per-vertex dimensions,
+    over the layout's packed slice stack.
 
-    Gauss-Newton on graph coordinates: the subspace at v is the span of
-    U_v = B_v + P_v X_v, with B_v the witness basis and P_v = ``perp[v]`` an
-    orthonormal basis of its complement, and it is invariant exactly when
-    every slice phi has
+    The block-diagonal eigenvector matrix ``q`` of a cut splits into the
+    candidate's basis B = q[:, below] and the basis P = q[:, ~below] of its
+    complement, both orthonormal and block by block.  Gauss-Newton on graph
+    coordinates: the subspace is the span of U = B + P X, with X nonzero
+    only at its block positions (complement and basis columns of one
+    vertex), and it is invariant exactly when every layer phi of
+    ``layout.stack`` has
 
-        (P_head^H - X_head B_head^H) phi U_tail
-            = P^H phi B + P^H phi P X_tail - X_head (B^H phi B + B^H phi P X_tail) = 0,
+        (P^H - X B^H) phi U
+            = P^H phi B + P^H phi P X - X (B^H phi B + B^H phi P X) = 0,
 
-    where B^H and P^H are the head's and B and P the tail's; these four
-    products of each slice are formed once per polish.  The residual is
-    bilinear in X, so minimum-norm least squares on its analytic Jacobian,
-    one thin SVD per step with the 1e-15 relative cut of ``np.linalg.pinv``,
-    converges quadratically from a nearly invariant start.
+    which vanishes outside the layer's (head, tail) block; the products
+    P^H phi B, P^H phi P, B^H phi B and B^H phi P of the whole stack are
+    formed once per polish, and each step evaluates the residual of every
+    layer in one stacked expression.  Its Jacobian, dX -> (P^H phi P -
+    X B^H phi P) dX - dX (B^H phi B + B^H phi P X), is read at the
+    residual's block entries (rows: layer by layer, row-major) and at X's
+    block positions (columns: vertex by vertex, row-major), as
+    :func:`_newton_direction` reads the Hessian.  The residual is bilinear
+    in X, so minimum-norm least squares on the Jacobian, one thin SVD per
+    step with the 1e-15 relative cut of ``np.linalg.pinv``, converges
+    quadratically from a nearly invariant start.  At most ``POLISH_STEPS``
+    steps; the best iterate is kept, and the polish stops once the residual
+    no longer decreases or reaches rounding level, 1e-14 max(1, first
+    residual).
     """
-    verts = rep.quiver.vertices
-    b = {v: np.asarray(witness.basis[v]) for v in verts}
-    x = {v: np.zeros((perp[v].shape[1], b[v].shape[1]), dtype=complex) for v in verts}
-    offsets = dict(zip(verts, np.cumsum([0] + [x[v].size for v in verts])))
-    unknowns = sum(x[v].size for v in verts)
-    products = []
-    for a in rep.quiver.arrows:
-        h, t = a.head, a.tail
-        if x[h].shape[0] * b[t].shape[1] == 0:  # no residual rows
-            continue
-        for sl in rep.slices[a.name]:
-            p_sl, b_sl = perp[h].conj().T @ sl, b[h].conj().T @ sl
-            products.append((h, t, p_sl @ b[t], p_sl @ perp[t], b_sl @ b[t], b_sl @ perp[t]))
-    best, best_norm = x, np.inf
+    stack, heads, tails = layout.stack
+    basis, perp = q[:, below], q[:, ~below]
+    at_b, at_p = layout.owner[below], layout.owner[~below]
+    rows, cols = np.nonzero(at_p[:, None] == at_b)
+    layer, i, j = np.nonzero((at_p[:, None] == heads[:, None, None]) & (at_b == tails[:, None, None]))
+    lead_at, image_at = (layer[:, None], i[:, None], rows), (layer[:, None], cols, j[:, None])
+    same_col, same_row = j[:, None] == cols, i[:, None] == rows
+    p_sl, b_sl = perp.conj().T @ stack, basis.conj().T @ stack
+    pb, pp, bb, bp = p_sl @ basis, p_sl @ perp, b_sl @ basis, b_sl @ perp
+    x = np.zeros((perp.shape[1], basis.shape[1]), dtype=complex)
+    best, best_norm, floor = x, np.inf, None
     for _ in range(POLISH_STEPS):
-        jac, res = [], []
-        for h, t, pb, pp, bb, bp in products:
-            image = bb + bp @ x[t]
-            r = pb + pp @ x[t] - x[h] @ image
-            rows = np.zeros((r.size, unknowns), dtype=complex)
-            rows[:, offsets[t]: offsets[t] + x[t].size] += kron(pp - x[h] @ bp, np.eye(x[t].shape[1]))
-            rows[:, offsets[h]: offsets[h] + x[h].size] -= kron(np.eye(x[h].shape[0]), image.T)
-            jac.append(rows)
-            res.append(r.ravel())
-        res = np.concatenate(res) if res else np.zeros(0)
+        image = bb + bp @ x
+        res = (pb + pp @ x - x @ image)[layer, i, j]
         norm = float(np.linalg.norm(res))
         if norm >= best_norm:
             break
         best, best_norm = x, norm
-        if norm == 0.0:
+        floor = 1e-14 * max(1.0, norm) if floor is None else floor
+        if norm <= floor or not rows.size:
             break
-        u, sv, vh = np.linalg.svd(np.vstack(jac), full_matrices=False)
-        keep = sv > 1e-15 * sv.max(initial=0.0)
-        step = vh[keep].conj().T @ ((u[:, keep].conj().T @ -res) / sv[keep])
-        x = {v: x[v] + step[offsets[v]: offsets[v] + x[v].size].reshape(x[v].shape) for v in verts}
-    return SubrepWitness({v: orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts})
+        jac = (pp - x @ bp)[lead_at] * same_col - same_row * image[image_at]
+        u, sv, vh = np.linalg.svd(jac, full_matrices=False)
+        k = np.count_nonzero(sv > 1e-15 * sv[0])  # sv descends: the kept ones lead
+        x = x.copy()
+        x[rows, cols] += vh[:k].conj().T @ ((u[:, :k].conj().T @ -res) / sv[:k])
+    span = basis + perp @ best
+    return SubrepWitness(
+        {v: orthonormal_columns(span[b][:, at_b == pos]) for pos, (v, b) in enumerate(layout.index.items())}
+    )
 
 
 def _weight_bound(deg, size, total):
@@ -593,34 +637,45 @@ def filtration_steps(
     min_slope: float = -np.inf,
     max_slope: float = np.inf,
     residual: float = np.inf,
+    *,
+    layout: _Layout | None = None,
 ) -> list[FiltrationStep]:
     """Ascending filtration read off a Hermitian direction (one per vertex).
 
     Eigenvalues are pooled across vertices and split at gaps exceeding
     ``GAP_THRESHOLD`` times the spectral spread; each cut yields the span of
     eigenvectors below it, kept when it passes :func:`check_subrep` and
-    otherwise rounded to the nearest invariant subspace (Gauss-Newton
-    polish at fixed dimensions, kept when it passes :func:`check_subrep`,
-    with closure under the arrow slices as the fallback).  The eigenvector
-    columns below the cut are the candidate's basis and those above it the
-    basis of its complement that the polish moves in, both orthonormal as
-    ``eigh`` returns them.  Cuts whose span has slope <= ``min_slope`` or
-    > ``max_slope`` are skipped before the rounding, which is most of the
-    cost; only the closure changes the dimension vector.  The flow passes ``min_slope`` = the total slope
-    minus ``SLOPE_TOL``; :func:`destabilizer_extract` adds the cuts below
-    that to the flow's steps.  The flow also passes its current
-    ``residual``: a non-invariant cut whose dimension vector has a
-    :func:`_weight_bound` above it spans no invariant subspace of those
-    dimensions, so it goes straight to the closure without the rounding.
-    Other callers leave ``residual`` at inf and round every such cut.
-    Every returned basis, eigen-cut, polished or closure, has the phase rule
-    of :func:`_linalg.unit_phases`, so a witness does not carry the sign
-    that LAPACK happens to give an eigenvector.
+    otherwise rounded to the nearest invariant subspace (the packed
+    Gauss-Newton :func:`_polish_invariant` at fixed dimensions, kept when it
+    passes :func:`check_subrep`, with closure under the arrow slices as the
+    fallback).  The direction's eigenvectors form one block-diagonal matrix
+    of the representation's :class:`_Layout` (``layout``, the caller's own
+    when it has one, so its slice stack is built once); the columns below
+    the cut are the candidate's basis and those above it the basis of its
+    complement that the polish moves in, both orthonormal as ``eigh``
+    returns them.  Cuts whose span has slope <= ``min_slope`` or >
+    ``max_slope`` are skipped before the rounding, which is most of the
+    cost; only the closure changes the dimension vector.  The flow passes
+    ``min_slope`` = the total slope minus ``SLOPE_TOL``;
+    :func:`destabilizer_extract` adds the cuts below that to the flow's
+    steps.  The flow also passes its current ``residual``: a non-invariant
+    cut whose dimension vector has a :func:`_weight_bound` above it spans no
+    invariant subspace of those dimensions, so it goes straight to the
+    closure without the rounding.  Other callers leave ``residual`` at inf
+    and round every such cut.  The closure starts from the cut's
+    eigenvectors, which are orthonormal as they are.  Every returned basis,
+    eigen-cut, polished or closure, has the phase rule of
+    :func:`_linalg.unit_phases`, so a witness does not carry the sign that
+    LAPACK happens to give an eigenvector.  A step records whether its
+    eigen-cut or polished witness passed :func:`check_subrep` here, so the
+    flow's proof reading tests only the closures again.
 
-    Raises :class:`NoSeparation` when the spectrum has no usable gap.
+    Raises :class:`NoSeparation` when the spectrum has no usable gap, and
+    refuses a direction that :meth:`_Layout.pack` refuses.
     """
-    eig = {v: eigh_checked(herm(direction[v])) for v in rep.quiver.vertices}
-    all_vals = np.sort(np.concatenate([eig[v][0] for v in rep.quiver.vertices]))
+    layout = layout or _Layout(rep)
+    w, q = layout.eigh(layout.pack(direction, "direction"))
+    all_vals = np.sort(w)
     spread = float(all_vals[-1] - all_vals[0])
     if spread <= 1e-12:
         raise NoSeparation("limit direction spectrum is constant", spectrum=all_vals)
@@ -634,7 +689,8 @@ def filtration_steps(
         )
     steps: list[FiltrationStep] = []
     for cut in cuts:
-        gens = {v: vecs[:, w <= cut] for v, (w, vecs) in eig.items()}
+        below = w <= cut
+        gens = {v: q[b, b][:, below[b]] for v, b in layout.index.items()}
         candidate = SubrepWitness(gens)
         deg, slope = degree_and_slope(candidate, params)
         if not min_slope < slope <= max_slope:
@@ -642,20 +698,21 @@ def filtration_steps(
         # where the leakage form is degenerate the polish would swap an
         # exactly invariant span for another invariant subspace
         witness = candidate
-        if not check_subrep(rep, candidate)[0]:
-            witness = None
+        passed = check_subrep(rep, candidate)[0]
+        if not passed:
             if _weight_bound(deg, candidate.total_dim, rep.total_dim) <= residual:
-                witness = _polish_invariant(rep, candidate, {v: vecs[:, w > cut] for v, (w, vecs) in eig.items()})
-            if witness is None or not check_subrep(rep, witness)[0]:
-                witness = invariant_closure(rep, gens)
+                witness = _polish_invariant(layout, q, below)
+                passed = check_subrep(rep, witness)[0]
+            if not passed:
+                witness = invariant_closures(rep, [gens])[0]
         _, slope = degree_and_slope(witness, params)
         witness = SubrepWitness({v: unit_phases(b) for v, b in witness.basis.items()})
-        steps.append(FiltrationStep(witness, slope, cut))
+        steps.append(FiltrationStep(witness, slope, cut, passed))
     return steps
 
 
 def _certifies_instability(
-    rep: TwistedRep, params, direction: HermCollection, mu: float, residual: float
+    layout: _Layout, params, direction: HermCollection, mu: float, residual: float
 ) -> tuple[str | None, list[FiltrationStep]]:
     """Name of the proof, read off the cuts of ``direction``, that no metric
     exists, or None; and the filtration steps read (those of slope above
@@ -666,16 +723,19 @@ def _certifies_instability(
     ``SLOPE_TOL`` of ``mu`` and no invariant complement (not polystable:
     semistable objects of one slope form an abelian category in which
     polystable means semisimple).  Slopes are those of the final witnesses,
-    which the closure fallback can raise.  No gap means no proof yet.
-    ``residual`` goes to :func:`filtration_steps`.
+    which the closure fallback can raise.  A witness that passed
+    :func:`check_subrep` in the reading is not tested again; only closures
+    are.  No gap means no proof yet.  ``residual`` and the flow's
+    ``layout`` go to :func:`filtration_steps`.
     """
+    rep = layout.rep
     try:
-        steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL, residual=residual)
+        steps = filtration_steps(rep, params, direction, min_slope=mu - SLOPE_TOL, residual=residual, layout=layout)
     except NoSeparation:
         return None, []
     proper = [
         st for st in steps
-        if 0 < st.witness.total_dim < rep.total_dim and check_subrep(rep, st.witness)[0]
+        if 0 < st.witness.total_dim < rep.total_dim and (st._invariant or check_subrep(rep, st.witness)[0])
     ]
     if any(st.slope > mu + SLOPE_TOL for st in proper):
         return "certificate", steps
@@ -928,7 +988,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
         # no dimension vector of slope mu no no-complement proof either
         if point.residual < delta and not tied:
             return None, None
-        return _certifies_instability(rep, params, layout.blocks(point.chart.s / s_norm), mu, point.residual)
+        return _certifies_instability(layout, params, layout.blocks(point.chart.s / s_norm), mu, point.residual)
 
     # certificate checkpoints at iterations 1, 2, 4, 8, ...; a check runs
     # only while the residual has not halved since the previous checkpoint,

@@ -9,8 +9,10 @@ This module sits below both the flow and the stability verdicts: the flow
 reads slopes off its own limit direction to certify divergence, and both
 read :func:`dimension_grid`, the degree and slope of every proper dimension
 vector.  :func:`degree_and_slope`, :func:`admissibility` and
-:func:`dimension_grid` refuse parameters that miss a vertex, and
-:func:`reparameterize` sigma and tau that differ in one.
+:func:`dimension_grid` refuse parameters that miss a vertex,
+:func:`dimension_grid` also parameters that name a vertex the quiver does
+not have (a witness's degree sees only the witness's own vertices), and
+:func:`reparameterize` refuses sigma and tau that differ in one.
 """
 from __future__ import annotations
 
@@ -72,13 +74,17 @@ def _as_degree_data(data) -> DegreeData:
     raise ShapeMismatch(f"cannot read degree data from {type(data).__name__}")
 
 
-def _check_vertices(vertices, params: StabilityParams) -> None:
+def _check_vertices(vertices, params: StabilityParams, exact: bool = False) -> None:
     """Raise :class:`QuiverMismatch` naming the first vertex that sigma or
-    tau has no value for."""
+    tau has no value for, and with ``exact`` (``vertices`` is then the
+    quiver's vertex set) the first one they name that is not a vertex."""
     for name, values in (("sigma", params.sigma), ("tau", params.tau)):
         for v in vertices:
             if v not in values:
                 raise QuiverMismatch(f"vertex {v!r} is missing from {name}")
+        for v in values if exact else ():
+            if v not in vertices:
+                raise QuiverMismatch(f"{name} at {v!r}: not a vertex of the quiver")
 
 
 def degree_and_slope(data, params: StabilityParams) -> tuple[float, float]:
@@ -118,9 +124,10 @@ def dimension_grid(rep: TwistedRep, params: StabilityParams) -> tuple[np.ndarray
     the float operations of :func:`degree_and_slope` (sigma_v * 0.0 - tau_v
     d_v and sigma_v d_v, summed left to right), so a subobject's slope equals
     the entry of its dimension vector bit for bit, and no subobject's slope
-    exceeds the largest entry."""
+    exceeds the largest entry.  Refuses (:class:`QuiverMismatch`) sigma or
+    tau that miss a vertex of the quiver or name one it does not have."""
     verts = rep.quiver.vertices
-    _check_vertices(verts, params)
+    _check_vertices(verts, params, exact=True)
     if math.prod(rep.dims[v] + 1 for v in verts) > BOUND_GRID_ROWS:
         return None
     grid = np.indices([rep.dims[v] + 1 for v in verts]).reshape(len(verts), -1).T

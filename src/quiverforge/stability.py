@@ -18,8 +18,12 @@ two families and nothing else, so it is deterministic.  Members are built
 and read one at a time, coordinate family first, and the reading stops
 once the best candidate's slope exceeds the total slope and equals the
 largest slope of a proper dimension vector (:func:`slope.dimension_grid`),
-which no subobject can exceed; End(V) is computed only when the End(V)
-family or the Schur guard first needs it.  Schur's lemma
+which no subobject can exceed.  Once the coordinate family is read, that
+bound drops to the rows a subobject can have (:func:`_subobject_top`): the
+family's closures and largest-inside members bound every subobject's
+dimension vector from below and above, so the oracle can stop there,
+before End(V).  End(V) is computed only when the End(V) family or the
+Schur guard first needs it.  Schur's lemma
 guards the verdict: an object is called ``stable`` only when End(V) is the
 scalars, and ``undecided`` when no candidate explains a larger End(V), or
 beyond the exactness envelope (any vertex dimension above 4).  The
@@ -125,7 +129,7 @@ def _eigenvalue_clusters(vals: np.ndarray) -> list[complex]:
     return [complex(np.mean(g)) for g in groups]
 
 
-def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
+def _coordinate_family(rep: TwistedRep, built: dict | None = None) -> Iterator[SubrepWitness]:
     """For every proper subset S of the nonzero vertices, the closure of
     the sum of V_v over S and the largest invariant subobject inside it.
     W is invariant exactly when W^perp is invariant in the adjoint
@@ -133,16 +137,48 @@ def _coordinate_family(rep: TwistedRep) -> Iterator[SubrepWitness]:
     of the sum of V_v outside S, which is all of V_v there.  On
     one-dimensional vertices these are the closed vertex subsets.  Each
     member is built when it is asked for, and the adjoint representation
-    on the first largest-inside member."""
+    on the first largest-inside member.  ``built``, when given, maps the
+    bit mask of each subset S read so far (bit i for the i-th nonzero
+    vertex in quiver order) to the dimension vectors, in quiver vertex
+    order, of its closure and of its largest-inside member."""
     eye = {v: np.eye(rep.dims[v], dtype=complex) for v in rep.quiver.vertices if rep.dims[v]}
+    bit = {v: 1 << i for i, v in enumerate(eye)}
     adjoint = None
     for subset in chain.from_iterable(combinations(eye, r) for r in range(1, len(eye))):
-        yield invariant_closures(rep, [{v: eye[v] for v in subset}])[0]
+        closure = invariant_closures(rep, [{v: eye[v] for v in subset}])[0]
+        yield closure
         if adjoint is None:
             adjoint = _adjoint(rep)
         dual = invariant_closures(adjoint, [{v: eye[v] for v in eye if v not in subset}])[0]
         perp = {v: b[:, :0] if b.shape[1] == len(b) else null_space(b.conj().T) for v, b in dual.basis.items()}
-        yield SubrepWitness(perp)
+        inside = SubrepWitness(perp)
+        yield inside
+        if built is not None:
+            dims = [[w.dim(v) for v in rep.quiver.vertices] for w in (closure, inside)]
+            built[sum(bit[v] for v in subset)] = tuple(dims)
+
+
+def _subobject_top(rep: TwistedRep, grid, built: dict) -> float:
+    """The largest slope of the rows of ``grid`` (:func:`slope.dimension_grid`)
+    that a subobject can have, given the coordinate family's dimension
+    vectors ``built`` (all of them, see :func:`_coordinate_family`).  A
+    subobject W that is all of V_v on a vertex set F contains the closure
+    C(F), and one inside the sum of V_v over its support T lies in the
+    largest invariant subobject L(T) there; so a row that is n_v exactly
+    on F must dominate dims C(F), and a row supported on T must be
+    dominated by dims L(T).  An empty F and a full T constrain nothing.  The
+    two tables, one row per subset of the nonzero vertices, are no larger
+    than the grid."""
+    dims, _, slope = grid
+    n = np.array([rep.dims[v] for v in rep.quiver.vertices])
+    weight = np.zeros(len(n), dtype=int)
+    weight[n > 0] = 1 << np.arange(np.count_nonzero(n))
+    lower = np.zeros((2 ** np.count_nonzero(n), len(n)), dtype=int)
+    upper = np.tile(n, (len(lower), 1))
+    for code, (closure, inside) in built.items():
+        lower[code], upper[code] = closure, inside
+    keep = (dims >= lower[(dims == n) @ weight]).all(axis=1) & (dims <= upper[(dims > 0) @ weight]).all(axis=1)
+    return float(slope[keep].max(initial=-np.inf))
 
 
 def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
@@ -172,21 +208,27 @@ def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> 
 
 
 def _candidate_subreps(
-    rep: TwistedRep, ends: Callable[[], list[dict[str, np.ndarray]]] | None = None
+    rep: TwistedRep,
+    ends: Callable[[], list[dict[str, np.ndarray]]] | None = None,
+    stop: Callable[[dict], bool] | None = None,
 ) -> Iterator[SubrepWitness]:
     """Distinct subobjects of the coordinate family, then of the End(V)
     family, at most ``PER_DIMS_CAP`` per dimension vector, in that order,
     each yielded when admitted and built only when asked for.  ``ends``
     returns a basis of End(V); it is called, and the End(V) family started,
     only once the coordinate family is exhausted (by default it is a
-    memoized :func:`_endomorphisms`)."""
+    memoized :func:`_endomorphisms`), and only when ``stop``, given the
+    coordinate family's dimension vectors (see :func:`_coordinate_family`),
+    does not return True."""
     seen: set[tuple] = set()
     dims_count: dict[tuple, int] = {}
     ends = ends or cache(partial(_endomorphisms, rep))
 
     def members() -> Iterator[SubrepWitness]:
-        yield from _coordinate_family(rep)
-        yield from _endomorphism_family(rep, ends())
+        built: dict = {}
+        yield from _coordinate_family(rep, built)
+        if stop is None or not stop(built):
+            yield from _endomorphism_family(rep, ends())
 
     for w in members():
         dims_key = tuple(sorted(w.dims.items()))
@@ -214,8 +256,12 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     ``SLOPE_TOL`` and equals the largest slope of a proper dimension vector
     (:func:`slope.dimension_grid`; a candidate's slope equals its grid
     entry bit for bit), since no later candidate can then replace the
-    witness.  Above ``BOUND_GRID_ROWS`` vectors there is no grid and every
-    candidate is read.  Failing that, beyond the exactness envelope (any
+    witness.  When the coordinate family is exhausted, the bound becomes
+    the largest slope of a grid row that a subobject can have
+    (:func:`_subobject_top`), and the reading stops there, before End(V)
+    is built, when the best candidate already reaches it.  Above
+    ``BOUND_GRID_ROWS`` vectors there is no grid and every candidate is
+    read.  Failing that, beyond the exactness envelope (any
     vertex dimension above ``EXACT_DIM_CAP``) the verdict is ``undecided``.
     Inside it, ``polystable`` when every equal-slope candidate has an
     invariant complement (polystable means semisimple among semistable
@@ -241,7 +287,16 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     best: SubrepWitness | None = None
     best_slope = -np.inf
     equal: list[SubrepWitness] = []
-    for w in _candidate_subreps(rep, ends):
+
+    def reached(built: dict) -> bool:
+        # the coordinate family is read: lower the bound to the rows a
+        # subobject can have, and stop before End(V) if the best reaches it
+        nonlocal top
+        if grid is not None:
+            top = _subobject_top(rep, grid, built)
+        return best_slope == top and best_slope > mu + SLOPE_TOL
+
+    for w in _candidate_subreps(rep, ends, reached):
         if not 0 < w.total_dim < rep.total_dim:
             continue
         _, mu_w = degree_and_slope(w, params)
@@ -271,12 +326,14 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
 def destabilizer_extract(
     rep: TwistedRep, params: StabilityParams, report: FlowReport
 ) -> list[FiltrationStep]:
-    """Ascending filtration read off the normalized limit direction.
+    """Ascending filtration read off the normalized limit direction, by
+    :func:`flow.filtration_steps`.
 
     Eigenvalues of the limit direction are pooled across vertices and split
     at gaps exceeding ``flow.GAP_THRESHOLD`` times the spectral spread; each
-    cut yields the span of eigenvectors below it, rounded to the nearest
-    invariant subspace (leakage-minimizing polish at fixed dimensions, with
+    cut yields the span of eigenvectors below it, kept when it passes
+    :func:`reps.check_subrep` and otherwise rounded to the nearest invariant
+    subspace (the packed Gauss-Newton polish at fixed dimensions, with
     closure under the arrow slices as the fallback when no nearby invariant
     subspace of those dimensions exists).  A report whose flow stopped on
     its certificate yields the certified step among these.  A report that

@@ -1,4 +1,7 @@
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1122,3 +1125,120 @@ def test_flow_builds_no_module_map_operator_and_no_complement(monkeypatch):
             diverged += 1
             assert qf.destabilizer_extract(rep, params, rpt)
     assert diverged > 0
+
+
+# ---------------------------------------------------------------------------
+# the packed cut reading against the per-slice arithmetic it replaced
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reference_leakage(rep, witness):
+    """check_subrep's leakage by its definition: the largest spectral norm
+    of (1 - B_head B_head^H) phi B_tail over every slice phi."""
+    leakage = 0.0
+    for a in rep.quiver.arrows:
+        head, tail = witness.basis[a.head], witness.basis[a.tail]
+        perp = np.eye(rep.dims[a.head], dtype=complex) - head @ head.conj().T
+        for sl in rep.slices[a.name]:
+            image = sl @ tail
+            if image.size:
+                leakage = max(leakage, float(np.linalg.norm(perp @ image, ord=2)))
+    return leakage
+
+
+def _reference_polish(rep, witness, perp):
+    """The per-slice Gauss-Newton rounding that the packed
+    :func:`flow._polish_invariant` replaced: per vertex, U_v = B_v + P_v X_v;
+    per slice, the residual block and its Jacobian rows laid out with
+    Kronecker products; the same step cap, SVD cut and non-decrease stop,
+    without the rounding-level stop; and the least singular value of its
+    last Jacobian over max(1, the largest), which is small where the
+    invariant subspaces of these dimensions are not isolated."""
+    verts = rep.quiver.vertices
+    b = {v: np.asarray(witness.basis[v]) for v in verts}
+    x = {v: np.zeros((perp[v].shape[1], b[v].shape[1]), dtype=complex) for v in verts}
+    offsets = dict(zip(verts, np.cumsum([0] + [x[v].size for v in verts])))
+    unknowns = sum(x[v].size for v in verts)
+    products = []
+    for a in rep.quiver.arrows:
+        h, t = a.head, a.tail
+        if x[h].shape[0] * b[t].shape[1] == 0:
+            continue
+        for sl in rep.slices[a.name]:
+            p_sl, b_sl = perp[h].conj().T @ sl, b[h].conj().T @ sl
+            products.append((h, t, p_sl @ b[t], p_sl @ perp[t], b_sl @ b[t], b_sl @ perp[t]))
+    best, best_norm, conditioning = x, np.inf, 1.0
+    for _ in range(flow.POLISH_STEPS):
+        jac, res = [], []
+        for h, t, pb, pp, bb, bp in products:
+            image = bb + bp @ x[t]
+            r = pb + pp @ x[t] - x[h] @ image
+            rows = np.zeros((r.size, unknowns), dtype=complex)
+            rows[:, offsets[t]: offsets[t] + x[t].size] += np.kron(pp - x[h] @ bp, np.eye(x[t].shape[1]))
+            rows[:, offsets[h]: offsets[h] + x[h].size] -= np.kron(np.eye(x[h].shape[0]), image.T)
+            jac.append(rows)
+            res.append(r.ravel())
+        res = np.concatenate(res) if res else np.zeros(0)
+        norm = float(np.linalg.norm(res))
+        if norm >= best_norm:
+            break
+        best, best_norm = x, norm
+        if norm == 0.0:
+            break
+        u, sv, vh = np.linalg.svd(np.vstack(jac), full_matrices=False)
+        conditioning = sv.min(initial=1.0) / max(1.0, sv.max(initial=0.0))
+        keep = sv > 1e-15 * sv.max(initial=0.0)
+        step = vh[keep].conj().T @ ((u[:, keep].conj().T @ -res) / sv[keep])
+        x = {v: x[v] + step[offsets[v]: offsets[v] + x[v].size].reshape(x[v].shape) for v in verts}
+    return qf.SubrepWitness({v: _linalg.orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts}), conditioning
+
+
+def _point_passes_and_planted_draws(monkeypatch):
+    """(rep, params) of both benchmark point passes (seeds 1 and 7919) and
+    of the planted Kronecker sweep of ``scripts/oracle_digest.py``."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    digest = runpy.run_path(str(ROOT / "scripts" / "oracle_digest.py"), run_name="digest")
+    cases = [(c.rep, c.params) for seed in (1, 7919) for c in digest["gen"].point_pass(seed)]
+    return cases + [(rep, params) for _, rep, params in digest["_planted_sweep"]()]
+
+
+def test_packed_reading_matches_the_per_slice_arithmetic(monkeypatch):
+    # every invariance test and every polish of the flows' and extraction's
+    # readings, recomputed slice by slice: the same decisions and leakages,
+    # and the same polished subspace wherever the reference's last Jacobian
+    # is numerically nonsingular.  Where it is singular (conditioning at
+    # most 4e-16 on these inputs, against at least 7e-3 elsewhere) the
+    # invariant subspaces of those dimensions form a family, and the last
+    # steps move along it by amounts that rounding decides; both sides
+    # must then still agree on the decision
+    checked, polished = [], []
+    check, polish = flow.check_subrep, flow._polish_invariant
+    monkeypatch.setattr(flow, "check_subrep", lambda rep, w: checked.append((rep, w)) or check(rep, w))
+    monkeypatch.setattr(flow, "_polish_invariant", lambda *args: polished.append(args) or polish(*args))
+    for rep, params in _point_passes_and_planted_draws(monkeypatch):
+        rpt = qf.flow_solve(rep, params)
+        if rpt.status == "diverged":
+            qf.destabilizer_extract(rep, params, rpt)
+    assert len(checked) > 1000 and len(polished) > 100
+    for rep, w in checked:
+        ok, leak = check(rep, w)
+        want = _reference_leakage(rep, w)
+        assert abs(leak - want) <= 1e-12
+        assert ok == (want <= reps.SUBREP_TOL)
+    outcomes, isolated = set(), 0
+    for layout, q, below in polished:
+        rep = layout.rep
+        cut = {v: q[b, b][:, below[b]] for v, b in layout.index.items()}
+        perp = {v: q[b, b][:, ~below[b]] for v, b in layout.index.items()}
+        got, (want, conditioning) = polish(layout, q, below), _reference_polish(rep, qf.SubrepWitness(cut), perp)
+        (ok, leak), (ok_want, leak_want) = check(rep, got), check(rep, want)
+        assert ok == ok_want and abs(leak - leak_want) <= 1e-12
+        outcomes.add(ok)
+        isolated += conditioning > 1e-8
+        for v in rep.quiver.vertices:
+            g, h = got.basis[v], want.basis[v]
+            assert g.shape == h.shape
+            if conditioning > 1e-8:
+                assert np.abs(g @ g.conj().T - h @ h.conj().T).max(initial=0.0) <= 1e-12
+    assert outcomes == {True, False} and isolated >= 0.8 * len(polished)

@@ -174,6 +174,35 @@ def test_kernel_refuses_tau_that_misses_a_vertex(call):
         call(rep, MetricState.identity(rep), params)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep, params: qf.flow_solve(rep, params),
+        lambda rep, params: qf.stability_oracle(rep, params),
+        lambda rep, params: slope.dimension_grid(rep, params),
+        lambda rep, params: qf.moment_map_residual(rep, MetricState.identity(rep), params),
+        lambda rep, params: qf.kempf_ness(rep, {"1": np.zeros((1, 1)), "2": np.zeros((1, 1))}, params),
+        lambda rep, params: qf.kempf_ness_metric(rep, MetricState.identity(rep), params),
+        lambda rep, params: qf.kempf_ness_gradient(rep, {"1": np.zeros((1, 1)), "2": np.zeros((1, 1))}, params),
+        lambda rep, params: qf.subrep_degree_identity(rep, MetricState.identity(rep), full_witness(rep), params),
+    ],
+    ids=[
+        "flow_solve", "stability_oracle", "dimension_grid", "moment_map_residual", "kempf_ness",
+        "kempf_ness_metric", "kempf_ness_gradient", "subrep_degree_identity",
+    ],
+)
+def test_parameters_that_name_an_unknown_vertex_are_refused(call):
+    # a misspelt vertex beside a complete rest was ignored: the flow
+    # diverged, the oracle said unstable and the energy read 0.0
+    rep = kronecker_rep(phi=1.0)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0, "3": 1.0}, {"1": 1.0, "2": -1.0, "3": 5.0})
+    with pytest.raises(QuiverMismatch, match="at '3': not a vertex of the quiver"):
+        call(rep, params)
+    # a witness's degree sees only the witness's vertices and still works
+    witness = qf.SubrepWitness({"2": np.eye(1, dtype=complex)})
+    assert qf.degree_and_slope(witness, params) == (1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # reparameterization
 
@@ -753,14 +782,20 @@ def test_oracle_does_not_call_a_planted_miss_stable():
     assert "stable" not in tags
 
 
+def _oracle_stop_calls():
+    """(rep, params) of the oracle-stop tests: the oracle draws, the
+    corrected draws at their family's sigmas and the planted misses."""
+    calls = list(_oracle_draws())
+    for _, (rep, tau), _ in CORRECTED_DRAWS:
+        calls += [(rep, qf.StabilityParams(sigma, tau)) for sigma in SIGMAS[len(rep.quiver.vertices)]]
+    return calls + [instance for instance, _, _ in PLANTED_MISSES]
+
+
 def test_oracle_stop_at_the_largest_grid_slope_is_invisible(monkeypatch):
     # with no grid there is no largest slope, so the same code reads every
     # candidate; stopping at the top slope must change no tag and no byte of
     # the check payload, and it must actually skip End(V) somewhere
-    calls = list(_oracle_draws())
-    for _, (rep, tau), _ in CORRECTED_DRAWS:
-        calls += [(rep, qf.StabilityParams(sigma, tau)) for sigma in SIGMAS[len(rep.quiver.vertices)]]
-    calls += [instance for instance, _, _ in PLANTED_MISSES]
+    calls = _oracle_stop_calls()
     builds = []
     real = stability._endomorphisms
     monkeypatch.setattr(stability, "_endomorphisms", lambda rep: builds.append(rep) or real(rep))
@@ -772,6 +807,69 @@ def test_oracle_stop_at_the_largest_grid_slope_is_invisible(monkeypatch):
     assert [_check_payload(v) for v in stopped] == [_check_payload(v) for v in full]
     assert len(builds) - stopped_builds == len(calls)
     assert stopped_builds < len(calls)
+
+
+def test_oracle_stop_at_the_largest_subobject_slope_is_invisible(monkeypatch):
+    # once the coordinate family is read, the grid rows that no subobject
+    # can have (not above the closure of their full vertices, or not inside
+    # the largest invariant subobject on their support) drop out of the
+    # bound; with the filter off the same calls give the same bytes, and
+    # the filter skips End(V) on some of them
+    calls = _oracle_stop_calls()
+    builds = []
+    real = stability._endomorphisms
+    monkeypatch.setattr(stability, "_endomorphisms", lambda rep: builds.append(rep) or real(rep))
+    filtered = [qf.stability_oracle(rep, params) for rep, params in calls]
+    filtered_builds = len(builds)
+    monkeypatch.setattr(stability, "_subobject_top", lambda rep, grid, built: grid[2].max(initial=-np.inf))
+    unfiltered = [qf.stability_oracle(rep, params) for rep, params in calls]
+    assert [_check_payload(v) for v in filtered] == [_check_payload(v) for v in unfiltered]
+    assert filtered_builds < len(builds) - filtered_builds
+
+
+def test_subobject_top_keeps_the_rows_of_every_subobject():
+    # on one-dimensional draws the subobjects are the closed vertex subsets:
+    # every closed subset keeps its row, and every kept row's slope is at
+    # most the largest slope of a closed subset
+    checked = 0
+    for seed in range(30000, 30060):
+        instance = random_onedim_instance(seed, integer_tau=True)
+        if instance is None:
+            continue
+        rep, params = instance
+        grid = slope.dimension_grid(rep, params)
+        built = {}
+        list(stability._coordinate_family(rep, built))
+        verts = rep.quiver.vertices
+        closed = [
+            s for r in range(1, len(verts)) for s in itertools.combinations(verts, r)
+            if all(a.head in s for a in rep.quiver.arrows if a.tail in s and np.abs(rep.slices[a.name][0]).max() > 0)
+        ]
+        best = max((qf.degree_and_slope(qf.DegreeData.point_scale({v: int(v in s) for v in verts}), params)[1]
+                    for s in closed), default=-np.inf)
+        assert stability._subobject_top(rep, grid, built) == best, seed
+        checked += 1
+    assert checked > 40
+
+
+def test_oracle_reads_no_end_below_the_largest_subobject_slope(monkeypatch):
+    # criterion-4 draw 5006 at sigma = 1 (dims (1, 3)): no coordinate member
+    # reaches the largest grid slope, but one reaches the largest slope of a
+    # row that a subobject can have, so End(V) is never built
+    rep, tau = random_two_vertex_instance(5006)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
+    with monkeypatch.context() as m:
+        m.setattr(stability, "dimension_grid", lambda rep, params: None)
+        full = qf.stability_oracle(rep, params)
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached End(V)")
+
+    monkeypatch.setattr(stability, "_endomorphisms", refuse)
+    monkeypatch.setattr(stability, "_endomorphism_family", refuse)
+    verdict = qf.stability_oracle(rep, params)
+    assert verdict.tag == "unstable"
+    assert _check_payload(verdict) == _check_payload(full)
 
 
 def test_oracle_builds_no_end_once_a_coordinate_member_reaches_the_top_slope(monkeypatch):
