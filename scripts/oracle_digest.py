@@ -22,7 +22,11 @@ final metric changes the line.  Standard error gets ``flow_cpu_s
 ``destabilizer_extract`` calls, and ``read_cpu_s <seconds>``, the part of
 it spent reading cuts in ``filtration_steps`` (called by both, under the
 names ``quiverforge.flow.filtration_steps`` and
-``quiverforge.stability.filtration_steps``, which are both wrapped).
+``quiverforge.stability.filtration_steps``, which are both wrapped); then
+``readings <n>``, the flows' proof readings (calls to
+``flow._certifies_instability``), and ``polishes <n>``, the Gauss-Newton
+roundings of a cut (calls to ``flow._polish_invariant``, extraction's
+included).
 
 The reference set, in this order:
 - the benchmark's criterion-4 draws 5000-5099, twisted draws 6000-6039 and
@@ -165,6 +169,19 @@ def timed_reading(cpu: list[float]) -> None:
         owner.filtration_steps = wrapper
 
 
+def counted_calls(counts: Counter) -> None:
+    """Wrap ``flow._certifies_instability`` and ``flow._polish_invariant``,
+    adding each call to ``counts["readings"]`` and ``counts["polishes"]``."""
+    for label, name in (("readings", "_certifies_instability"), ("polishes", "_polish_invariant")):
+        call = getattr(flow, name)
+
+        def wrapper(*args, call=call, label=label, **kwargs):
+            counts[label] += 1
+            return call(*args, **kwargs)
+
+        setattr(flow, name, wrapper)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--limit", type=int, default=None, help="at most this many calls per family")
@@ -174,14 +191,17 @@ def main():
         print("--limit must be a positive integer", file=sys.stderr)
         return 1
     if args.flow:
-        cpu, read = 0.0, [0.0]
+        cpu, read, counts = 0.0, [0.0], Counter()
         timed_reading(read)
+        counted_calls(counts)
         for call in reference_set(args.limit):
             line, seconds = flow_line(*call)
             cpu += seconds
             print(line)
         print("flow_cpu_s", f"{cpu:.3f}", file=sys.stderr)
         print("read_cpu_s", f"{read[0]:.3f}", file=sys.stderr)
+        print("readings", counts["readings"], file=sys.stderr)
+        print("polishes", counts["polishes"], file=sys.stderr)
         return 0
     tags = Counter()
     cpu = 0.0

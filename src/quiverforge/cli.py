@@ -142,7 +142,12 @@ def _cmd_vortex(args):
     if args.out:
         qio.write_potential_binary(args.out, result.state, sorted(bundle.system.quiver.vertices))
     _log(args, qio.newton_log_csv, result)
-    summary = dict(status="converged", sup_residual=result.sup_residual, newton_iterations=result.iterations)
+    summary = dict(
+        status="converged",
+        sup_residual=result.sup_residual,
+        newton_iterations=result.iterations,
+        levels=[[n, steps] for n, steps in result.levels],
+    )
     _writeout(args, summary, stdout_only=True)
     return EXIT_OK
 

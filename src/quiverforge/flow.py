@@ -560,12 +560,19 @@ def _polish_invariant(layout: _Layout, q: np.ndarray, below: np.ndarray) -> Subr
     :func:`_newton_direction` reads the Hessian.  The residual is bilinear
     in X, so minimum-norm least squares on the Jacobian, one thin SVD per
     step with the 1e-15 relative cut of ``np.linalg.pinv``, converges
-    quadratically from a nearly invariant start.  At most ``POLISH_STEPS``
-    steps; the best iterate is kept, and the polish stops once the residual
-    no longer decreases or reaches rounding level, 1e-14 max(1, first
-    residual).
+    quadratically from a nearly invariant start.  The cut is also at least
+    the Jacobian's rounding level: B and P are eigenvectors split at a gap
+    wider than ``GAP_THRESHOLD`` times the spread, so each is known to about
+    eps / ``GAP_THRESHOLD``, and the Jacobian's entries, sums of n products,
+    to n eps / ``GAP_THRESHOLD`` times the stack's Frobenius norm.  A
+    Jacobian below that level everywhere is rounding noise: the cut has no
+    invariant subspace of its dimensions nearby, and the polish takes no
+    step.  At most ``POLISH_STEPS`` steps; the best iterate is kept, and
+    the polish stops once the residual no longer decreases or reaches
+    rounding level, 1e-14 max(1, first residual).
     """
     stack, heads, tails = layout.stack
+    noise = layout.n * np.finfo(float).eps / GAP_THRESHOLD * float(np.linalg.norm(stack))
     basis, perp = q[:, below], q[:, ~below]
     at_b, at_p = layout.owner[below], layout.owner[~below]
     rows, cols = np.nonzero(at_p[:, None] == at_b)
@@ -588,7 +595,9 @@ def _polish_invariant(layout: _Layout, q: np.ndarray, below: np.ndarray) -> Subr
             break
         jac = (pp - x @ bp)[lead_at] * same_col - same_row * image[image_at]
         u, sv, vh = np.linalg.svd(jac, full_matrices=False)
-        k = np.count_nonzero(sv > 1e-15 * sv[0])  # sv descends: the kept ones lead
+        k = np.count_nonzero(sv > max(1e-15 * sv[0], noise))  # sv descends: the kept ones lead
+        if not k:
+            break
         x = x.copy()
         x[rows, cols] += vh[:k].conj().T @ ((u[:, :k].conj().T @ -res) / sv[:k])
     span = basis + perp @ best
@@ -609,8 +618,22 @@ def _weight_bound(deg, size, total):
     pi - (|d'|/|n|) 1 gives |m~| >= delta(d') (the point-scale form of
     Georgoulas-Robbin-Salamon's moment-weight inequality).  So a residual
     below delta(d') rules out every invariant subobject of dimension
-    vector d'."""
+    vector d', under the rounding margin of :func:`_rules_out`."""
     return deg * np.sqrt(total / (size * (total - size)))
+
+
+def _rules_out(residual: float, bound, total: int):
+    """Whether a residual proves that no invariant subobject has a dimension
+    vector of :func:`_weight_bound` ``bound``, in an object of total
+    dimension ``total``: the residual is below the bound by more than the
+    rounding of both.  The Cauchy-Schwarz step behind the bound is an
+    equality when m~ is a multiple of pi - (|d'|/|n|) 1, as on a zero
+    representation, and the two then agree up to rounding.  The residual is
+    the norm of an n x n matrix whose entries sum at most ``total``
+    products, and the degree sums at most ``total`` terms, so each carries
+    a relative rounding of a few ulps times ``total``; the margin is
+    4 total eps of the bound.  Scalars or arrays."""
+    return residual < bound * (1.0 - 4.0 * total * np.finfo(float).eps)
 
 
 def _semistability_bound(rep: TwistedRep, params, mu: float) -> tuple[float, bool]:
@@ -659,10 +682,11 @@ def filtration_steps(
     ``min_slope`` = the total slope minus ``SLOPE_TOL``;
     :func:`destabilizer_extract` adds the cuts below that to the flow's
     steps.  The flow also passes its current ``residual``: a non-invariant
-    cut whose dimension vector has a :func:`_weight_bound` above it spans no
-    invariant subspace of those dimensions, so it goes straight to the
-    closure without the rounding.  Other callers leave ``residual`` at inf
-    and round every such cut.  The closure starts from the cut's
+    cut whose dimension vector the residual rules out (:func:`_rules_out`
+    of its :func:`_weight_bound`) spans no invariant subspace of those
+    dimensions, so it goes straight to the closure without the rounding.
+    Other callers leave ``residual`` at inf and round every such cut.
+    The closure starts from the cut's
     eigenvectors, which are orthonormal as they are.  Every returned basis,
     eigen-cut, polished or closure, has the phase rule of
     :func:`_linalg.unit_phases`, so a witness does not carry the sign that
@@ -700,7 +724,7 @@ def filtration_steps(
         witness = candidate
         passed = check_subrep(rep, candidate)[0]
         if not passed:
-            if _weight_bound(deg, candidate.total_dim, rep.total_dim) <= residual:
+            if not _rules_out(residual, _weight_bound(deg, candidate.total_dim, rep.total_dim), rep.total_dim):
                 witness = _polish_invariant(layout, q, below)
                 passed = check_subrep(rep, witness)[0]
             if not passed:
@@ -893,8 +917,9 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     polystable).  An invariant subobject of dimension vector d' bounds the
     residual at every metric by deg(d') sqrt(|n| / (|d'| (|n| - |d'|)));
     a reading is skipped when the residual is below delta, the least such
-    bound over the dimension vectors of larger slope, and no dimension
-    vector has the total slope, since it could then find neither proof.
+    bound over the dimension vectors of larger slope, by more than the
+    rounding margin of :func:`_rules_out`, and no dimension vector has the
+    total slope, since it could then find neither proof.
     Classification:
 
     - ``diverged``: a proof was found; the report carries the normalized
@@ -986,7 +1011,7 @@ def flow_solve(rep: TwistedRep, params, opts: FlowOptions | None = None) -> Flow
     def read_proof(point: _Point, s_norm: float):
         # below delta no destabilizing invariant subobject exists, and with
         # no dimension vector of slope mu no no-complement proof either
-        if point.residual < delta and not tied:
+        if _rules_out(point.residual, delta, rep.total_dim) and not tied:
             return None, None
         return _certifies_instability(layout, params, layout.blocks(point.chart.s / s_norm), mu, point.residual)
 

@@ -26,9 +26,11 @@ bundle equal to 2 pi d_v.
 :func:`solve_vortex` runs damped Newton on a convex energy.  On a grid
 finer than ``COARSE_N`` = 64 it starts from the solution on the grid of
 half its size, prolonged by trigonometric interpolation, and the coarse
-solve starts the same way; ``max_newton`` is a budget per level, and the
-returned ``iterations``, ``history`` and ``states`` are the finest
-level's.
+solve starts the same way.  With every weight field constant the system
+is invariant under translations and every grid poses the same problem,
+so a grid finer than ``MIN_N`` = 4 starts from the solution on the 4 x 4
+grid.  ``max_newton`` is a budget per level, and the returned
+``iterations``, ``history`` and ``states`` are the finest level's.
 """
 from __future__ import annotations
 
@@ -57,6 +59,8 @@ from .reps import build_rep
 from .slope import DegreeData, StabilityParams, admissibility, degree_and_slope
 
 TWO_PI = 2.0 * np.pi
+# the coarsest grid TorusGrid admits
+MIN_N = 4
 # largest trace-gauge defect vortex_residual accepts
 GAUGE_TOL = 1e-8
 
@@ -77,8 +81,8 @@ class TorusGrid:
 
     def __post_init__(self):
         n = self.n
-        if n < 4 or (n & (n - 1)) != 0:
-            raise ShapeMismatch(f"grid resolution must be a power of two >= 4, got {n}")
+        if n < MIN_N or (n & (n - 1)) != 0:
+            raise ShapeMismatch(f"grid resolution must be a power of two >= {MIN_N}, got {n}")
         # half-spectrum symbol: k1 over all rows, k2 over the rfft columns
         k1 = np.fft.fftfreq(n, 1.0 / n)[:, None]
         k2 = np.fft.rfftfreq(n, 1.0 / n)[None, :]
@@ -568,15 +572,27 @@ def _energy_step(system, u, res, coupling, delta, quad):
 COARSE_N = 64
 
 
-def _coarse_system(system: TorusSystem) -> TorusSystem:
-    """The same system on the grid of half the size, its weight fields
-    sampled at the even points; for a :class:`WeightSpec` that is exactly
-    the field realized on the coarse grid."""
+def _coarse_size(system: TorusSystem) -> int | None:
+    """Size of the grid whose solution starts the solve of ``system``, or
+    None when it runs one level: ``MIN_N`` when every weight field is
+    constant (see :func:`solve_vortex`), else half the size above
+    ``COARSE_N``."""
+    n = system.grid.n
+    if all(w.min() == w.max() for w in system.weights.values()):
+        return MIN_N if n > MIN_N else None
+    return n // 2 if n > COARSE_N else None
+
+
+def _coarse_system(system: TorusSystem, m: int) -> TorusSystem:
+    """The same system on the m x m grid (m dividing the grid size n), its
+    weight fields sampled at every (n/m)-th point; for a :class:`WeightSpec`
+    that is exactly the field realized on the coarse grid."""
+    step = system.grid.n // m
     return TorusSystem(
         system.quiver,
-        TorusGrid(system.grid.n // 2),
+        TorusGrid(m),
         system.degrees,
-        {name: np.ascontiguousarray(w[::2, ::2]) for name, w in system.weights.items()},
+        {name: np.ascontiguousarray(w[::step, ::step]) for name, w in system.weights.items()},
         system.params,
         system.weight_specs,
     )
@@ -644,7 +660,12 @@ def solve_vortex(
     solution on the grid of half its size (nested iteration): that solve,
     itself started the same way, takes the same ``tol`` and ``max_newton``
     (a budget per level) and the weight fields at the even points, and its
-    solution is prolonged by trigonometric interpolation.  A coarse level
+    solution is prolonged by trigonometric interpolation.  When every
+    weight field is constant (``w.min() == w.max()``, raw arrays
+    included), the gauge-fixed solution is constant and every grid poses
+    the same problem, so any grid finer than ``MIN_N`` = 4 starts from the
+    4 x 4 solve instead, prolonged straight to its size; every level in
+    between would take no step.  A coarse level
     that raises :class:`NewtonStall` (the even points can miss a weight's
     support) leaves the start at zero.  The prolongation's half spectrum
     gives both the fine start (one ``irfft2`` per vertex) and its first
@@ -658,9 +679,10 @@ def solve_vortex(
     fine step at all.  ``iterations``, ``history`` and ``states`` are the
     finest level's; ``levels`` gives (grid size, Newton steps) and
     ``cg_iterations`` the CG iterations per level, coarsest first, leaving
-    out a level that stalled.  Grids of at most ``COARSE_N`` points and
-    solves given ``initial`` run one level; ``initial`` is refused as
-    :func:`_check_state` refuses it, before any transform.
+    out a level that stalled; a constant system gives ``levels``
+    [(4, k), (N, 0)].  Other grids of at most ``COARSE_N`` points, the
+    4 x 4 grid and solves given ``initial`` run one level; ``initial`` is
+    refused as :func:`_check_state` refuses it, before any transform.
     """
     check_tolerance("tol", tol)
     check_count("max_newton", max_newton)
@@ -672,9 +694,10 @@ def solve_vortex(
     levels, cg_levels, lap_u = [], [], None
     if initial is None:
         u = {v: np.zeros((grid.n, grid.n)) for v in verts}
-        if witness is None and grid.n > COARSE_N:
+        m = None if witness is not None else _coarse_size(system)
+        if m is not None:
             try:
-                coarse = solve_vortex(_coarse_system(system), tol, max_newton)
+                coarse = solve_vortex(_coarse_system(system, m), tol, max_newton)
             except NewtonStall:
                 pass  # e.g. the even points miss a weight's support
             else:

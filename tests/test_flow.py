@@ -561,6 +561,37 @@ def test_divergent_flows_stay_above_the_semistability_bound():
     assert diverged == 186
 
 
+@pytest.mark.parametrize("n_arrows", [1, 4])
+@pytest.mark.parametrize("t", [0.7, -0.7, 1.5, 3.0, 0.5])
+def test_zero_kronecker_is_certified_at_the_first_reading(n_arrows, t):
+    # every arrow zero: the Cauchy-Schwarz step behind the moment-weight
+    # bound is an equality, and the residual equals delta up to rounding.
+    # At these tau (but 0.5) the strict comparison fell on the wrong side,
+    # every reading was skipped, and the flow ran into EIG_CAP and stopped
+    # max-iter / line-search
+    zero = {f"a{i}": [np.zeros((1, 1), dtype=complex)] for i in range(n_arrows)}
+    rep = qf.build_rep(kronecker_quiver(n_arrows), None, {"1": 1, "2": 1}, zero)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": -t, "2": t})
+    delta, tied = flow._semistability_bound(rep, params, 0.0)
+    rpt = qf.flow_solve(rep, params)
+    assert not tied and abs(rpt.iter_log[1][2] - delta) <= 4 * np.finfo(float).eps * delta
+    assert (rpt.status, rpt.stop, rpt.iterations) == ("diverged", "certificate", 1)
+    want = {"1": 1, "2": 0} if t > 0 else {"1": 0, "2": 1}
+    assert [({v: st.witness.dim(v) for v in ("1", "2")}, st.slope) for st in qf.destabilizer_extract(rep, params, rpt)] == [
+        (want, pytest.approx(abs(t)))
+    ]
+
+
+def test_weight_bound_rules_out_only_beyond_rounding():
+    # planted-5's residual and delta, one ulp apart; the margin is 4 |n| eps
+    # of the bound
+    residual, delta = 2.085102915074078, 2.0851029150740783
+    assert residual < delta and not flow._rules_out(residual, delta, 2)
+    assert flow._rules_out(delta * (1 - 9 * np.finfo(float).eps), delta, 2)
+    assert not flow._rules_out(delta * (1 - 7 * np.finfo(float).eps), delta, 2)
+    assert not flow._rules_out(np.inf, np.inf, 2) and flow._rules_out(1e300, np.inf, 2)
+
+
 def test_semistability_bound_builds_no_oversized_grid(monkeypatch):
     # 17 vertices of dimension 2 have 3^17 dimension vectors, several GiB
     # of grid; above the row limit the shared kernel gives no grid and the
@@ -1151,16 +1182,20 @@ def _reference_polish(rep, witness, perp):
     """The per-slice Gauss-Newton rounding that the packed
     :func:`flow._polish_invariant` replaced: per vertex, U_v = B_v + P_v X_v;
     per slice, the residual block and its Jacobian rows laid out with
-    Kronecker products; the same step cap, SVD cut and non-decrease stop,
-    without the rounding-level stop; and the least singular value of its
-    last Jacobian over max(1, the largest), which is small where the
-    invariant subspaces of these dimensions are not isolated."""
+    Kronecker products; the same step cap, SVD cut (at least the rounding
+    level n eps / GAP_THRESHOLD times the slices' Frobenius norm) and
+    non-decrease stop, without the rounding-level stop; and the least
+    singular value of its last Jacobian over max(1, the largest), which is
+    small where the invariant subspaces of these dimensions are not
+    isolated."""
     verts = rep.quiver.vertices
     b = {v: np.asarray(witness.basis[v]) for v in verts}
     x = {v: np.zeros((perp[v].shape[1], b[v].shape[1]), dtype=complex) for v in verts}
     offsets = dict(zip(verts, np.cumsum([0] + [x[v].size for v in verts])))
     unknowns = sum(x[v].size for v in verts)
     products = []
+    scale = math.sqrt(sum(np.linalg.norm(sl) ** 2 for a in rep.quiver.arrows for sl in rep.slices[a.name]))
+    noise = rep.total_dim * np.finfo(float).eps / flow.GAP_THRESHOLD * scale
     for a in rep.quiver.arrows:
         h, t = a.head, a.tail
         if x[h].shape[0] * b[t].shape[1] == 0:
@@ -1188,17 +1223,23 @@ def _reference_polish(rep, witness, perp):
             break
         u, sv, vh = np.linalg.svd(np.vstack(jac), full_matrices=False)
         conditioning = sv.min(initial=1.0) / max(1.0, sv.max(initial=0.0))
-        keep = sv > 1e-15 * sv.max(initial=0.0)
+        keep = sv > max(1e-15 * sv.max(initial=0.0), noise)
         step = vh[keep].conj().T @ ((u[:, keep].conj().T @ -res) / sv[keep])
         x = {v: x[v] + step[offsets[v]: offsets[v] + x[v].size].reshape(x[v].shape) for v in verts}
     return qf.SubrepWitness({v: _linalg.orthonormal_columns(b[v] + perp[v] @ best[v]) for v in verts}), conditioning
 
 
+def _digest(monkeypatch):
+    """The namespace of ``scripts/oracle_digest.py``, which puts src/ and
+    bench/ on sys.path (restored afterwards)."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    return runpy.run_path(str(ROOT / "scripts" / "oracle_digest.py"), run_name="digest")
+
+
 def _point_passes_and_planted_draws(monkeypatch):
     """(rep, params) of both benchmark point passes (seeds 1 and 7919) and
     of the planted Kronecker sweep of ``scripts/oracle_digest.py``."""
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    digest = runpy.run_path(str(ROOT / "scripts" / "oracle_digest.py"), run_name="digest")
+    digest = _digest(monkeypatch)
     cases = [(c.rep, c.params) for seed in (1, 7919) for c in digest["gen"].point_pass(seed)]
     return cases + [(rep, params) for _, rep, params in digest["_planted_sweep"]()]
 
@@ -1242,3 +1283,33 @@ def test_packed_reading_matches_the_per_slice_arithmetic(monkeypatch):
             if conditioning > 1e-8:
                 assert np.abs(g @ g.conj().T - h @ h.conj().T).max(initial=0.0) <= 1e-12
     assert outcomes == {True, False} and isolated >= 0.8 * len(polished)
+
+
+def test_polish_takes_no_step_on_a_jacobian_of_rounding_noise(monkeypatch):
+    # planted-352 of the digest's sweep, dims (3, 1): the complement of its
+    # first polished cut, dims (1, 0), lies in ker phi to rounding, and every
+    # singular value of the Jacobian is below 2.4e-15 times the slices'
+    # norm.  Inverting that noise took a first step of size about 5.6e14, to
+    # an arbitrary line of ker phi that passed check_subrep by luck; now the
+    # polish keeps the cut, which goes to the closure
+    rep, params = next((rep, params) for name, rep, params in _digest(monkeypatch)["_planted_sweep"]() if name == "planted-352")
+    polished = []
+    polish = flow._polish_invariant
+
+    def recorded(*args):
+        polished.append((args, polish(*args)))
+        return polished[-1][1]
+
+    monkeypatch.setattr(flow, "_polish_invariant", recorded)
+    rpt = qf.flow_solve(rep, params)
+    (layout, q, below), got = polished[0]
+    at = layout.index["1"]
+    assert dict(rep.dims) == {"1": 3, "2": 1}
+    assert {v: int(below[b].sum()) for v, b in layout.index.items()} == {"1": 1, "2": 0}
+    cut = q[at, at][:, below[at]]
+    assert abs(abs(np.vdot(cut, got.basis["1"])) - 1.0) <= 1e-12
+    assert not qf.check_subrep(rep, got)[0]
+    # the flow still proves the planted subobject unstable
+    assert (rpt.status, rpt.stop) == ("diverged", "certificate")
+    mu = qf.degree_and_slope(rep, params)[1]
+    assert any(st.slope > mu + slope.SLOPE_TOL for st in rpt.certified_steps)

@@ -309,6 +309,26 @@ def test_cli_vortex_stall_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_vortex_summary_shows_the_newton_work_per_grid(tmp_path, capsys):
+    # levels, coarsest first: a constant-weight system takes its Newton
+    # steps on the 4 x 4 grid and none on its own, and newton_iterations
+    # stays the finest grid's count; the --out file holds only potentials
+    q, _, p = setup_instance(tmp_path, t=3.0)
+    s = write(tmp_path, "s.json", {"N": 256, "degrees": {"1": 0, "2": 0}, "weights": {"a0": 0.75}})
+    out = tmp_path / "u.qvtx"
+    assert cli.main(["vortex", "--quiver", q, "--params", p, "--system", s, "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary.pop("sup_residual") <= 1e-8
+    assert summary == {
+        "command": "vortex", "levels": [[4, 4], [256, 0]], "newton_iterations": 0, "schema": "qf-1", "status": "converged"
+    }
+    assert out.stat().st_size == len(qio.QVTX_MAGIC) + 8 + 2 * 256 * 256 * 8
+    assert cli.main(["vortex", "--instance", _shipped("torus_chain.json")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary.pop("sup_residual") <= 1e-8
+    assert summary == {"command": "vortex", "levels": [[64, 6]], "newton_iterations": 6, "schema": "qf-1", "status": "converged"}
+
+
 def test_cli_relations(tmp_path):
     doc = {
         "vertices": ["s", "p", "q", "t"],

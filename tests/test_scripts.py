@@ -90,11 +90,16 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
     assert label == "oracle_cpu_s" and float(seconds) >= 0
 
     # --flow: one "name status stop iterations hash dims:slope..." line per call;
-    # the script wraps filtration_steps in the library modules, so restore them
+    # the script wraps filtration_steps, the proof reading and the polish in
+    # the library modules, so restore them
     from quiverforge import flow, stability
 
     for owner in (flow, stability):
         monkeypatch.setattr(owner, "filtration_steps", owner.filtration_steps)
+    readings, polishes = [], []
+    for attr, seen in (("_certifies_instability", readings), ("_polish_invariant", polishes)):
+        call = getattr(flow, attr)
+        monkeypatch.setattr(flow, attr, lambda *args, call=call, seen=seen: seen.append(args) or call(*args))
     monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5", "--flow"])
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
@@ -114,7 +119,11 @@ def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
         for step in steps:
             dims, slope = step.split(":")
             assert all(d.isdigit() for d in dims.split(",")) and np.isfinite(float(slope))
-    # the readings' CPU time is part of the flows' and goes beside it
-    (flow_label, flow_seconds), (read_label, read_seconds) = [line.split() for line in err.splitlines()]
+    # the readings' CPU time is part of the flows' and goes beside it; then
+    # the counts of proof readings and of polishes, extraction's included,
+    # as the recorders under the script's wrappers saw them
+    (flow_label, flow_seconds), (read_label, read_seconds), counted, polished = [line.split() for line in err.splitlines()]
     assert (flow_label, read_label) == ("flow_cpu_s", "read_cpu_s")
     assert 0 < float(read_seconds) <= float(flow_seconds)
+    assert counted == ["readings", str(len(readings))] and polished == ["polishes", str(len(polishes))]
+    assert readings and polishes

@@ -634,6 +634,82 @@ def test_given_start_runs_no_coarse_solve(monkeypatch):
     assert result.levels == [(128, result.iterations)]
 
 
+def const_system(n, degrees=(0, 0), weight=None):
+    """A constant-weight Kronecker pair: degrees (0, 0) with t = 3, c = 0.75,
+    or (1, 0) like the benchmark's ``const_n256`` (sigma = 1, tau_2 = 1.5,
+    c = 1); its solution is the constant u_2 = -u_1 = log(tau_2 / c) / 4.
+    ``weight`` replaces the arrow's weight field (the same constant)."""
+    c, tau2 = (0.75, 3.0) if degrees == (0, 0) else (1.0, 1.5)
+    params = qf.StabilityParams({"1": 1.0, "2": 1.0}, {"1": TWO_PI * degrees[0] - tau2, "2": tau2})
+    w = c if weight is None else weight(n, c)
+    system = qf.build_torus_system(kronecker_quiver(1), dict(zip(("1", "2"), degrees)), {"a0": w}, params, n)
+    rho = 0.25 * np.log(tau2 / c)
+    return system, {"1": -rho, "2": rho}
+
+
+@pytest.mark.parametrize("degrees", [(0, 0), (1, 0)])
+def test_constant_weights_start_on_the_coarsest_grid(monkeypatch, degrees):
+    # translation invariant: the Newton steps are taken on the 4 x 4 grid,
+    # and its constant solution is certified once on the requested grid,
+    # which takes no step
+    results = {}
+    for n in (8, 64, 512):
+        system, closed = const_system(n, degrees)
+        sizes = counted_solves(monkeypatch)
+        result = torus.solve_vortex(system)
+        monkeypatch.undo()
+        assert sizes == [n, 4]
+        steps, cg = result.levels[0][1], result.cg_iterations[0]
+        assert steps > 0 and cg > 0
+        assert result.levels == [(4, steps), (n, 0)] and result.cg_iterations == [cg, 0]
+        assert result.iterations == 0 and result.sup_residual <= 1e-8
+        assert all(np.ptp(result.state.u[v]) == 0.0 for v in ("1", "2"))
+        tight = torus.solve_vortex(system, tol=1e-11)
+        assert max(np.abs(tight.state.u[v] - u).max() for v, u in closed.items()) <= 1e-12
+        zero = PotentialState({v: np.zeros((n, n)) for v in ("1", "2")})
+        single = torus.solve_vortex(system, initial=zero)
+        assert single.levels == [(n, steps)]
+        assert max(np.abs(result.state.u[v] - single.state.u[v]).max() for v in ("1", "2")) <= 1e-12
+        results[n] = result
+    # every grid poses the same problem
+    assert len({r.levels[0] for r in results.values()}) == 1
+    assert len({r.sup_residual for r in results.values()}) == 1
+    recomputed = vortex_residual(const_system(512, degrees)[0], results[512].state)
+    assert max(np.abs(r).max() for r in recomputed.values()) == results[512].sup_residual
+
+
+def test_constant_raw_arrays_take_the_coarsest_grid():
+    # "constant" is read from the fields, not from the weight specs: a raw
+    # array counts as synthetic, and a constant one still starts on 4 x 4
+    system, closed = const_system(256, (1, 0), weight=lambda n, c: np.full((n, n), c))
+    assert system.weight_specs["a0"].synthetic
+    result = qf.solve_vortex(system, tol=1e-11)
+    assert result.levels == [(4, result.levels[0][1]), (256, 0)]
+    assert max(np.abs(result.state.u[v] - u).max() for v, u in closed.items()) <= 1e-12
+
+
+def test_one_bump_weight_keeps_the_nested_iteration():
+    # a constant weight beside a bump: not translation invariant, so the
+    # solve still starts on the 64 grid and halves its way up
+    q = qf.Quiver.from_lists(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    params = qf.StabilityParams({v: 1.0 for v in "123"}, {"1": -1.0, "2": 0.0, "3": 1.0})
+    bump = WeightSpec("bump", amplitude=1.0, width=0.4, center=(0.3, 0.6), floor=0.05)
+    system = qf.build_torus_system(q, {v: 0 for v in "123"}, {"a": 1.0, "b": bump}, params, 256)
+    result = qf.solve_vortex(system)
+    assert [n for n, _ in result.levels] == [64, 128, 256]
+
+
+def test_unsolvable_constant_data_stall_before_the_coarsest_grid(monkeypatch):
+    # the solvability test runs before any coarse solve, on the 4 x 4 path
+    # as on the nested one
+    system = two_vertex_system(t=-1.0, c=1.0, n=8)
+    sizes = counted_solves(monkeypatch)
+    with pytest.raises(NewtonStall, match=r"subset \{1\}") as info:
+        torus.solve_vortex(system)
+    assert sizes == [8]
+    assert info.value.history == [(0, 2.0, 1.0)]
+
+
 def test_solution_invariant_under_parameter_rescaling():
     t, c = 2.0, 0.5
     base = two_vertex_system(t=t, c=c, n=32)
