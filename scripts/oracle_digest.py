@@ -8,7 +8,9 @@ witness and witness slope, as ``quiverforge check`` exports them), then one
 a changed line is a changed tag or witness.  Standard error gets one
 ``oracle_cpu_s <seconds>`` line: the process CPU time summed over the
 ``stability_oracle`` calls, which is not deterministic and so stays out of
-standard output.
+standard output; then ``members <n>``, the End(V)-family members the
+oracle read (yielded by ``stability._endomorphism_family``), and
+``complements <n>``, its calls to ``invariant_complement``.
 
 With ``--flow`` it runs the Kempf-Ness flow instead of the oracle and prints
 one line per call, ``name status stop iterations hash`` followed by one
@@ -169,17 +171,30 @@ def timed_reading(cpu: list[float]) -> None:
         owner.filtration_steps = wrapper
 
 
-def counted_calls(counts: Counter) -> None:
-    """Wrap ``flow._certifies_instability`` and ``flow._polish_invariant``,
-    adding each call to ``counts["readings"]`` and ``counts["polishes"]``."""
-    for label, name in (("readings", "_certifies_instability"), ("polishes", "_polish_invariant")):
-        call = getattr(flow, name)
+def counted_calls(counts: Counter, owner, names: dict[str, str]) -> None:
+    """Wrap each function ``owner.<name>`` of ``names`` (label -> name),
+    adding each call to ``counts[label]``."""
+    for label, name in names.items():
+        call = getattr(owner, name)
 
         def wrapper(*args, call=call, label=label, **kwargs):
             counts[label] += 1
             return call(*args, **kwargs)
 
-        setattr(flow, name, wrapper)
+        setattr(owner, name, wrapper)
+
+
+def counted_members(counts: Counter) -> None:
+    """Wrap ``stability._endomorphism_family``, adding each member it yields
+    to ``counts["members"]``."""
+    family = stability._endomorphism_family
+
+    def wrapper(*args, **kwargs):
+        for w in family(*args, **kwargs):
+            counts["members"] += 1
+            yield w
+
+    stability._endomorphism_family = wrapper
 
 
 def main():
@@ -193,7 +208,7 @@ def main():
     if args.flow:
         cpu, read, counts = 0.0, [0.0], Counter()
         timed_reading(read)
-        counted_calls(counts)
+        counted_calls(counts, flow, {"readings": "_certifies_instability", "polishes": "_polish_invariant"})
         for call in reference_set(args.limit):
             line, seconds = flow_line(*call)
             cpu += seconds
@@ -203,7 +218,9 @@ def main():
         print("readings", counts["readings"], file=sys.stderr)
         print("polishes", counts["polishes"], file=sys.stderr)
         return 0
-    tags = Counter()
+    tags, counts = Counter(), Counter()
+    counted_members(counts)
+    counted_calls(counts, stability, {"complements": "invariant_complement"})
     cpu = 0.0
     for name, rep, params in reference_set(args.limit):
         start = time.process_time()
@@ -214,6 +231,8 @@ def main():
     for tag in sorted(tags):
         print("count", tag, tags[tag])
     print("oracle_cpu_s", f"{cpu:.3f}", file=sys.stderr)
+    print("members", counts["members"], file=sys.stderr)
+    print("complements", counts["complements"], file=sys.stderr)
     return 0
 
 

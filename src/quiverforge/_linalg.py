@@ -85,11 +85,6 @@ def unit_phases(basis: np.ndarray) -> np.ndarray:
     return basis * (lead.conj() / np.abs(lead)) + 0.0
 
 
-def _kernel(s: np.ndarray, vh: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel basis from a full SVD, with :func:`unit_phases`."""
-    return unit_phases(vh[_rank(s, tol):].conj().T)
-
-
 def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``a`` (may be empty)."""
     a = np.asarray(a, dtype=complex)
@@ -100,14 +95,6 @@ def orthonormal_columns(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
         return np.zeros((n, 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, :_rank(s, tol)]
-
-
-def stacked_images_and_kernels(stack: np.ndarray, tol: float = RANK_TOL) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(:func:`orthonormal_columns`, :func:`null_space`) of every square
-    matrix in a nonempty stack (k, n, n) with n > 0, from one SVD call: for a
-    square matrix the thin and the full SVD agree."""
-    u, s, vh = np.linalg.svd(stack)
-    return [(uk[:, :_rank(sk, tol)], _kernel(sk, vk, tol)) for uk, sk, vk in zip(u, s, vh)]
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -129,7 +116,7 @@ def null_space(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     if a.size == 0:
         return np.eye(n, dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    return _kernel(s, vh, tol)
+    return unit_phases(vh[_rank(s, tol):].conj().T)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -7,7 +7,9 @@ stall, max-iter, identity violated); 1 for errors, among them arguments
 that do not parse, a tolerance that is not finite and positive and a
 negative seed; each error writes one JSON line {"error", "error_code"} on
 stderr, ``usage_error`` for arguments that do not parse.  All randomness
-flows from --seed (default 0, never time-based).
+flows from --seed (default 0, never time-based); ``check`` draws none, and
+the coefficients of the oracle's generic endomorphism are constants, not
+drawn from --seed.
 """
 import argparse
 import functools

@@ -220,6 +220,25 @@ def zero_witness(rep: TwistedRep) -> SubrepWitness:
 SUBREP_TOL = 1e-8
 
 
+def _witness_bases(rep: TwistedRep, witness: SubrepWitness) -> dict[str, np.ndarray]:
+    """The witness's basis at every vertex of ``rep``, empty where it names
+    none.  A vertex the quiver lacks raises :class:`QuiverMismatch`, a
+    basis of the wrong ambient dimension :class:`ShapeMismatch` and one
+    with more columns than rows :class:`DimensionOverflow`."""
+    for v in witness.basis:
+        if v not in rep.dims:
+            raise QuiverMismatch(f"witness at {v!r}: not a vertex of the quiver")
+    bases = {}
+    for v in rep.quiver.vertices:
+        b = witness.basis.get(v, np.zeros((rep.dims[v], 0), dtype=complex))
+        if b.shape[0] != rep.dims[v]:
+            raise ShapeMismatch(f"witness at {v!r}: ambient dimension {b.shape[0]} != {rep.dims[v]}")
+        if b.shape[1] > b.shape[0]:
+            raise DimensionOverflow(f"witness at {v!r} exceeds ambient dimension")
+        bases[v] = b
+    return bases
+
+
 def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TOL):
     """Invariance check: every slice must map the subspace at its tail into
     the subspace at its head.  Returns (ok, the largest spectral norm of a
@@ -230,17 +249,7 @@ def check_subrep(rep: TwistedRep, witness: SubrepWitness, tol: float = SUBREP_TO
     Y - B (B^H Y), so no projector is built.  A one-column image's spectral
     norm is its vector norm; wider ones take one batched singular-value
     call per arrow."""
-    bases = {}
-    for v in rep.quiver.vertices:
-        b = witness.basis.get(v)
-        if b is None:
-            b = np.zeros((rep.dims[v], 0), dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        if b.shape[0] != rep.dims[v]:
-            raise ShapeMismatch(f"witness at {v!r}: ambient dimension {b.shape[0]} != {rep.dims[v]}")
-        if b.shape[1] > b.shape[0]:
-            raise DimensionOverflow(f"witness at {v!r} exceeds ambient dimension")
-        bases[v] = b
+    bases = _witness_bases(rep, witness)
     leakage = 0.0
     for a in rep.quiver.arrows:
         head, tail = bases[a.head], bases[a.tail]
@@ -319,11 +328,33 @@ def invariant_closure(rep: TwistedRep, generators: Mapping[str, np.ndarray]) -> 
     return invariant_closures(rep, [start])[0]
 
 
+def _hom_operator(rep: TwistedRep, rows: Mapping[str, int], phis, psis) -> np.ndarray:
+    """Matrix of the linear map p -> (p_head phi - psi p_tail) over every
+    arrow slice phi of ``phis``, with psi the matching slice of ``psis``;
+    p_v is rows[v] x n_v, so psi is rows[head] x rows[tail], and the
+    layout is that of :func:`module_map_operator`.  Each block is a
+    Kronecker product with an identity, so its entries are those of phi
+    and psi."""
+    verts = rep.quiver.vertices
+    offsets = np.cumsum([0] + [rows[v] * rep.dims[v] for v in verts])
+    col = dict(zip(verts, offsets))
+    blocks = []
+    for a in rep.quiver.arrows:
+        rh, nh, rt, nt = rows[a.head], rep.dims[a.head], rows[a.tail], rep.dims[a.tail]
+        for phi, psi in zip(phis[a.name], psis[a.name]):
+            block = np.zeros((rh * nt, offsets[-1]), dtype=complex)
+            block[:, col[a.head]: col[a.head] + rh * nh] += kron(np.eye(rh), phi.T)
+            block[:, col[a.tail]: col[a.tail] + rt * nt] -= kron(psi, np.eye(nt))
+            blocks.append(block)
+    return np.vstack(blocks) if blocks else np.zeros((0, offsets[-1]), dtype=complex)
+
+
 def module_map_operator(
     rep: TwistedRep, slices: Mapping[str, Sequence[np.ndarray]] | None = None
 ) -> np.ndarray:
     """Matrix of the linear map u -> (u_head phi - phi u_tail) over every
-    arrow slice phi; its kernel is End(V).
+    arrow slice phi; its kernel is End(V).  This is :func:`_hom_operator`
+    with psi = phi and u_v square.
 
     Columns run over the row-major entries of u_v, vertex by vertex in
     quiver order; rows over the row-major entries of each slice's image,
@@ -331,18 +362,7 @@ def module_map_operator(
     representation's own (same shapes), e.g. by the slices in another frame.
     """
     slices = rep.slices if slices is None else slices
-    verts = rep.quiver.vertices
-    offsets = np.cumsum([0] + [rep.dims[v] ** 2 for v in verts])
-    col = dict(zip(verts, offsets))
-    blocks = []
-    for a in rep.quiver.arrows:
-        nh, nt = rep.dims[a.head], rep.dims[a.tail]
-        for sl in slices[a.name]:
-            block = np.zeros((nh * nt, offsets[-1]), dtype=complex)
-            block[:, col[a.head]: col[a.head] + nh * nh] += kron(np.eye(nh), sl.T)
-            block[:, col[a.tail]: col[a.tail] + nt * nt] -= kron(sl, np.eye(nt))
-            blocks.append(block)
-    return np.vstack(blocks) if blocks else np.zeros((0, offsets[-1]), dtype=complex)
+    return _hom_operator(rep, rep.dims, slices, slices)
 
 
 def invariant_complement(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitness | None:
@@ -351,41 +371,43 @@ def invariant_complement(rep: TwistedRep, witness: SubrepWitness) -> SubrepWitne
 
     Solves by least squares for a module retraction p: V -> W in the
     coordinates of W's bases b_v: p_v b_v = 1 and p_head phi =
-    (b_head^H phi b_tail) p_tail for every arrow slice phi.  W splits when
-    the relative residual is at most ``SUBREP_TOL``; ker p is then the
-    complement.  Singular values below sqrt(``SUBREP_TOL``) count as zero:
-    rounding makes a nilpotent block diagonalizable, with eigenvectors
-    about 1e-8 apart, and the huge retraction splitting those must fail.
+    (b_head^H phi b_tail) p_tail for every arrow slice phi.  The second
+    set of equations is the :func:`_hom_operator` with psi = b_head^H phi
+    b_tail, divided by the largest slice entry so that these homogeneous
+    equations weigh like the others.  W splits when the relative residual
+    is at most ``SUBREP_TOL``; ker p is then the complement.  Singular
+    values below sqrt(``SUBREP_TOL``) count as zero: rounding makes a
+    nilpotent block diagonalizable, with eigenvectors about 1e-8 apart, and
+    the huge retraction splitting those must fail.
     """
     verts = rep.quiver.vertices
     b = {v: witness.basis[v] for v in verts}
-    shapes = [(b[v].shape[1], rep.dims[v]) for v in verts]
-    # the module-map equations are homogeneous: scale them to the others
+    rows = {v: b[v].shape[1] for v in verts}
+    offsets = np.cumsum([0] + [rows[v] * rep.dims[v] for v in verts])
+    n = offsets[-1]
+    if n == 0:
+        return full_witness(rep)
     entries = [np.abs(sl).max() for sls in rep.slices.values() for sl in sls if sl.size]
     scale = max(entries, default=0.0) or 1.0
-
-    def equations(x):
-        parts = np.split(x, np.cumsum([r * n for r, n in shapes])[:-1])
-        p = {v: part.reshape(shape) for v, part, shape in zip(verts, parts, shapes)}
-        rows = [p[v] @ b[v] for v in verts] + [
-            (p[a.head] @ sl - b[a.head].conj().T @ sl @ b[a.tail] @ p[a.tail]) / scale
-            for a in rep.quiver.arrows
-            for sl in rep.slices[a.name]
-        ]
-        return np.concatenate([r.ravel() for r in rows]), p
-
-    unknowns = sum(r * n for r, n in shapes)
-    if unknowns == 0:
-        return full_witness(rep)
-    system = np.column_stack([equations(e)[0] for e in np.eye(unknowns, dtype=complex)])
+    psis = {
+        a.name: [b[a.head].conj().T @ sl @ b[a.tail] for sl in rep.slices[a.name]] for a in rep.quiver.arrows
+    }
+    # the rows of p_v b_v = 1 are the products at every unit vector of the
+    # unknowns, not a Kronecker block: LAPACK's Householder steps read the
+    # signs of zero entries, and a product leaves other signed zeros
+    units = np.split(np.eye(n, dtype=complex), offsets[1:-1], axis=1)
+    retraction = [
+        (u.reshape(n, rows[v], rep.dims[v]) @ b[v]).reshape(n, rows[v] ** 2).T for v, u in zip(verts, units)
+    ]
+    system = np.vstack(retraction + [_hom_operator(rep, rows, rep.slices, psis) / scale])
     target = np.zeros(system.shape[0], dtype=complex)
-    ones = np.concatenate([np.eye(r).ravel() for r, _ in shapes])
+    ones = np.concatenate([np.eye(rows[v]).ravel() for v in verts])
     target[: ones.size] = ones
     x = np.linalg.lstsq(system, target, rcond=np.sqrt(SUBREP_TOL))[0]
     if np.linalg.norm(system @ x - target) > SUBREP_TOL * np.linalg.norm(target):
         return None
-    p = equations(x)[1]
-    return SubrepWitness({v: null_space(p[v]) for v in verts})
+    parts = np.split(x, offsets[1:-1])
+    return SubrepWitness({v: null_space(part.reshape(rows[v], rep.dims[v])) for v, part in zip(verts, parts)})
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,23 @@ linear-algebra families.  The coordinate family takes, for every proper
 vertex subset S, the closure of the sum of V_v over S and the largest
 invariant subobject inside it, the orthogonal complement of the closure of
 the sum of V_v outside S in the adjoint representation; on one-dimensional
-vertices these are all the subobjects.  The End(V) family takes a basis of
-End(V), the kernel of the module-map operator, and for each element f and
-eigenvalue lambda the kernel and image of f - lambda, which are subobjects
-as built because f is a module map (only the coordinate family is closed),
-and which in a semistable object have its slope.  The enumeration is these
-two families and nothing else, so it is deterministic.  Members are built
-and read one at a time, coordinate family first, and the reading stops
-once the best candidate's slope exceeds the total slope and equals the
-largest slope of a proper dimension vector (:func:`slope.dimension_grid`),
-which no subobject can exceed.  Once the coordinate family is read, that
-bound drops to the rows a subobject can have (:func:`_subobject_top`): the
-family's closures and largest-inside members bound every subobject's
-dimension vector from below and above, so the oracle can stop there,
-before End(V).  End(V) is computed only when the End(V) family or the
-Schur guard first needs it.  Schur's lemma
+vertices these are all the subobjects.  The End(V) family takes one
+generic element f of End(V), the kernel of the module-map operator, a
+fixed combination of its basis, and for each eigenvalue lambda the kernel
+and image of f - lambda, which are subobjects as built because f is a
+module map (only the coordinate family is closed), and which in a
+semistable object have its slope.  A polystable object is a sum of stable
+summands, so its End(V) is a product of matrix algebras, and the kernels
+of one such f are its summands.  The enumeration is these two families
+and nothing else, so it is deterministic.  Members are built and read one
+at a time, coordinate family first, each distinct subspace once, and the
+reading stops once the best candidate's slope exceeds the total slope and
+equals the largest slope of a proper dimension vector
+(:func:`slope.dimension_grid`), which no subobject can exceed.  Once the
+coordinate family is read, that bound drops to the rows a subobject can
+have (:func:`_subobject_top`): the family's closures and largest-inside
+members bound every subobject's dimension vector from below and above, so
+the oracle can stop there, before End(V) is built.  Schur's lemma
 guards the verdict: an object is called ``stable`` only when End(V) is the
 scalars, and ``undecided`` when no candidate explains a larger End(V), or
 beyond the exactness envelope (any vertex dimension above 4).  The
@@ -34,20 +36,20 @@ slope exists.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import numpy as np
 
-from ._linalg import null_space, orthonormal_columns, stacked_images_and_kernels
+from ._linalg import null_space, orthonormal_columns
 from .errors import NotASolution, NotDivergent, ZeroTotalRank, check_count, check_seed
 from .flow import FiltrationStep, FlowReport, MetricState, _Chart, _Layout, filtration_steps
 from .reps import (
     SubrepWitness,
     TwistedRep,
     _adjoint,
+    _witness_bases,
     invariant_closures,
     invariant_complement,
     module_map_operator,
@@ -72,9 +74,11 @@ class Verdict:
 class OracleOptions:
     """Options of :func:`stability_oracle`, kept for callers that pass them.
 
-    The enumeration draws nothing at random, so neither field changes a
-    verdict or its cost; both are still checked, and a ``seed`` or
-    ``n_random`` that is not a nonnegative integer is refused."""
+    The enumeration draws nothing at random (the coefficients of its
+    generic endomorphism are module constants, not drawn from ``seed``), so
+    neither field changes a verdict or its cost; both are still checked,
+    and a ``seed`` or ``n_random`` that is not a nonnegative integer is
+    refused."""
 
     seed: int = 0
     n_random: int = 200
@@ -87,12 +91,12 @@ class OracleOptions:
 # any vertex dimension above this puts an instance outside the exactness
 # envelope
 EXACT_DIM_CAP = 4
-# slopes depend only on the dimension vector, so a few representatives per
-# dimension vector suffice for verdicts
-PER_DIMS_CAP = 4
 # eigenvalues of a unit-norm endomorphism closer than this are one: rounding
 # splits the eigenvalue of a nilpotent block of size k by about eps^(1/k)
 EIGEN_CLUSTER_TOL = 1e-3
+# phase step of the coefficients of the generic endomorphism, the golden
+# angle: no two coefficients share a phase
+GENERIC_PHASE = 2.399963229728653
 
 
 def _witness_key(w: SubrepWitness) -> tuple:
@@ -182,64 +186,25 @@ def _subobject_top(rep: TwistedRep, grid, built: dict) -> float:
 
 
 def _endomorphism_family(rep: TwistedRep, ends: list[dict[str, np.ndarray]]) -> Iterator[SubrepWitness]:
-    """For every element f of the basis ``ends`` of End(V) and every
-    eigenvalue lambda of f, ker(f - lambda) and im(f - lambda), not closed:
-    both are invariant as built because f is a module map.  None when End(V)
-    is the scalars.  Each nonzero vertex takes one stacked eigenvalue call
-    over the basis and one stacked SVD over every f - lambda, which gives
-    both its kernel and its image; a zero-dimensional one gets empty bases."""
+    """For one generic element f of End(V) and every eigenvalue lambda of
+    f, ker(f - lambda), then im(f - lambda), not closed: both are invariant
+    as built because f is a module map.  None when End(V) is the scalars.
+    f is the combination of the orthonormal basis ``ends`` whose k-th
+    coefficient is exp(i k ``GENERIC_PHASE``), scaled to unit norm, so
+    ``EIGEN_CLUSTER_TOL`` applies to it; the coefficients are constants, so
+    the family is deterministic.  In a polystable object End(V) is a
+    product of matrix algebras, and the kernels of such an f are stable
+    summands of the total slope.  Each nonzero vertex takes one eigenvalue
+    call; a zero-dimensional one gets empty bases."""
     if len(ends) < 2:
         return
-    verts = [v for v in rep.quiver.vertices if rep.dims[v]]
-    eigs = {v: np.linalg.eigvals(np.array([f[v] for f in ends])) for v in verts}
-    shifts = [
-        (f, lam)
-        for i, f in enumerate(ends)
-        for lam in _eigenvalue_clusters(np.concatenate([eigs[v][i] for v in verts]))
-    ]
-    split = {
-        v: stacked_images_and_kernels(np.array([f[v] - lam * np.eye(rep.dims[v]) for f, lam in shifts]))
-        for v in verts
-    }
-    empty = np.zeros((0, 0), dtype=complex)
-    # split[v][k] is (image, kernel); each shift gives its kernel first
-    for k, j in product(range(len(shifts)), (1, 0)):
-        yield SubrepWitness({v: split[v][k][j] if v in split else empty for v in rep.quiver.vertices})
-
-
-def _candidate_subreps(
-    rep: TwistedRep,
-    ends: Callable[[], list[dict[str, np.ndarray]]] | None = None,
-    stop: Callable[[dict], bool] | None = None,
-) -> Iterator[SubrepWitness]:
-    """Distinct subobjects of the coordinate family, then of the End(V)
-    family, at most ``PER_DIMS_CAP`` per dimension vector, in that order,
-    each yielded when admitted and built only when asked for.  ``ends``
-    returns a basis of End(V); it is called, and the End(V) family started,
-    only once the coordinate family is exhausted (by default it is a
-    memoized :func:`_endomorphisms`), and only when ``stop``, given the
-    coordinate family's dimension vectors (see :func:`_coordinate_family`),
-    does not return True."""
-    seen: set[tuple] = set()
-    dims_count: dict[tuple, int] = {}
-    ends = ends or cache(partial(_endomorphisms, rep))
-
-    def members() -> Iterator[SubrepWitness]:
-        built: dict = {}
-        yield from _coordinate_family(rep, built)
-        if stop is None or not stop(built):
-            yield from _endomorphism_family(rep, ends())
-
-    for w in members():
-        dims_key = tuple(sorted(w.dims.items()))
-        if dims_count.get(dims_key, 0) >= PER_DIMS_CAP:
-            continue
-        key = _witness_key(w)
-        if key in seen:
-            continue
-        seen.add(key)
-        dims_count[dims_key] = dims_count.get(dims_key, 0) + 1
-        yield w
+    coef = np.exp(1j * GENERIC_PHASE * np.arange(len(ends))) / np.sqrt(len(ends))
+    f = {v: np.tensordot(coef, [e[v] for e in ends], axes=1) for v in rep.quiver.vertices}
+    vals = np.concatenate([np.linalg.eigvals(m) for m in f.values() if m.size])
+    for lam in _eigenvalue_clusters(vals):
+        shifted = {v: m - lam * np.eye(len(m)) for v, m in f.items()}
+        yield SubrepWitness({v: null_space(m) for v, m in shifted.items()})
+        yield SubrepWitness({v: orthonormal_columns(m) for v, m in shifted.items()})
 
 
 def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOptions | None = None) -> Verdict:
@@ -247,34 +212,34 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
 
     The candidates are the coordinate family (closures of coordinate
     subobjects and the largest invariant ones inside, by adjoint closure)
-    and the End(V) family (kernels and images of endomorphisms minus an
-    eigenvalue); nothing is drawn at random, so the verdict is
-    deterministic.  Looks for a proper invariant subobject of strictly
-    larger slope (``unstable``, with witness: the first candidate of the
-    largest slope).  The candidates are read one at a time, and the reading
-    stops once that slope exceeds the total slope by more than
-    ``SLOPE_TOL`` and equals the largest slope of a proper dimension vector
-    (:func:`slope.dimension_grid`; a candidate's slope equals its grid
-    entry bit for bit), since no later candidate can then replace the
-    witness.  When the coordinate family is exhausted, the bound becomes
-    the largest slope of a grid row that a subobject can have
-    (:func:`_subobject_top`), and the reading stops there, before End(V)
-    is built, when the best candidate already reaches it.  Above
-    ``BOUND_GRID_ROWS`` vectors there is no grid and every candidate is
-    read.  Failing that, beyond the exactness envelope (any
+    and the End(V) family (kernels and images of one generic endomorphism
+    minus an eigenvalue), read in that order, each distinct subspace once;
+    nothing is drawn at random, so the verdict is deterministic.  Looks for
+    a proper invariant subobject of strictly larger slope (``unstable``,
+    with witness: the first candidate of the largest slope).  The
+    candidates are read one at a time, and the reading stops once that
+    slope exceeds the total slope by more than ``SLOPE_TOL`` and equals the
+    largest slope of a proper dimension vector (:func:`slope.dimension_grid`;
+    a candidate's slope equals its grid entry bit for bit), since no later
+    candidate can then replace the witness.  When the coordinate family is
+    exhausted, the bound becomes the largest slope of a grid row that a
+    subobject can have (:func:`_subobject_top`), and the reading stops
+    there, before End(V) is built, when the best candidate already reaches
+    it.  Above ``BOUND_GRID_ROWS`` vectors there is no grid and every
+    candidate is read.  Failing that, beyond the exactness envelope (any
     vertex dimension above ``EXACT_DIM_CAP``) the verdict is ``undecided``.
     Inside it, ``polystable`` when every equal-slope candidate has an
     invariant complement (polystable means semisimple among semistable
     objects of one slope), ``strictly-semistable`` with a witness that has
     none.  With no equal-slope candidate, the Schur guard: the object is
     ``stable`` only when End(V) is the scalars (the dimension of the basis
-    the End(V) family uses), and ``undecided`` otherwise.  End(V) is
-    computed once, when the End(V) family or the Schur guard first needs
-    it, so a reading that stops inside the coordinate family builds none.
+    the End(V) family uses), and ``undecided`` otherwise.  End(V) is built
+    once, after the coordinate family, so a reading that stops there
+    builds none.
 
     ``options`` is checked when it is built and changes nothing here (see
-    :class:`OracleOptions`).  The enumeration limits are the module
-    constants.
+    :class:`OracleOptions`).  The enumeration limits and the coefficients
+    of the generic endomorphism are module constants.
     """
     if rep.total_dim == 0:
         raise ZeroTotalRank("empty representation")
@@ -283,31 +248,44 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
     # no candidate's slope exceeds the largest grid slope; without a grid
     # there is no bound and every candidate is read
     top = np.inf if grid is None else grid[2].max(initial=-np.inf)
-    ends = cache(partial(_endomorphisms, rep))
+    seen: set[tuple] = set()
     best: SubrepWitness | None = None
     best_slope = -np.inf
     equal: list[SubrepWitness] = []
 
-    def reached(built: dict) -> bool:
-        # the coordinate family is read: lower the bound to the rows a
-        # subobject can have, and stop before End(V) if the best reaches it
-        nonlocal top
-        if grid is not None:
-            top = _subobject_top(rep, grid, built)
+    def reached() -> bool:
+        # only a strictly larger slope replaces the witness, so none can
+        # replace one at the bound
         return best_slope == top and best_slope > mu + SLOPE_TOL
 
-    for w in _candidate_subreps(rep, ends, reached):
-        if not 0 < w.total_dim < rep.total_dim:
-            continue
-        _, mu_w = degree_and_slope(w, params)
-        if mu_w > best_slope:
-            best, best_slope = w, mu_w
-            # only a strictly larger slope replaces the witness
-            if best_slope == top and best_slope > mu + SLOPE_TOL:
-                break
-        if abs(mu_w - mu) <= SLOPE_TOL:
-            equal.append(w)
-    if best is not None and best_slope > mu + SLOPE_TOL:
+    def read(family: Iterator[SubrepWitness]) -> bool:
+        # the distinct proper members, in order; True once the witness
+        # reaches the bound
+        nonlocal best, best_slope
+        for w in family:
+            if not 0 < w.total_dim < rep.total_dim:
+                continue
+            key = _witness_key(w)
+            if key in seen:
+                continue
+            seen.add(key)
+            _, mu_w = degree_and_slope(w, params)
+            if mu_w > best_slope:
+                best, best_slope = w, mu_w
+                if reached():
+                    return True
+            if abs(mu_w - mu) <= SLOPE_TOL:
+                equal.append(w)
+        return False
+
+    built: dict = {}
+    if not read(_coordinate_family(rep, built)) and grid is not None:
+        top = _subobject_top(rep, grid, built)
+    if reached():
+        return Verdict("unstable", mu, best, best_slope)
+    ends = _endomorphisms(rep)
+    read(_endomorphism_family(rep, ends))
+    if best_slope > mu + SLOPE_TOL:
         return Verdict("unstable", mu, best, best_slope)
     if max(rep.dims.values()) > EXACT_DIM_CAP:
         return Verdict("undecided", mu, equal[0], mu) if equal else Verdict("undecided", mu)
@@ -316,7 +294,7 @@ def stability_oracle(rep: TwistedRep, params: StabilityParams, options: OracleOp
             return Verdict("strictly-semistable", mu, w, mu)
     if equal:
         return Verdict("polystable", mu)
-    return Verdict("stable", mu) if len(ends()) == 1 else Verdict("undecided", mu)
+    return Verdict("stable", mu) if len(ends) == 1 else Verdict("undecided", mu)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +350,19 @@ def subrep_degree_identity(
     norm of m~, and in the H-frame the H-orthogonal projection onto W is the
     orthogonal projection pi onto H^{1/2} W, so the leakage is the sum of
     |pi psi_k (1 - pi)|^2 over the chart's H-frame slice stack, with pi
-    block diagonal.  Raises :class:`SingularMetric` on a metric of condition
+    block diagonal.  The witness is refused as :func:`reps._witness_bases`
+    refuses it.  Raises :class:`SingularMetric` on a metric of condition
     above 1e12 and :class:`NotASolution` when the metric residual exceeds
     ``SOLUTION_TOL``.
     """
+    bases = _witness_bases(rep, witness)
     layout = _Layout(rep)
     chart = _Chart.of_metric(metric, layout, cond_limit=1e12)
     res = float(np.linalg.norm(chart.moment(layout.diagonal(params.tau, "tau"))[0]))
     if res > SOLUTION_TOL:
         raise NotASolution(f"metric residual {res:.3e} exceeds {SOLUTION_TOL:g}")
     half = layout.blocks(chart.half[0])
-    frames = {v: orthonormal_columns(half[v] @ b) for v, b in witness.basis.items()}
+    frames = {v: orthonormal_columns(half[v] @ b) for v, b in bases.items()}
     pi = layout.pack({v: q @ q.conj().T for v, q in frames.items()}, "witness projector")
     deg_w, _ = degree_and_slope(witness, params)
     leakage = float(np.linalg.norm(pi @ chart.psi @ (np.eye(layout.n) - pi))) ** 2

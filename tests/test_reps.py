@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quiverforge as qf
-from quiverforge import reps
+from quiverforge import reps, stability
 from quiverforge._linalg import complement_basis, null_space, orthonormal_columns, projector
 from quiverforge.errors import (
     DimensionOverflow,
@@ -23,6 +23,7 @@ from quiverforge.reps import (
     module_map_operator,
     to_module,
 )
+from conftest import random_two_vertex_instance, twisted_instance
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -293,6 +294,81 @@ def test_invariant_complement_is_the_kernel_of_the_retraction(monkeypatch):
         old = complement_basis(orthonormal_columns(p.conj().T))
         assert np.abs(projector(comp.basis[v]) - projector(old)).max() < 1e-12
         assert np.abs(projector(comp.basis[v]) - projector(orthonormal_columns(frames[v][:, 1:]))).max() < 1e-9
+
+
+def _probing_complement(rep, witness):
+    """Reference for :func:`invariant_complement`: the least-squares system
+    assembled column by column, by applying the retraction equations to
+    every unit vector of the unknowns."""
+    verts = rep.quiver.vertices
+    b = {v: witness.basis[v] for v in verts}
+    shapes = [(b[v].shape[1], rep.dims[v]) for v in verts]
+    entries = [np.abs(sl).max() for sls in rep.slices.values() for sl in sls if sl.size]
+    scale = max(entries, default=0.0) or 1.0
+
+    def equations(x):
+        parts = np.split(x, np.cumsum([r * n for r, n in shapes])[:-1])
+        p = {v: part.reshape(shape) for v, part, shape in zip(verts, parts, shapes)}
+        rows = [p[v] @ b[v] for v in verts] + [
+            (p[a.head] @ sl - b[a.head].conj().T @ sl @ b[a.tail] @ p[a.tail]) / scale
+            for a in rep.quiver.arrows
+            for sl in rep.slices[a.name]
+        ]
+        return np.concatenate([r.ravel() for r in rows]), p
+
+    unknowns = sum(r * n for r, n in shapes)
+    if unknowns == 0:
+        return reps.full_witness(rep)
+    system = np.column_stack([equations(e)[0] for e in np.eye(unknowns, dtype=complex)])
+    target = np.zeros(system.shape[0], dtype=complex)
+    ones = np.concatenate([np.eye(r).ravel() for r, _ in shapes])
+    target[: ones.size] = ones
+    x = np.linalg.lstsq(system, target, rcond=np.sqrt(reps.SUBREP_TOL))[0]
+    if np.linalg.norm(system @ x - target) > reps.SUBREP_TOL * np.linalg.norm(target):
+        return None
+    p = equations(x)[1]
+    return qf.SubrepWitness({v: null_space(p[v]) for v in verts})
+
+
+def _loop_jordan_reps():
+    """One-vertex loops: nilpotent Jordan blocks of sizes 2 and 3 and the
+    sums J_2(0) + J_1(0) and J_2(1) + J_1(0), each in the standard and in a
+    general frame.  A loop's head and tail blocks share columns of the
+    retraction system."""
+    rng = np.random.default_rng(5)
+    q = qf.Quiver.from_lists(["v"], [("phi", "v", "v")])
+    blocks = [np.diag([1.0], 1), np.diag([1.0, 1.0], 1), np.diag([1.0, 0.0], 1), np.diag([1.0, 1.0, 0.0]) + np.diag([1.0, 0.0], 1)]
+    for block in blocks:
+        n = len(block)
+        for frame in (np.eye(n), rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))):
+            yield qf.build_rep(q, None, {"v": n}, {"phi": [frame @ block @ np.linalg.inv(frame)]})
+
+
+def test_invariant_complement_matches_the_probing_reference():
+    # the Kronecker-block system gives the probing construction's answers,
+    # complements byte for byte, on every proper member of the oracle's
+    # families of criterion-4 and twisted draws and of loop Jordan blocks,
+    # and on the closure of each coordinate vector of the loops
+    draws = [random_two_vertex_instance(5000 + k)[0] for k in range(20)]
+    draws += [twisted_instance(6000 + k)[0] for k in range(12)]
+    answers = []
+    for loop, rep in [(False, r) for r in draws] + [(True, r) for r in _loop_jordan_reps()]:
+        members = list(stability._coordinate_family(rep))
+        members += stability._endomorphism_family(rep, stability._endomorphisms(rep))
+        if loop:
+            members += [invariant_closure(rep, {"v": e}) for e in np.eye(rep.dims["v"])]
+        for w in members:
+            if not 0 < w.total_dim < rep.total_dim:
+                continue
+            got, want = invariant_complement(rep, w), _probing_complement(rep, w)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert [(v, got.basis[v].tobytes()) for v in got.basis] == [
+                    (v, want.basis[v].tobytes()) for v in want.basis
+                ]
+            answers.append((loop, want is None))
+    # both answers occur, on the draws and on the loops
+    assert set(answers) == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_module_map_operator_matches_definition():

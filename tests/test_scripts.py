@@ -64,43 +64,60 @@ def test_kronecker_family_has_no_closed_form_without_an_arrow_map(monkeypatch, t
 
 
 def test_oracle_digest_prints_one_line_per_call(monkeypatch, capsys):
-    # the script puts src/ and bench/ on sys.path; restore it afterwards
+    # the script puts src/ and bench/ on sys.path and wraps library
+    # functions, the End(V) family and invariant_complement here; restore
+    # them afterwards, with recorders under the wrappers
+    from quiverforge import flow, stability
+
     monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5"])
+    members, complements = [], []
+    family, complement = stability._endomorphism_family, stability.invariant_complement
+
+    def recorded(*args):
+        for w in family(*args):
+            members.append(w)
+            yield w
+
+    monkeypatch.setattr(stability, "_endomorphism_family", recorded)
+    monkeypatch.setattr(stability, "invariant_complement", lambda *args: complements.append(args) or complement(*args))
+    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "10"])
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
     assert info.value.code == 0
     out, err = capsys.readouterr()
     rows = [line.split() for line in out.splitlines()]
     calls = [r for r in rows if r[0] != "count"]
-    # five calls from each of six families: the criterion-4, twisted and
+    # ten calls from each of six families: the criterion-4, twisted and
     # three-vertex draws, the two point passes and the planted sweep
     assert [name for name, _, _ in calls[:5]] == [
         "criterion4-5000-s0", "criterion4-5000-s1", "criterion4-5000-s2", "criterion4-5001-s0", "criterion4-5001-s1"
     ]
-    assert [name for name, _, _ in calls[15:20]] == [f"pass1-criterion4-{k}" for k in range(5)]
-    assert [name for name, _, _ in calls[20:25]] == [f"pass7919-criterion4-{k}" for k in range(5)]
-    assert [name for name, _, _ in calls[25:]] == [f"planted-{k}" for k in range(5)]
+    assert [name for name, _, _ in calls[30:40]] == [f"pass1-criterion4-{k}" for k in range(10)]
+    assert [name for name, _, _ in calls[40:50]] == [f"pass7919-criterion4-{k}" for k in range(10)]
+    assert [name for name, _, _ in calls[50:]] == [f"planted-{k}" for k in range(10)]
     assert all(len(digest) == 12 for _, _, digest in calls)
     counts = {tag: int(n) for _, tag, n in rows[len(calls):]}
     assert counts == {tag: sum(1 for _, t, _ in calls if t == tag) for tag in counts}
-    assert sum(counts.values()) == len(calls) == 30
-    # the oracle's CPU time goes to stderr, out of the diffable digest
-    (label, seconds), = [line.split() for line in err.splitlines()]
+    assert sum(counts.values()) == len(calls) == 60
+    # the oracle's CPU time goes to stderr, out of the diffable digest; then
+    # the End(V) members it read and its invariant_complement calls, as the
+    # recorders under the script's wrappers saw them
+    (label, seconds), counted_members, counted_complements = [line.split() for line in err.splitlines()]
     assert label == "oracle_cpu_s" and float(seconds) >= 0
+    assert counted_members == ["members", str(len(members))]
+    assert counted_complements == ["complements", str(len(complements))]
+    assert members and complements
 
     # --flow: one "name status stop iterations hash dims:slope..." line per call;
     # the script wraps filtration_steps, the proof reading and the polish in
     # the library modules, so restore them
-    from quiverforge import flow, stability
-
     for owner in (flow, stability):
         monkeypatch.setattr(owner, "filtration_steps", owner.filtration_steps)
     readings, polishes = [], []
     for attr, seen in (("_certifies_instability", readings), ("_polish_invariant", polishes)):
         call = getattr(flow, attr)
         monkeypatch.setattr(flow, attr, lambda *args, call=call, seen=seen: seen.append(args) or call(*args))
-    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "5", "--flow"])
+    monkeypatch.setattr(sys, "argv", ["oracle_digest.py", "--limit", "10", "--flow"])
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(SCRIPTS / "oracle_digest.py"), run_name="__main__")
     assert info.value.code == 0

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import quiverforge as qf
 from quiverforge.errors import (
+    DimensionOverflow,
     InadmissibleParameters,
     NonpositiveScale,
     NoSeparation,
     NotASolution,
     NotDivergent,
     QuiverMismatch,
+    ShapeMismatch,
     SingularMetric,
     ZeroTotalRank,
 )
@@ -386,14 +388,29 @@ def _duplicate_pairs(candidates):
     ]
 
 
-def test_candidates_span_distinct_subspaces():
+def test_candidates_span_distinct_subspaces(monkeypatch):
     # rounding leaves -0.0 on a projector's diagonal where another basis of
     # the same subspace gives 0.0; both must give one key, or copies of one
-    # subspace use up the slots of its dimension vector (draw 6017 held 18
-    # such pairs)
-    reps = [twisted_draw(6017)] + [random_two_vertex_instance(5000 + k)[0] for k in range(10)]
-    for rep in reps:
-        assert _duplicate_pairs(stability._candidate_subreps(rep)) == []
+    # subspace are read twice (draw 6017 held 18 such pairs).  Every
+    # candidate the oracle admits has its slope taken once, and with no
+    # grid every candidate is read
+    reps = [(twisted_draw(6017), twisted_instance(6017)[1])] + [random_two_vertex_instance(5000 + k) for k in range(10)]
+    monkeypatch.setattr(stability, "dimension_grid", lambda rep, params: None)
+    real = stability.degree_and_slope
+    admitted, repeats = 0, 0
+    for rep, tau in reps:
+        read = []
+        monkeypatch.setattr(stability, "degree_and_slope", lambda w, params: read.append(w) or real(w, params))
+        qf.stability_oracle(rep, qf.StabilityParams({v: 1.0 for v in rep.quiver.vertices}, tau))
+        candidates = read[1:]
+        assert _proper(rep, candidates) == candidates
+        assert _duplicate_pairs(candidates) == []
+        members = list(stability._coordinate_family(rep))
+        members += stability._endomorphism_family(rep, stability._endomorphisms(rep))
+        admitted += len(candidates)
+        repeats += len(_duplicate_pairs(_proper(rep, members)))
+    # the families themselves repeat subspaces
+    assert admitted > 0 and repeats > 0
 
 
 def _oracle_draws():
@@ -480,29 +497,33 @@ def test_closure_matches_always_svd_reference():
         assert [_basis_bytes(w) for w in invariant_closures(rep, starts)] == want
 
 
-def test_endomorphism_family_decomposes_in_stacked_calls(monkeypatch):
-    # twisted draw 6004 has dim End(V) = 3; each nonzero vertex takes one
-    # eigvals call over the basis and one SVD over every f - lambda, and the
-    # members equal, byte for byte, the one-at-a-time construction
+def test_endomorphism_family_reads_one_generic_endomorphism(monkeypatch):
+    # twisted draw 6004 has dim End(V) = 3; the family reads one unit-norm
+    # module map f, the fixed combination of that basis, with one eigvals
+    # call per nonzero vertex, and its members equal, byte for byte, the
+    # kernel and then the image of f - lambda for each eigenvalue cluster
     rep = twisted_draw(6004)
     ends = stability._endomorphisms(rep)
     assert len(ends) == 3
+    coef = np.exp(1j * stability.GENERIC_PHASE * np.arange(3)) / np.sqrt(3)
+    f = {v: np.tensordot(coef, [e[v] for e in ends], axes=1) for v in rep.quiver.vertices}
+    assert np.linalg.norm(np.concatenate([m.ravel() for m in f.values()])) == pytest.approx(1.0, abs=1e-12)
+    for a in rep.quiver.arrows:
+        for sl in rep.slices[a.name]:
+            assert np.abs(f[a.head] @ sl - sl @ f[a.tail]).max() < 1e-12
     verts = [v for v in rep.quiver.vertices if rep.dims[v]]
     want = []
-    for f in ends:
-        for lam in stability._eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
-            shifted = {v: f[v] - lam * np.eye(rep.dims[v]) for v in verts}
-            want.append(_basis_bytes(qf.SubrepWitness({v: null_space(m) for v, m in shifted.items()})))
-            want.append(_basis_bytes(qf.SubrepWitness({v: orthonormal_columns(m) for v, m in shifted.items()})))
+    for lam in stability._eigenvalue_clusters(np.concatenate([np.linalg.eigvals(f[v]) for v in verts])):
+        shifted = {v: m - lam * np.eye(len(m)) for v, m in f.items()}
+        want.append(_basis_bytes(qf.SubrepWitness({v: null_space(m) for v, m in shifted.items()})))
+        want.append(_basis_bytes(qf.SubrepWitness({v: orthonormal_columns(m) for v, m in shifted.items()})))
+    assert len(want) >= 4
 
-    calls = {"eigvals": 0, "svd": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = []
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or real(m))
     members = list(stability._endomorphism_family(rep, ends))
-    assert calls == {"eigvals": len(verts), "svd": len(verts)}
+    assert len(calls) == len(verts)
     assert [_basis_bytes(w) for w in members] == want
 
 
@@ -730,12 +751,54 @@ def test_oracle_verdicts_where_end_is_not_scalar(instance, tag):
 
 
 def test_schur_guard(monkeypatch):
-    # with no equal-slope candidate, only End(V) = C gives stable
-    monkeypatch.setattr(stability, "_candidate_subreps", lambda *args: [])
+    # with no equal-slope candidate, only End(V) = C gives stable; here
+    # neither family yields a candidate
+    monkeypatch.setattr(stability, "_coordinate_family", lambda rep, built=None: iter(()))
+    monkeypatch.setattr(stability, "_endomorphism_family", lambda rep, ends: iter(()))
     rep, tau = random_two_vertex_instance(5018)
     params = qf.StabilityParams({"1": 1.0, "2": 1.0}, tau)
     assert qf.stability_oracle(rep, params).tag == "undecided"
     assert qf.stability_oracle(kronecker_rep(phi=1.0), kronecker_params(t=1.0)).tag == "stable"
+
+
+def test_isotypic_polystable_object_reads_one_endomorphism(monkeypatch):
+    # S + S + T of stable, non-isomorphic (1, 1) summands of slope 0, in a
+    # general frame: End(V) = M_2 x C.  One generic f has three eigenvalue
+    # clusters, two copies of S and T, so the End(V) family reads one
+    # eigvals call per nonzero vertex and at most a kernel and an image per
+    # cluster; every kernel is an invariant summand of slope mu
+    rng = np.random.default_rng(32)
+    s, t = two_arrow_kron_rep((1.0, 0.5)), two_arrow_kron_rep((0.3, -1.0))
+    rep = qf.direct_sum(qf.direct_sum(s, s), t)
+    frames = {v: rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for v in rep.quiver.vertices}
+    rep = qf.build_rep(rep.quiver, None, rep.dims, {
+        a.name: [frames[a.head] @ sl @ np.linalg.inv(frames[a.tail]) for sl in rep.slices[a.name]]
+        for a in rep.quiver.arrows
+    })
+    params = kronecker_params(t=1.0)
+    assert _end_dim(rep) == 5
+
+    members, clusters, calls = [], [], []
+    family, cluster = stability._endomorphism_family, stability._eigenvalue_clusters
+
+    def recorded(*args):
+        for w in family(*args):
+            members.append(w)
+            yield w
+
+    monkeypatch.setattr(stability, "_endomorphism_family", recorded)
+    monkeypatch.setattr(stability, "_eigenvalue_clusters", lambda vals: clusters.append(cluster(vals)) or clusters[-1])
+    real = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or real(m))
+    verdict = qf.stability_oracle(rep, params)
+    assert verdict.tag == "polystable"
+    assert len(calls) == 2
+    assert [len(c) for c in clusters] == [3] and len(members) <= 2 * 3
+    kernels = members[::2]
+    assert sorted(w.total_dim for w in kernels) == [2, 2, 2]
+    for w in kernels:
+        assert qf.check_subrep(rep, w)[0]
+        assert qf.degree_and_slope(w, params)[1] == pytest.approx(verdict.slope, abs=1e-12)
 
 
 def _planted_kronecker(n_arrows, dims, tau, seed):
@@ -1052,6 +1115,29 @@ def test_degree_identity_random_solved_instance():
     ok, _ = qf.check_subrep(summed, w)
     assert ok
     assert qf.subrep_degree_identity(summed, rpt.final_metric, w, params) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "basis, error",
+    [
+        ({"1": np.eye(2)[:, :1], "2": np.eye(1)}, ShapeMismatch),
+        ({"1": np.eye(1), "2": np.eye(1), "3": np.eye(1)}, QuiverMismatch),
+        ({"1": np.ones((1, 2)), "2": np.eye(1)}, DimensionOverflow),
+    ],
+    ids=["wrong-ambient-size", "unknown-vertex", "too-many-columns"],
+)
+def test_degree_identity_refuses_malformed_witnesses(basis, error):
+    # these were a numpy ValueError, a raw KeyError and a mismatch of 1.0;
+    # the witness is refused as check_subrep refuses it, before the metric
+    # is read
+    rep, params = kronecker_rep(), kronecker_params(t=1.0)
+    report = qf.flow_solve(rep, params)
+    assert report.converged
+    witness = qf.SubrepWitness(basis)
+    with pytest.raises(error):
+        qf.subrep_degree_identity(rep, report.final_metric, witness, params)
+    with pytest.raises(error):
+        qf.check_subrep(rep, witness)
 
 
 def test_degree_identity_reads_one_chart(monkeypatch):
